@@ -5,8 +5,8 @@ The nonlinear equation
     v_t + a (v v_x - v_xx) + (g - c x) v_x - c v + 2 (f - 2 b x) = 0
 
 linearizes under v = -2 u_x / u into the diffusion-type master equation, so
-its Cauchy problem is solved by one kernel quadrature per grid point followed
-by a log-derivative.  The classical constant-viscosity equation
+its Cauchy problem is solved by one batched kernel quadrature over the grid
+followed by a log-derivative.  The classical constant-viscosity equation
 v_t + v v_x = a v_xx uses the scaled substitution v = -2a u_x / u and the
 correspondingly scaled exponent.  Traveling-wave families are constructed
 from the moving-frame reduction, whose profile ODE is integrated through an
@@ -26,7 +26,8 @@ from scipy.optimize import brentq
 
 from .coefficients import CoefficientSet
 from .errors import DomainError, IntegrationError, QuadratureError, SingularityError
-from .kernel import GridField, HeatKernel, QuadSpec, _quad, make_kernel
+from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _on_arrays,
+                     make_kernel)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 _POLE_SCAN_POINTS = 2048
@@ -69,11 +70,16 @@ class _DenseAntiderivative:
         self._pos, self._neg = pos.sol, neg.sol
         self.half_width = half_width
 
-    def __call__(self, y: float) -> float:
-        if abs(y) > self.half_width * (1.0 + 1e-12):
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        if np.any(np.abs(y) > self.half_width * (1.0 + 1e-12)):
             raise DomainError(f"antiderivative queried outside ±{self.half_width}")
-        y = float(np.clip(y, -self.half_width, self.half_width))
-        return float((self._pos if y >= 0.0 else self._neg)(y)[0])
+        flat = np.clip(y, -self.half_width, self.half_width).ravel()
+        out = np.empty_like(flat)
+        for sol, side in ((self._pos, flat >= 0.0), (self._neg, flat < 0.0)):
+            if side.any():
+                out[side] = sol(flat[side])[0]
+        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
 @dataclass
@@ -120,7 +126,7 @@ class BurgersProblem:
 
     def v0_bound(self, half_width: float) -> float:
         ys = np.linspace(-half_width, half_width, 513)
-        return float(np.max(np.abs([self.v0(y) for y in ys])))
+        return float(np.max(np.abs(_on_arrays(self.v0)(ys))))
 
 
 def cole_hopf(u: GridField) -> GridField:
@@ -150,37 +156,27 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     return GridField(xs, ts, v)
 
 
-def log_inner_integral(prob: BurgersProblem, t: float,
-                       quad_spec: QuadSpec = QuadSpec()) -> np.ndarray:
-    """log of the linearized solution u(x, t) on the problem grid."""
-    return _log_inner_integral(prob, float(t), quad_spec)
-
-
 def _log_inner_integral(prob, t, quad_spec):
+    """log of the linearized solution u(x, t) on the problem grid."""
     if t <= 0.0:
         raise DomainError("Burgers IVP solution is defined for t > 0")
     xs = prob.xs
+    # exponent of K(x, y, t) as the quadratic q2 y^2 + q1 y + q0 in y
     if prob.classical:
         a = prob.coeffs.a(0.0)
         s = 1.0 / (2.0 * a)
-        var2 = 2.0 * a * t           # 2 * (Gaussian variance)
-        ln = -0.5 * math.log(4.0 * math.pi * a * t)
-
-        def coeff_of(x):
-            # exponent of K(x, y, t) as a quadratic in y
-            return -1.0 / (4.0 * a * t), x / (2.0 * a * t), ln - x * x / (4.0 * a * t)
-
-        sigma = math.sqrt(var2)
+        q2 = -1.0 / (4.0 * a * t)
+        q1 = xs / (2.0 * a * t)
+        q0 = -0.5 * math.log(4.0 * math.pi * a * t) - xs * xs / (4.0 * a * t)
+        sigma = math.sqrt(2.0 * a * t)
     else:
         K = prob.kernel()
         lnk, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
         if g0 >= 0.0:
             raise QuadratureError("kernel not integrable in y; cannot linearize")
         s = 0.5
+        q2, q1, q0 = g0, b0 * xs + e0, lnk + a0 * xs * xs + d0 * xs + k0
         sigma = 1.0 / math.sqrt(-2.0 * g0)
-
-        def coeff_of(x):
-            return g0, b0 * x + e0, lnk + a0 * x * x + d0 * x + k0
 
     half = float(np.max(np.abs(xs))) + 1.0
     vb = prob.v0_bound(half + 16.0 * sigma)
@@ -188,33 +184,21 @@ def _log_inner_integral(prob, t, quad_spec):
     width = pad + 12.0 * sigma
 
     # the antiderivative must cover every quadrature window
-    means = []
-    for x in (float(xs[0]), float(xs[-1])):
-        q2, q1, _ = coeff_of(x)
-        means.append(-q1 / (2.0 * q2))
-    needed = max(abs(m) + width for m in means)
-    V0 = prob.antiderivative(needed * 1.05 + 1.0)
+    mean = -q1 / (2.0 * q2)
+    needed = float(np.max(np.abs(mean))) + width
+    V0 = _on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
-    out = np.empty(len(xs))
-    for j, x in enumerate(xs):
-        q2, q1, q0 = coeff_of(float(x))
-        mean = -q1 / (2.0 * q2)
-        lo, hi = mean - width, mean + width
+    def exponent(rows, y):
+        return q2 * y * y + q1[rows, None] * y - s * V0(y)
 
-        def exponent(y):
-            return q2 * y * y + q1 * y - s * V0(y)
-
-        probe = np.linspace(lo, hi, 33)
-        shift = max(exponent(y) for y in probe)
-
-        def integrand(y):
-            return math.exp(exponent(y) - shift)
-
-        val = _quad(integrand, lo, hi, quad_spec, points=(mean,))
-        if val <= 0.0:
-            raise QuadratureError("nonpositive inner integral")
-        out[j] = q0 + shift + math.log(val)
-    return out
+    rows = np.arange(len(xs))
+    probe = (mean - width)[:, None] + np.linspace(0.0, 2.0 * width, 33)
+    shift = np.max(exponent(rows, probe), axis=1)
+    val = _gk21(lambda r, y: np.exp(exponent(r, y) - shift[r, None]),
+                mean - width, mean + width, mean, quad_spec)
+    if np.any(val <= 0.0):
+        raise QuadratureError("nonpositive inner integral")
+    return q0 + shift + np.log(val)
 
 
 def burgers_residual(v: GridField, coeffs: CoefficientSet) -> GridField:
@@ -408,9 +392,9 @@ def integrate_profile_direct(spec: TravelingWaveSpec,
     return F
 
 
-def _log_cosh(s: float) -> float:
-    s = abs(s)
-    return s + math.log1p(math.exp(-2.0 * s)) - math.log(2.0)
+def _log_cosh(s):
+    s = np.abs(s)
+    return s + np.log1p(np.exp(-2.0 * s)) - math.log(2.0)
 
 
 class BatemanWave:

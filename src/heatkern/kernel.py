@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from .characteristic import solve_characteristic
 from .coefficients import CoefficientSet
@@ -43,11 +44,123 @@ class NonconservativeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Adaptive quadrature tolerances (Gauss–Kronrod, QUADPACK)."""
+    """Adaptive Gauss–Kronrod quadrature tolerances, per evaluation point.
+
+    ``limit`` caps the number of subintervals (panels) one point's integral
+    may use; exceeding it raises :class:`QuadratureError`.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     limit: int = 4096
+
+
+# Gauss–Kronrod 21-point rule on [-1, 1] and its embedded 10-point Gauss rule
+# (the pair QUADPACK's qk21 uses); _G10_W is zero at the Kronrod-only nodes.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077548214932150, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068])
+_WGK0 = 0.149445554002916905664936468389821
+_WG = np.array([0.0, 0.066671344308688137593568809893332,
+                0.0, 0.149451349150580593145776339657697,
+                0.0, 0.219086362515982043995534934228163,
+                0.0, 0.269266719309996355091226921569469,
+                0.0, 0.295524224714752870173892994651338])
+_GK_X = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
+_K21_W = np.concatenate((_WGK, [_WGK0], _WGK[::-1]))
+_G10_W = np.concatenate((_WG, [0.0], _WG[::-1]))
+_PANELS_PER_SIDE = 4
+_BLOCK = 2048           # panels per integrand call; bounds working memory
+
+
+def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
+    """Adaptive G10/K21 quadrature of many integrals at once.
+
+    Row i is the integral over [lo[i], hi[i]] (zero when hi <= lo) of the
+    integrand ``f(rows, Y)``, which receives a (panels, 21) array of nodes
+    and the row index of each panel.  Each window starts as four equal
+    panels on either side of ``center[i]``, split further at every knot
+    inside it.  Every pass evaluates all live panels; a panel is accepted
+    when |K21 - G10| <= max(abs_tol, rel_tol |I_row|) times its share of
+    the window, and bisected otherwise.  A row needing more than
+    ``spec.limit`` panels raises :class:`QuadratureError`.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.maximum(np.asarray(hi, dtype=float), lo)
+    n = len(lo)
+    c = np.minimum(np.maximum(center, lo), hi)[:, None]
+    s = np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1)
+    edges = np.concatenate((lo[:, None] + (c - lo[:, None]) * s[:-1],
+                            c + (hi[:, None] - c) * s), axis=1)
+    if knots is not None:
+        inside = np.clip(np.asarray(knots, dtype=float)[None, :],
+                         lo[:, None], hi[:, None])
+        edges = np.sort(np.concatenate((edges, inside), axis=1), axis=1)
+    rows = np.repeat(np.arange(n), edges.shape[1] - 1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = b > a
+    rows, a, b = rows[keep], a[keep], b[keep]
+
+    width = hi - lo
+    total = np.zeros(n)
+    count = np.bincount(rows, minlength=n)
+    while len(rows):
+        if count.max() > spec.limit:
+            raise QuadratureError(f"quadrature did not converge within "
+                                  f"{spec.limit} panels per point")
+        k21 = np.empty(len(rows))
+        err = np.empty(len(rows))
+        for i in range(0, len(rows), _BLOCK):
+            blk = slice(i, i + _BLOCK)
+            half = 0.5 * (b[blk] - a[blk])
+            mid = 0.5 * (a[blk] + b[blk])
+            fx = f(rows[blk], mid[:, None] + half[:, None] * _GK_X)
+            k21[blk] = half * (fx * _K21_W).sum(axis=1)
+            err[blk] = np.abs(k21[blk] - half * (fx * _G10_W).sum(axis=1))
+        estimate = total + np.bincount(rows, k21, minlength=n)
+        scale = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate)) / width
+        ok = err <= scale[rows] * (b - a)
+        total += np.bincount(rows[ok], k21[ok], minlength=n)
+        bad = ~ok
+        rows, a, b, m = rows[bad], a[bad], b[bad], 0.5 * (a[bad] + b[bad])
+        count += np.bincount(rows, minlength=n)
+        rows, a, b = (np.concatenate((rows, rows)), np.concatenate((a, m)),
+                      np.concatenate((m, b)))
+    return total
+
+
+def _on_arrays(fn):
+    """``fn`` evaluated on an ndarray, per element if it cannot take one.
+
+    A callable that raises TypeError or ValueError on an array, or returns
+    an array of another shape, is from then on called once per element with
+    Python floats.
+    """
+    elementwise = False
+
+    def call(y):
+        nonlocal elementwise
+        if not elementwise:
+            try:
+                out = np.asarray(fn(y), dtype=float)
+                if out.shape == y.shape:
+                    return out
+            except (TypeError, ValueError):
+                pass
+            elementwise = True
+        return np.array([fn(v) for v in y.ravel().tolist()],
+                        dtype=float).reshape(y.shape)
+
+    return call
 
 
 def _quad(f, lo, hi, spec: QuadSpec, points=None):
@@ -118,10 +231,13 @@ class InitialData:
     Sampled data is interpolated piecewise-linearly and treated as zero
     outside its sample range.  ``L`` is the truncation half-width for the
     quadrature window; when omitted, the window is derived per evaluation
-    point from the kernel's own Gaussian decay.
+    point from the kernel's own Gaussian decay.  The quadrature calls
+    ``func`` on ndarrays of nodes; a callable that only takes floats (it
+    raises TypeError or ValueError on an array, or returns another shape)
+    is evaluated per element instead.
     """
 
-    func: Optional[Callable[[float], float]] = None
+    func: Optional[Callable] = None
     xs: Optional[np.ndarray] = None
     ys: Optional[np.ndarray] = None
     L: Optional[float] = None
@@ -154,7 +270,7 @@ class InitialData:
         w = float(width)
 
         def phi(y):
-            return amplitude * math.exp(-((y - center) / w) ** 2)
+            return amplitude * np.exp(-((y - center) / w) ** 2)
 
         return cls(func=phi, L=L)
 
@@ -167,7 +283,8 @@ class InitialData:
     def __call__(self, y):
         if self.func is not None:
             return self.func(y)
-        return float(np.interp(y, self.xs, self.ys, left=0.0, right=0.0))
+        out = np.interp(y, self.xs, self.ys, left=0.0, right=0.0)
+        return float(out) if np.ndim(y) == 0 else out
 
 
 class HeatKernel:
@@ -306,44 +423,57 @@ def closed_form(example: str, **params) -> ClosedFormKernel:
     return ClosedFormKernel(example, **params)
 
 
-def _phi_window(phi: InitialData, lo: float, hi: float):
-    support = phi.support
-    if support is not None:
-        lo, hi = max(lo, support[0]), min(hi, support[1])
-    return lo, hi
-
-
-def _tail_fraction(L: float, mean: float, std: float) -> float:
+def _tail_fraction(L: float, mean, std):
+    """Kernel mass outside [-L, L] of the Gaussians (mean, std) in y."""
     z_hi = (L - mean) / (math.sqrt(2.0) * std)
     z_lo = (L + mean) / (math.sqrt(2.0) * std)
-    return 0.5 * (math.erfc(z_hi) + math.erfc(z_lo))
+    return 0.5 * (erfc(z_hi) + erfc(z_lo))
 
 
-def _convolve_at(K: HeatKernel, phi: InitialData, x: float, t: float,
-                 spec: QuadSpec) -> float:
-    """One point of u(x, t) = int K(x, y, t) phi(y) dy, in shifted log space."""
-    ln, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
-    mean, std = K.y_gaussian(t, x)
+def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
+              spec: QuadSpec) -> np.ndarray:
+    """u(x, t) = int K(x, y, t) phi(y) dy on every (t, x), in shifted log space.
+
+    Every (t, x) is one row of a single batched quadrature: at fixed t the
+    kernel's exponent in y is one quadratic whose linear coefficient
+    b0 x + e0 alone depends on x.
+    """
+    q2, q1, q0, mean, std = [], [], [], [], []
+    for t in ts:
+        ln, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
+        m, sd = K.y_gaussian(t, xs)
+        q2.append(np.full(len(xs), g0))
+        q1.append(b0 * xs + e0)
+        q0.append(ln + a0 * xs * xs + d0 * xs + k0)
+        mean.append(m)
+        std.append(np.full(len(xs), sd))
+    q2, q1, q0, mean, std = map(np.concatenate, (q2, q1, q0, mean, std))
+    x = np.tile(xs, len(ts))
     if phi.L is not None:
-        lo, hi = -phi.L, phi.L
+        lo, hi = np.full(len(x), -phi.L), np.full(len(x), phi.L)
         frac = _tail_fraction(phi.L, mean, std)
-        if frac > 1e-8:
-            warnings.warn(f"kernel mass {frac:.2e} outside [-L, L] at x={x}",
+        worst = int(np.argmax(frac))
+        if frac[worst] > 1e-8:
+            t_worst = ts[worst // len(xs)]
+            warnings.warn(f"kernel mass up to {frac[worst]:.2e} outside [-L, L] "
+                          f"(at x={x[worst]:g}, t={t_worst:g})",
                           TruncationWarning, stacklevel=3)
     else:
         lo, hi = mean - 10.0 * std, mean + 10.0 * std
-    lo, hi = _phi_window(phi, lo, hi)
-    if hi <= lo:
-        return 0.0
+    if phi.support is not None:
+        lo = np.maximum(lo, phi.support[0])
+        hi = np.minimum(hi, phi.support[1])
 
-    peak = min(max(mean, lo), hi)
-    shift = g0 * peak * peak + (b0 * x + e0) * peak
+    peak = np.minimum(np.maximum(mean, lo), hi)
+    shift = q2 * peak * peak + q1 * peak
+    values = _on_arrays(phi)
 
-    def integrand(y):
-        return math.exp(g0 * y * y + (b0 * x + e0) * y - shift) * phi(y)
+    def integrand(rows, y):
+        return np.exp(q2[rows, None] * y * y + q1[rows, None] * y
+                      - shift[rows, None]) * values(y)
 
-    j = _quad(integrand, lo, hi, spec, points=(mean,))
-    return math.exp(ln + a0 * x * x + d0 * x + k0 + shift) * j
+    j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)
+    return (np.exp(q0 + shift) * j).reshape(len(ts), len(xs))
 
 
 def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,
@@ -356,11 +486,7 @@ def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     xs = np.asarray(xs, dtype=float)
-    values = np.empty((len(ts), len(xs)))
-    for i, ti in enumerate(ts):
-        for j, x in enumerate(xs):
-            values[i, j] = _convolve_at(K, phi, float(x), float(ti), quad_spec)
-    return GridField(xs, ts, values)
+    return GridField(xs, ts, _convolve(K, phi, xs, ts, quad_spec))
 
 
 def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
@@ -376,7 +502,8 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
            or abs(coeffs.f(s)) > 1e-14 for s in ts_probe):
         warnings.warn("kernel has nonzero d, b or f; expectation is not "
                       "probabilistic", NonconservativeWarning, stacklevel=2)
-    return _convolve_at(K, phi, float(x), float(t), quad_spec)
+    return float(_convolve(K, phi, np.array([float(x)]), [float(t)],
+                           quad_spec)[0, 0])
 
 
 def normalization(K, t: float, variable: str = "y", L: float | None = None,

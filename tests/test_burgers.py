@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
-                      TravelingWaveSpec, burgers_residual, cole_hopf,
+                      QuadSpec, TravelingWaveSpec, burgers_residual, cole_hopf,
                       integrate_profile_direct, profile, solve_burgers_ivp,
                       solve_ivp, traveling_wave)
-from heatkern.burgers import _is_classical, log_inner_integral
+from heatkern.burgers import _is_classical, _log_inner_integral
 from heatkern.errors import DomainError, SingularityError
 from heatkern._differences import d1_uniform4
 
@@ -94,7 +94,7 @@ def test_cole_hopf_consistency_general_path(coeffs_fp):
     v0 = lambda y: 0.3 * math.exp(-y * y)
     prob = BurgersProblem(coeffs_fp, v0, xs)
     assert not prob.classical
-    logs = log_inner_integral(prob, 0.4)
+    logs = _log_inner_integral(prob, 0.4, QuadSpec())
     route_a = -2.0 * d1_uniform4(logs, xs[1] - xs[0])
     u_field = GridField(xs, [0.4], np.exp(logs)[None, :])
     route_b = cole_hopf(u_field).values[0]
@@ -106,12 +106,23 @@ def test_inner_integral_matches_kernel_solve(coeffs_fp):
     xs = np.linspace(-1.0, 1.0, 9)
     v0 = lambda y: 0.3 * math.exp(-y * y)
     prob = BurgersProblem(coeffs_fp, v0, xs)
-    logs = log_inner_integral(prob, 0.4)
+    logs = _log_inner_integral(prob, 0.4, QuadSpec())
     V0 = prob.antiderivative(20.0)
     u0 = InitialData.from_callable(lambda y: math.exp(-0.5 * V0(y)), L=18.0)
     ref = solve_ivp(prob.kernel(), u0, xs, 0.4)
     assert np.max(np.abs(np.exp(logs) - ref.values[0])
                   / np.abs(ref.values[0])) < 1e-9
+
+
+def test_scalar_only_v0_matches_array_twin(coeffs_fp):
+    # v0 is called on arrays (v0_bound) and per element where it cannot be
+    scalar = lambda y: 0.3 * math.exp(-y * y)
+    twin = lambda y: np.array([scalar(v) for v in np.ravel(y).tolist()]
+                              ).reshape(np.shape(y))
+    xs = np.linspace(-1.0, 1.0, 21)
+    got = solve_burgers_ivp(BurgersProblem(coeffs_fp, scalar, xs), 0.4)
+    want = solve_burgers_ivp(BurgersProblem(coeffs_fp, twin, xs), 0.4)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_full_cole_hopf_consistency(coeffs_fp):
@@ -297,10 +308,12 @@ def test_bateman_kink_travels_at_minus_V():
 def test_bateman_antiderivative_matches_quadrature():
     kink = BatemanWave(A=0.8, V=0.2, a=0.7, c=0.5, sign="-")
     V0 = kink.initial_antiderivative()
-    for y in (-3.0, -0.5, 1.0, 4.0):
+    ys = (-3.0, -0.5, 1.0, 4.0)
+    for y in ys:
         want = quad(lambda z: kink(z, 0.0), 0.0, y, epsabs=1e-12,
                     epsrel=1e-12)[0]
         assert V0(y) == pytest.approx(want, abs=1e-10)
+    assert np.allclose(V0(np.array(ys)), [V0(y) for y in ys], rtol=1e-14, atol=0.0)
 
 
 def test_bateman_validation():
@@ -319,5 +332,9 @@ def test_antiderivative_domain_guard(coeffs_heat):
                           np.linspace(-1.0, 1.0, 21))
     V0 = prob.antiderivative(5.0)
     assert V0(2.0) == pytest.approx(1.0 - math.cos(2.0), abs=1e-10)
+    ys = np.array([[-2.0, 0.0], [1.0, 4.5]])
+    assert np.allclose(V0(ys), 1.0 - np.cos(ys), atol=1e-10)
     with pytest.raises(DomainError):
         V0(6.0)
+    with pytest.raises(DomainError):
+        V0(np.array([1.0, -6.0]))

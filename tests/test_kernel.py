@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       closed_form, diffusion_residual, expectation,
@@ -151,8 +152,10 @@ def test_solve_ivp_multiple_times(kernel_heat):
 
 def test_solve_ivp_truncation_warning(kernel_heat):
     narrow = InitialData.gaussian(L=1.0)
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as record:
         solve_ivp(kernel_heat, narrow, np.array([2.0, 2.5, 3.0]), 0.5)
+    assert len(record) == 1
+    assert "x=3" in str(record[0].message)
 
 
 def test_sampled_initial_data_interpolation(kernel_heat):
@@ -167,6 +170,61 @@ def test_sampled_initial_data_interpolation(kernel_heat):
     assert np.max(np.abs(out.values[0] - want) / want) < 1e-5
 
 
+def test_sampled_initial_data_matches_scalar_quad(kernel_ou):
+    # the quadrature panels start at the knots, where the data has kinks
+    ys = np.linspace(-3.0, 3.0, 41)
+    sampled = InitialData.from_samples(ys, np.exp(-ys ** 2))
+    xs = np.linspace(-4.0, 4.0, 161)
+    t = 0.5
+    out = solve_ivp(kernel_ou, sampled, xs, t).values[0]
+    ref = np.array([quad(lambda y: kernel_ou.evaluate(x, y, t) * sampled(y),
+                         -3.0, 3.0, points=ys[1:-1], epsabs=1e-14,
+                         epsrel=1e-13, limit=200)[0] for x in xs])
+    assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _fp_gaussian_convolution(xs, t, center, width):
+    # K_FP(., y, t) is the normal density N(e^-t y, 1 - e^-2t) and
+    # exp(-((y - c)/w)^2) = sqrt(pi) w N(c, w^2/2), so u is a normal density
+    r = math.exp(-t)
+    var = -math.expm1(-2.0 * t) + r * r * width * width / 2.0
+    return (math.sqrt(math.pi) * width
+            * np.exp(-(xs - r * center) ** 2 / (2.0 * var))
+            / math.sqrt(2.0 * math.pi * var))
+
+
+@pytest.mark.parametrize("t,center,width", [(2.0, -0.5, 0.5), (1.9, 0.3, 1.0)])
+def test_narrow_initial_data_against_closed_form(kernel_fp, t, center, width):
+    # phi is much narrower than the kernel's y-window (std about 7 at t = 2)
+    xs = np.linspace(-4.0, 4.0, 161)
+    phi = InitialData.gaussian(width=width, center=center)
+    out = solve_ivp(kernel_fp, phi, xs, t).values[0]
+    want = _fp_gaussian_convolution(xs, t, center, width)
+    assert np.max(np.abs(out - want)) <= 1e-8 * np.max(want)
+
+
+def _per_element(fn):
+    """Array-aware twin of a float-only callable, with identical values."""
+    return lambda y: np.array([fn(v) for v in np.ravel(y).tolist()]
+                              ).reshape(np.shape(y))
+
+
+@pytest.mark.parametrize("scalar,twin,L", [
+    # raises TypeError on an array
+    (lambda y: math.exp(-y * y), None, None),
+    # returns a float for an array
+    (lambda y: 1.0, np.ones_like, 12.0),
+    # raises ValueError on an array (ambiguous truth value)
+    (lambda y: math.exp(-y * y) if y < 0.0 else 1.0 / (1.0 + y * y), None, None),
+])
+def test_scalar_only_callables_match_array_twins(kernel_ou, scalar, twin, L):
+    xs = np.linspace(-3.0, 3.0, 41)
+    twin = twin or _per_element(scalar)
+    got = solve_ivp(kernel_ou, InitialData.from_callable(scalar, L=L), xs, 0.5)
+    want = solve_ivp(kernel_ou, InitialData.from_callable(twin, L=L), xs, 0.5)
+    assert np.array_equal(got.values, want.values)
+
+
 def test_initial_data_validation():
     with pytest.raises(ValueError):
         InitialData()
@@ -179,6 +237,8 @@ def test_initial_data_validation():
     data = InitialData.from_samples(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
     assert data(0.5) == pytest.approx(2.5)
     assert data(5.0) == 0.0
+    assert type(data(0.5)) is float
+    assert np.array_equal(data(np.array([[0.5, 5.0]])), [[2.5, 0.0]])
 
 
 # ----------------------------------------------------------------- expectations
@@ -324,9 +384,13 @@ def test_diffusion_residual_needs_three_levels(kernel_fp, coeffs_fp):
         diffusion_residual(field, coeffs_fp)
 
 
-def test_quad_reports_nonconvergence():
+def test_quad_reports_nonconvergence(kernel_heat):
     # an oscillatory integrand with far too few subdivisions allowed
     spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-14, limit=1)
     with pytest.raises(QuadratureError):
         _quad(lambda y: math.sin(40.0 * y) ** 2 * math.exp(-y * y),
               -8.0, 8.0, spec)
+    wiggly = InitialData.from_callable(lambda y: np.sin(400.0 * y) ** 2)
+    with pytest.raises(QuadratureError):
+        solve_ivp(kernel_heat, wiggly, np.linspace(-1.0, 1.0, 5), 0.5,
+                  QuadSpec(abs_tol=1e-14, rel_tol=1e-14, limit=16))
