@@ -30,13 +30,6 @@ PROFILE_SPECS = {
     "ou-drift": ("ou-drift", {"a": 1.0, "k": 1.0, "g": 0.5}),
 }
 
-_CLOSED_FORM_ARGS = {
-    "heat": ("heat", {"a": 1.0}),
-    "cable": ("cable", {"lam": 1.0, "tau": 2.0}),
-    "fokker-planck": ("fokker-planck", {}),
-    "ou-drift": ("ou-drift", {"a": 1.0, "k": 1.0, "g": 0.5}),
-}
-
 _kernel_cache: dict = {}
 
 
@@ -85,8 +78,7 @@ def check_closed_form(name: str) -> CheckResult:
     """Pipeline kernel vs the closed form on {|x|,|y| <= 3} x {0.1,0.5,1,2}."""
     t0 = time.perf_counter()
     K = pipeline_kernel(name)
-    kind, params = _CLOSED_FORM_ARGS[name]
-    ref = kn.closed_form(kind, **params)
+    ref = kn.closed_form(name, **PROFILE_SPECS[name][1])
     xs = np.linspace(-3.0, 3.0, 13)
     X, Y = np.meshgrid(xs, xs)
     worst = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -31,6 +32,14 @@ NUMERICAL_ERRORS = (IntegrationError, BlowUpError, QuadratureError,
 
 class ConfigError(ValueError):
     pass
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, "
+                                         f"got {text!r}")
+    return tol
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -79,12 +88,6 @@ def _output(path):
             yield fh
 
 
-def _write_rows(fh, header, rows):
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _gnuplot(args, columns, mode="lines"):
     if not args.gnuplot:
         return
@@ -122,7 +125,7 @@ def cmd_kernel(args) -> int:
         vals = K.evaluate(x, xs, args.t)
         rows.extend((x, y, args.t, v) for y, v in zip(xs, vals))
     with _output(args.out) as fh:
-        _write_rows(fh, ("x", "y", "t", "K"), rows)
+        kn.write_csv(fh, ("x", "y", "t", "K"), rows)
     _gnuplot(args, "1:2:4", mode="splot")
     return 0
 
@@ -177,7 +180,7 @@ def cmd_wave(args) -> int:
     xs = _parse_grid(args.grid)
     rows = [(args.t, x, tw(x, args.t)) for x in xs]
     with _output(args.out) as fh:
-        _write_rows(fh, ("t", "x", "v"), rows)
+        kn.write_csv(fh, ("t", "x", "v"), rows)
     _gnuplot(args, "2:3")
     return 0
 
@@ -188,16 +191,14 @@ def cmd_riccati(args) -> int:
     ts = np.geomspace(args.tmin, min(args.tmax, chs.T_valid * 0.999999),
                       args.points)
     if args.characteristic:
-        rows = [(t, chs.mu0(t), chs.dmu0(t), chs.mu1(t), chs.dmu1(t), chs.h(t))
-                for t in ts]
+        columns = chs.states(ts)[:5]
         header = ("t", "mu0", "dmu0", "mu1", "dmu1", "h")
     else:
-        fund = fundamental(chs, coeffs, tol=args.tol)
-        rows = [(t, fund.alpha0(t), fund.beta0(t), fund.gamma0(t),
-                 fund.delta0(t), fund.eps0(t), fund.kappa0(t)) for t in ts]
+        columns = fundamental(chs).values(ts)[1:]
         header = ("t", "alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0")
+    rows = zip(ts, *columns)
     with _output(args.out) as fh:
-        _write_rows(fh, header, rows)
+        kn.write_csv(fh, header, rows)
     _gnuplot(args, "1:2")
     return 0
 
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile parameter (repeatable)")
         p.add_argument("--T", type=float, default=2.5,
                        help="coefficient domain end")
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=_tolerance, default=1e-10,
                        help="ODE integration tolerance")
         p.add_argument("--config", help="JSON file with a 'coefficients' "
                                         "sub-schema (overrides profile flags)")

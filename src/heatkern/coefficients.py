@@ -17,6 +17,7 @@ with linear drift, and the Ornstein–Uhlenbeck generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,8 +59,8 @@ class CoefficientSet:
     domain_end: float
 
     def __post_init__(self):
-        if not self.domain_end > 0.0:
-            raise ValueError("domain_end must be positive")
+        if not 0.0 < self.domain_end < math.inf:
+            raise ValueError("domain_end must be positive and finite")
 
     def check_time(self, t: float) -> float:
         t = float(t)
@@ -150,7 +151,10 @@ def expand_profile(profile: CoefficientProfile) -> CoefficientSet:
 
     def take(name, default=None):
         if name in params:
-            return float(params.pop(name))
+            value = float(params.pop(name))
+            if not math.isfinite(value):
+                raise ValueError(f"parameter {name!r} must be finite, got {value}")
+            return value
         if default is None:
             raise ValueError(f"profile {kind!r} requires parameter {name!r}")
         return float(default)
@@ -188,6 +192,9 @@ def expand_profile(profile: CoefficientProfile) -> CoefficientSet:
         unknown = set(poly) - set(_COEFF_NAMES)
         if unknown:
             raise ValueError(f"unknown coefficient names in poly table: {sorted(unknown)}")
+        for name, entries in poly.items():
+            if not all(math.isfinite(float(v)) for v in entries):
+                raise ValueError(f"poly entries of {name!r} must be finite")
         funcs = {}
         for name in _COEFF_NAMES:
             funcs[name] = _poly_callable(poly.get(name, [0.0]))

@@ -219,9 +219,14 @@ class GridField:
                 yield t, x, self.values[i, j]
 
     def to_csv(self, fh, header=("t", "x", "u")):
-        fh.write(",".join(header) + "\n")
-        for row in self.rows():
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(fh, header, self.rows())
+
+
+def write_csv(fh, header, rows):
+    """Write ``header`` and numeric ``rows`` as CSV with 17 significant digits."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass
@@ -357,8 +362,7 @@ def _exp_guard(log_value):
 def make_kernel(coeffs: CoefficientSet, T: float | None = None,
                 tol: float = 1e-10) -> HeatKernel:
     """Characteristic solve + fundamental solution + kernel, in one call."""
-    chs = solve_characteristic(coeffs, T=T, tol=tol)
-    return HeatKernel(fundamental(chs, coeffs, tol=tol))
+    return HeatKernel(fundamental(solve_characteristic(coeffs, T=T, tol=tol)))
 
 
 class ClosedFormKernel:

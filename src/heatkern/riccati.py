@@ -11,8 +11,10 @@ the coupled system
     eps'   = (2 a delta - g) beta
     kappa' = a delta^2 - g delta
 
-This module builds the distinguished solution (alpha0 ... kappa0) expressed
-through the standard solutions of the characteristic equation, applies the
+This module builds the distinguished solution (alpha0 ... kappa0) as algebra
+on the states of one characteristic solve, whose Wronskian
+mu0 mu1' - mu1 mu0' = -2 a h^2 turns eps0 and kappa0 into regular
+quadratures (see :class:`FundamentalRiccati`).  It also applies the
 nonlinear superposition principle that produces the general solution from
 arbitrary initial data, inverts that map, integrates the system directly as
 an independent cross-check, and provides the small-time expansions.
@@ -35,7 +37,8 @@ SUPERPOSE_SINGULAR_ATOL = 1e-14
 
 
 class FundamentalValues(NamedTuple):
-    """The distinguished solution sampled at one time."""
+    """The distinguished solution at one time (floats) or at an array of
+    times (arrays)."""
 
     mu0: float
     alpha0: float
@@ -79,151 +82,89 @@ class RiccatiState:
 class FundamentalRiccati:
     """Dense evaluators for alpha0 ... kappa0 on (0, T_valid].
 
-    alpha0, beta0, gamma0 are algebraic in the characteristic solution;
-    delta0 comes from its regular quadrature (carried as an augmented ODE
-    state), and eps0, kappa0 from their defining ODEs seeded with the
-    limiting initial data eps0(0) = -g(0)/(2a(0)), kappa0(0) = 0.  All three
-    diverge like 1/t at the origin except delta0/eps0/kappa0, so evaluation
+    Every function is algebraic in the states of the characteristic solution
+    (mu0, mu0', mu1, h and the source quadratures I5, J, M):
+
+        alpha0 = -mu0'/(4 a mu0) - d/(2a)     beta0  = h/mu0
+        gamma0 = d(0)/(2a(0)) - mu1/(2 mu0)   delta0 = h I5/mu0
+        eps0   = J - mu1 I5/mu0               kappa0 = M - mu1 I5^2/(2 mu0)
+
+    The last two come from eps0' = (2a delta0 - g) beta0 and
+    kappa0' = a delta0^2 - g delta0 integrated by parts: the Wronskian
+    mu0 mu1' - mu1 mu0' = -2a h^2 gives (mu1/mu0)' = -2a h^2/mu0^2, which
+    absorbs every 1/mu0^2 term, and J' - mu1 I5'/mu0 = -g h/mu0 absorbs the
+    rest, so J and M have regular integrands.  As t -> 0+,
+    I5/mu0 -> g(0)/(2a(0)), so eps0(0) = -g(0)/(2a(0)) and kappa0(0) = 0.
+    alpha0, beta0 and gamma0 diverge like 1/t at the origin, so evaluation
     at t = 0 (or past the first zero of mu0) is a domain error.
     """
 
-    def __init__(self, chs: CharacteristicSolution, coeffs: CoefficientSet,
-                 tol: float, aug_sol, t_max: float):
+    def __init__(self, chs: CharacteristicSolution):
         self.chs = chs
-        self.coeffs = coeffs
-        self.tol = tol
-        self._aug = aug_sol
-        self._t_max = t_max
+        self.coeffs = chs.coeffs
+        zero = chs.first_zero_of_mu0
+        self._t_max = chs.T if zero is None else zero * (1.0 - 1e-6)
+        self._gamma_shift = self.coeffs.d(0.0) / (2.0 * self.coeffs.a(0.0))
 
     @property
     def T_valid(self) -> float:
         return self.chs.T_valid
 
-    def _check(self, t):
+    def values(self, t) -> FundamentalValues:
+        """All seven functions at ``t`` (a float or an array) from one dense
+        evaluation; array fields for an array ``t``."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0):
-            raise DomainError("fundamental coefficients diverge at t = 0")
-        if np.any(t_arr > self._t_max * (1.0 + 1e-12)):
-            raise DomainError(f"t beyond the validity interval (0, {self._t_max:.6g}]")
-        return t_arr
-
-    def _scalarize(self, t, value):
-        return float(value) if np.asarray(t).ndim == 0 else value
-
-    def _coeff(self, fn, t_arr):
-        if t_arr.ndim == 0:
-            return fn(float(t_arr))
-        return np.array([fn(ti) for ti in t_arr])
+        if not ((0.0 < t_arr) & (t_arr <= self._t_max * (1.0 + 1e-12))).all():
+            raise DomainError(f"t outside the validity interval (0, {self._t_max:.6g}]"
+                              "; the fundamental coefficients diverge at t = 0")
+        states, ts, co = self.chs.states(t_arr), t_arr.tolist(), self.coeffs
+        if t_arr.ndim == 0:  # Python floats: the array path's arithmetic, faster
+            states, a, d = states.tolist(), co.a(ts), co.d(ts)
+        else:
+            a, d = (np.array([fn(ti) for ti in ts]) for fn in (co.a, co.d))
+        mu0, dmu0, mu1, _, h, i5, j, m = states
+        ratio = i5 / mu0
+        return FundamentalValues(
+            mu0=mu0,
+            alpha0=-dmu0 / (4.0 * a * mu0) - d / (2.0 * a),
+            beta0=h / mu0,
+            gamma0=self._gamma_shift - mu1 / (2.0 * mu0),
+            delta0=h * ratio,
+            eps0=j - mu1 * ratio,
+            kappa0=m - 0.5 * mu1 * i5 * ratio,
+        )
 
     def mu0(self, t):
-        self._check(t)
-        return self.chs.mu0(t)
+        return self.values(t).mu0
 
     def alpha0(self, t):
-        t_arr = self._check(t)
-        a = self._coeff(self.coeffs.a, t_arr)
-        d = self._coeff(self.coeffs.d, t_arr)
-        val = -self.chs.dmu0(t) / (4.0 * a * self.chs.mu0(t)) - d / (2.0 * a)
-        return self._scalarize(t, val)
+        return self.values(t).alpha0
 
     def beta0(self, t):
-        self._check(t)
-        return self._scalarize(t, self.chs.h(t) / self.chs.mu0(t))
+        return self.values(t).beta0
 
     def gamma0(self, t):
-        self._check(t)
-        d0 = self.coeffs.d(0.0)
-        a0 = self.coeffs.a(0.0)
-        val = d0 / (2.0 * a0) - self.chs.mu1(t) / (2.0 * self.chs.mu0(t))
-        return self._scalarize(t, val)
+        return self.values(t).gamma0
 
     def delta0(self, t):
-        self._check(t)
-        i5 = self._aug(np.asarray(t, dtype=float))[0]
-        return self._scalarize(t, self.chs.h(t) * i5 / self.chs.mu0(t))
+        return self.values(t).delta0
 
     def eps0(self, t):
-        self._check(t)
-        return self._scalarize(t, self._aug(np.asarray(t, dtype=float))[1])
+        return self.values(t).eps0
 
     def kappa0(self, t):
-        self._check(t)
-        return self._scalarize(t, self._aug(np.asarray(t, dtype=float))[2])
-
-    def values(self, t: float) -> FundamentalValues:
-        return FundamentalValues(self.mu0(t), self.alpha0(t), self.beta0(t),
-                                 self.gamma0(t), self.delta0(t), self.eps0(t),
-                                 self.kappa0(t))
+        return self.values(t).kappa0
 
 
-def _source_integrand(chs, coeffs):
-    """Integrand of the delta0 quadrature; finite on [0, T] (value g(0) at 0)."""
+def fundamental(chs: CharacteristicSolution) -> FundamentalRiccati:
+    """The fundamental solution of the seven-function system built on ``chs``.
 
-    def integrand(s):
-        a = coeffs.a(s)
-        return ((coeffs.f(s) + coeffs.d(s) / a * coeffs.g(s)) * chs.mu0(s)
-                + coeffs.g(s) / (2.0 * a) * chs.dmu0(s)) / chs.h(s)
-
-    return integrand
-
-
-def fundamental(chs: CharacteristicSolution, coeffs: CoefficientSet,
-                tol: float = 1e-10) -> FundamentalRiccati:
-    """Assemble the fundamental solution of the seven-function system.
-
-    The inhomogeneous states (the delta0 quadrature plus eps0 and kappa0) are
-    integrated as one augmented system with local error ``tol``, sharing the
-    dense characteristic solution.  Their right-hand sides have removable
-    0/0 limits at t = 0; the single evaluation the integrator makes exactly
-    at the origin uses the analytically known limits, with the eps0 slope
-    obtained by small-time extrapolation (its closed form would need g'(0),
-    which the coefficient set does not carry).
+    No further integration: the seven functions are algebraic in the dense
+    characteristic states (see :class:`FundamentalRiccati`).  They are
+    evaluated on (0, T_valid], stopping a relative 1e-6 short of a zero of
+    mu0.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a0 = coeffs.a(0.0)
-    g0 = coeffs.g(0.0)
-    delta_limit = g0 / (2.0 * a0)
-
-    src = _source_integrand(chs, coeffs)
-
-    def eps_slope(t):
-        i5 = quad(src, 0.0, t, epsabs=1e-14, epsrel=1e-12)[0]
-        mu0 = chs.mu0(t)
-        h = chs.h(t)
-        return (2.0 * coeffs.a(t) * h * i5 - coeffs.g(t) * mu0) * h / mu0 ** 2
-
-    t1 = min(1e-5, chs.T * 1e-3)
-    eps_slope0 = 2.0 * eps_slope(t1 / 2.0) - eps_slope(t1)
-
-    kappa_slope0 = a0 * delta_limit ** 2 - g0 * delta_limit
-
-    def rhs(t, z):
-        if t == 0.0:
-            return np.array([g0, eps_slope0, kappa_slope0])
-        mu0 = chs.mu0(t)
-        h = chs.h(t)
-        a = coeffs.a(t)
-        g = coeffs.g(t)
-        delta0 = h * z[0] / mu0
-        beta0 = h / mu0
-        return np.array([
-            src(t),
-            (2.0 * a * delta0 - g) * beta0,
-            a * delta0 ** 2 - g * delta0,
-        ])
-
-    t_end = chs.T
-    if chs.first_zero_of_mu0 is not None:
-        t_end = min(t_end, chs.first_zero_of_mu0 * (1.0 - 1e-6))
-
-    z0 = np.array([0.0, -delta_limit, 0.0])
-    sol = solve_ivp(rhs, (0.0, t_end), z0, method="DOP853", dense_output=True,
-                    rtol=tol, atol=tol * 1e-3)
-    if not sol.success:
-        raise IntegrationError(f"fundamental-solution integration failed: {sol.message}")
-
-    return FundamentalRiccati(chs, coeffs, tol, sol.sol, t_end)
+    return FundamentalRiccati(chs)
 
 
 def superpose(fund: FundamentalRiccati, init, t: float) -> RiccatiState:
@@ -234,22 +175,20 @@ def superpose(fund: FundamentalRiccati, init, t: float) -> RiccatiState:
     vanishes (within 1e-14), where the superposition formulas break down.
     """
     mu_i, alpha_i, beta_i, gamma_i, delta_i, eps_i, kappa_i = (float(v) for v in init)
-    denom = alpha_i + fund.gamma0(t)
+    fv = fund.values(t)
+    denom = alpha_i + fv.gamma0
     if abs(denom) <= SUPERPOSE_SINGULAR_ATOL:
         raise SingularityError(f"alpha(0) + gamma0({t}) = {denom:.3e} is singular")
-    b0 = fund.beta0(t)
-    d0 = fund.delta0(t)
-    e0 = fund.eps0(t)
-    shift = delta_i + e0
+    shift = delta_i + fv.eps0
     return RiccatiState(
         t=float(t),
-        mu=-2.0 * mu_i * fund.mu0(t) * denom,
-        alpha=fund.alpha0(t) - b0 ** 2 / (4.0 * denom),
-        beta=-beta_i * b0 / (2.0 * denom),
+        mu=-2.0 * mu_i * fv.mu0 * denom,
+        alpha=fv.alpha0 - fv.beta0 ** 2 / (4.0 * denom),
+        beta=-beta_i * fv.beta0 / (2.0 * denom),
         gamma=gamma_i - beta_i ** 2 / (4.0 * denom),
-        delta=d0 - b0 * shift / (2.0 * denom),
+        delta=fv.delta0 - fv.beta0 * shift / (2.0 * denom),
         eps=eps_i - beta_i * shift / (2.0 * denom),
-        kappa=kappa_i + fund.kappa0(t) - shift ** 2 / (4.0 * denom),
+        kappa=kappa_i + fv.kappa0 - shift ** 2 / (4.0 * denom),
         init=tuple(float(v) for v in init),
     )
 

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from heatkern import make_kernel, profile
@@ -58,3 +61,23 @@ def kernel_ou(coeffs_ou):
 @pytest.fixture(scope="session")
 def kernel_ou_plain(coeffs_ou_plain):
     return make_kernel(coeffs_ou_plain, tol=1e-12)
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    """``with deadline(s):`` fails the block with TimeoutError after ``s`` seconds."""
+
+    @contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from heatkern import profile, solve_characteristic, wronskian_residual
-from heatkern.errors import DomainError
+from heatkern import make_kernel, profile, solve_characteristic, wronskian_residual
+from heatkern.errors import DomainError, IntegrationError
 
 TS = np.linspace(0.04, 2.0, 50)
 
@@ -125,9 +126,19 @@ def test_dense_output_vectorized_and_bounded():
         chs.mu0(-0.5)
 
 
-def test_horizon_validation():
+def test_horizon_validation(deadline):
     co = profile("constant-heat", a=1.0, T=1.0)
     with pytest.raises(DomainError):
         solve_characteristic(co, T=3.0)
-    with pytest.raises(ValueError):
-        solve_characteristic(co, T=1.0, tol=-1.0)
+    with deadline(30):
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_characteristic(co, T=1.0, tol=tol)
+
+
+@pytest.mark.parametrize("t_bad", [0.0, 0.4])
+def test_non_finite_coefficient_raises(deadline, t_bad):
+    co = dataclasses.replace(profile("constant-heat", T=1.0),
+                             c=lambda t: math.nan if t >= t_bad else 0.0)
+    with deadline(30), pytest.raises(IntegrationError, match="not finite at t"):
+        make_kernel(co)

@@ -157,3 +157,38 @@ def test_gnuplot_script_emitted(tmp_path):
     script = tmp_path / "field.csv.gp"
     assert script.exists()
     assert str(out) in script.read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_bad_tolerance_exit_code(deadline, tol):
+    with deadline(30), pytest.raises(SystemExit) as exc:
+        main(["kernel", "--profile", "fokker-planck", "--t", "1",
+              "--grid=-1:1:3", "--tol", tol])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("params", [["k=inf"], ["k=1", "a=nan"]])
+def test_non_finite_parameter_exit_code(deadline, tmp_path, params):
+    flags = [tok for p in params for tok in ("--param", p)]
+    with deadline(30):
+        rc = main(["kernel", "--profile", "ou-drift", *flags, "--t", "1",
+                   "--grid=-1:1:3", "--out", str(tmp_path / "k.csv")])
+    assert rc == 2
+
+
+def test_non_finite_config_exit_code(deadline, tmp_path):
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps({"coefficients": {
+        "profile": "custom", "poly": {"a": [1.0], "c": [math.nan]}}}))
+    with deadline(30):
+        rc = main(["kernel", "--config", str(config), "--t", "1",
+                   "--grid=-1:1:3", "--out", str(tmp_path / "k.csv")])
+    assert rc == 2
+
+
+def test_nan_time_exit_code(tmp_path):
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--profile", "fokker-planck", "--t", "nan",
+               "--grid=-1:1:3", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()

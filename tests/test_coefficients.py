@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,15 @@ def test_profile_parameter_errors():
         profile("custom", poly={"z": [1.0]})
     with pytest.raises(ValueError):
         CoefficientProfile("not-a-kind")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            profile("ou-drift", k=bad)
+        with pytest.raises(ValueError):
+            profile("constant-heat", a=bad)
+        with pytest.raises(ValueError):
+            profile("custom", poly={"a": [1.0], "c": [0.0, bad]})
+        with pytest.raises(ValueError):
+            profile("fokker-planck", T=bad)
 
 
 def test_from_config_profile_and_custom():
@@ -106,6 +117,10 @@ def test_from_config_profile_and_custom():
         from_config({"profile": "nope"})
     with pytest.raises(ValueError):
         from_config([1, 2, 3])
+    with pytest.raises(ValueError):
+        from_config({"profile": "custom", "poly": {"a": [1.0], "c": [math.nan]}})
+    with pytest.raises(ValueError):
+        from_config({"profile": "fokker-planck", "T": math.inf})
 
 
 def test_validate_clean_profile():

@@ -87,6 +87,20 @@ def test_closed_form_fp_longtime_limit():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
+def test_strongly_contracting_drift():
+    # k = 1000: h = exp(-k t) underflows to 0 and the density is stationary;
+    # k = 40 with g != 0: the source quadratures grow like exp(k t)
+    K = make_kernel(profile("ou-drift", T=2.5, a=1.0, k=1000.0), tol=1e-12)
+    assert K.evaluate(0.0, 0.0, 2.0) == pytest.approx(
+        math.sqrt(1000.0 / (2.0 * math.pi)), rel=1e-8)
+    K = make_kernel(profile("ou-drift", T=2.5, a=1.0, k=40.0, g=0.5), tol=1e-12)
+    ref = closed_form("ou-drift", a=1.0, k=40.0, g=0.5)
+    xs = np.linspace(-0.3, 0.3, 7)
+    for t in (0.05, 1.0, 2.5):
+        got, want = K.evaluate(xs, 0.0, t), ref.evaluate(xs, 0.0, t)
+        assert np.max(np.abs(got - want) / want) < 1e-8
+
+
 def test_closed_form_ou_small_k_approaches_heat():
     K_ou = closed_form("ou-drift", a=1.0, k=1e-4, g=0.0)
     K_heat = closed_form("heat", a=1.0)

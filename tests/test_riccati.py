@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from heatkern import (asymptotics, fundamental, gamma0_quadrature_form,
                       integrate_direct, invert, make_kernel, profile,
                       solve_characteristic, superpose)
-from heatkern.errors import BlowUpError, DomainError, SingularityError
+from heatkern.errors import (BlowUpError, DomainError, IntegrationError,
+                             QuadratureError, SingularityError, StabilityError)
 from heatkern.riccati import RiccatiState
 
 STATE_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "eps", "kappa")
+TYPED_ERRORS = (DomainError, SingularityError, IntegrationError,
+                QuadratureError, StabilityError)
+# f, g, a' and d' all nonzero
+MIXED_POLY = {"a": [1.0, 0.5], "b": [0.2], "c": [0.3, -0.2], "d": [0.1, 0.2],
+              "f": [0.5, -0.3], "g": [0.4, 0.6]}
+DIRECT_INIT = (1.0, -2.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def mixed_err(a, b, switch=1e-6):
@@ -82,7 +89,7 @@ def test_fundamental_domain_errors(kernel_fp):
 def test_fundamental_stops_before_mu0_zero():
     co = profile("custom", T=2.0, poly={"a": [1.0], "b": [-1.0]})
     chs = solve_characteristic(co, T=2.0, tol=1e-11)
-    fund = fundamental(chs, co, tol=1e-11)
+    fund = fundamental(chs)
     assert fund.T_valid == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert math.isfinite(fund.alpha0(1.5))  # still inside
     with pytest.raises(DomainError):
@@ -117,6 +124,51 @@ def test_substitution_residuals_on_grid(kernel_ou, coeffs_ou):
             abs(ddt(fund.kappa0) - (a * de ** 2 - g * de)),
         )
     assert worst < 1e-5
+
+
+def test_values_on_array_equal_stacked_scalars():
+    fund = make_kernel(profile("custom", T=1.5, poly=MIXED_POLY), tol=1e-11).fund
+    ts = np.array([1e-4, 0.03, 0.7, 1.2, 1.5])
+    stacked = np.array([fund.values(t) for t in ts]).T
+    np.testing.assert_array_equal(np.array(fund.values(ts)), stacked)
+    with pytest.raises(DomainError):
+        fund.values(np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("co", [
+    profile("custom", T=1.5, poly=MIXED_POLY),
+    profile("ou-drift", T=2.0, a=1.0, k=-3.0, g=0.5),
+], ids=["mixed", "ou-growing"])
+def test_eps0_kappa0_against_direct(co):
+    fund = make_kernel(co, tol=1e-11).fund
+    ts = (1e-4, 1e-2, 1.0, 0.999 * fund.T_valid)
+    traj = integrate_direct(co, DIRECT_INIT, ts[-1], tol=1e-12)
+    for t in ts:
+        ref = invert(traj.state(t))
+        assert mixed_err(fund.eps0(t), ref.eps0) < 1e-9
+        assert mixed_err(fund.kappa0(t), ref.kappa0) < 1e-9
+
+
+_linear = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=st.tuples(st.floats(0.3, 2.0), st.floats(0.0, 1.0)), b=_linear,
+       c=_linear, d=_linear, f=_linear, g=_linear)
+def test_random_linear_coefficients_match_direct_or_raise(deadline, a, b, c,
+                                                          d, f, g):
+    co = profile("custom", T=2.0, poly={"a": a, "b": b, "c": c, "d": d,
+                                        "f": f, "g": g})
+    with deadline(60):
+        try:
+            fund = make_kernel(co, tol=1e-11).fund
+            ts = [fund.T_valid * s for s in (0.1, 0.5, 0.9)]
+            traj = integrate_direct(co, DIRECT_INIT, ts[-1], tol=1e-12)
+            pairs = [(fund.values(t), invert(traj.state(t))) for t in ts]
+        except TYPED_ERRORS:
+            return
+    for got, want in pairs:
+        assert all(mixed_err(x, y) < 1e-6 for x, y in zip(got, want))
 
 
 # ------------------------------------------------------------------- superpose
