@@ -11,11 +11,19 @@ three quadratures of the source coefficients f, g (s = f + d g / a):
     I5' = (s mu0 + g mu0'/(2a)) / h,   J' = (s mu1 + g mu1'/(2a)) / h,
     M'  = I5 J',                       I5(0) = J(0) = M(0) = 0.
 
-The eight states form one first-order system with shared error control.  No
-right-hand side divides by mu0, so the run reaches T past any zero of mu0.
+The eight states form one first-order system with shared error control.
 Dense output comes from the integrator's continuous extension, so the
 kernel coefficients built from these states (:mod:`heatkern.riccati`) can be
 sampled at arbitrary times.
+
+This module alone decides where those coefficients exist.  The kernel
+divides by mu0 and the reduction to the characteristic equation divides by
+a, so the validity interval ends at T_valid: the first zero of mu0, the
+first sign change of a(t) or the horizon T, whichever comes first.  Both
+zeros are events of the one integration: no right-hand side divides by mu0,
+so the run continues past a zero of mu0, and it stops at a sign change of a.
+:meth:`CharacteristicSolution.check_valid` is the one guard every evaluator
+applies; it stops a relative ``ZERO_MARGIN`` short of a zero end.
 """
 
 from __future__ import annotations
@@ -26,35 +34,44 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .coefficients import CoefficientSet, tau_sigma
 from .errors import DomainError, IntegrationError
 
-_ZERO_SCAN_POINTS = 4096
+ZERO_MARGIN = 1e-6
+
+# why the validity interval ends, by CharacteristicSolution.end_cause
+_END_REASONS = {
+    "horizon": "the integration horizon is T = {:.10g}",
+    "mu0-zero": "mu0 vanishes at t = {:.10g} and the kernel divides by mu0",
+    "a-zero": "a(t) changes sign at t = {:.10g} and the reduction divides by a",
+}
 
 
 @dataclass
 class CharacteristicSolution:
     """Dense standard solutions mu0, mu1 (with derivatives), h and the source
-    quadratures I5, J, M on [0, T].
+    quadratures I5, J, M, and where the validity interval ends.
 
-    ``first_zero_of_mu0`` is the smallest positive zero of mu0 if one exists
-    in (0, T]; kernel construction is only valid strictly below it, because
-    the coefficient functions of the Gaussian exponent divide by mu0.
+    ``T_valid`` is the first zero of mu0, the first sign change of a(t) or
+    the horizon ``T``, whichever comes first, and ``end_cause`` says which:
+    ``"mu0-zero"``, ``"a-zero"`` or ``"horizon"``.  The states are dense up to
+    ``T``, or up to ``T_valid`` when a(t) ends the run.
     """
 
     coeffs: CoefficientSet
     T: float
     tol: float
-    first_zero_of_mu0: Optional[float]
+    T_valid: float
+    end_cause: str
     _sol: object
 
     def states(self, t):
         """The eight states at ``t``, rows (mu0, mu0', mu1, mu1', h, I5, J, M)."""
         t_arr = np.asarray(t, dtype=float)
-        if not ((t_arr >= -1e-15) & (t_arr <= self.T * (1.0 + 1e-12))).all():
-            raise DomainError(f"t outside [0, {self.T}]")
+        end = self._sol.t_max
+        if not ((t_arr >= -1e-15) & (t_arr <= end * (1.0 + 1e-12))).all():
+            raise DomainError(f"t outside [0, {end}]")
         return self._sol(t_arr)
 
     def _eval(self, t, row):
@@ -77,18 +94,48 @@ class CharacteristicSolution:
         return self._eval(t, 4)
 
     @property
-    def T_valid(self) -> float:
-        return self.T if self.first_zero_of_mu0 is None else self.first_zero_of_mu0
+    def first_zero_of_mu0(self) -> Optional[float]:
+        """The first zero of mu0 in (0, T_valid], or None."""
+        return self.T_valid if self.end_cause == "mu0-zero" else None
+
+    @property
+    def t_last(self) -> float:
+        """The largest time the validity guard accepts: ``T_valid`` at the
+        horizon, a relative ``ZERO_MARGIN`` short of it at a zero."""
+        if self.end_cause == "horizon":
+            return self.T_valid
+        return self.T_valid * (1.0 - ZERO_MARGIN)
+
+    def check_valid(self, t):
+        """Raise :class:`DomainError` unless every ``t`` lies in (0, t_last].
+
+        The message names the end that was crossed and why the kernel
+        coefficients do not exist beyond it.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        inside = (0.0 < t_arr) & (t_arr <= self.t_last * (1.0 + 1e-12))
+        if inside.all():
+            return
+        bad = float(t_arr[~inside].flat[0])
+        if bad <= 0.0:
+            why = "the fundamental coefficients diverge at t = 0"
+        elif bad > 0.0:
+            why = _END_REASONS[self.end_cause].format(self.T_valid)
+        else:
+            why = "t is not a number"
+        raise DomainError(f"t = {bad:.10g} outside the validity interval "
+                          f"(0, {self.t_last:.10g}]: {why}")
 
 
 def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
                          tol: float = 1e-10) -> CharacteristicSolution:
-    """Integrate the characteristic system with local error ``tol``.
+    """Integrate the characteristic system with local error ``tol`` and find
+    where the validity interval ends.
 
     Parameters
     ----------
     coeffs:
-        Validated coefficient set; a(t) must not vanish on [0, T].
+        Coefficient set with a(0) != 0.
     T:
         Integration horizon, default ``coeffs.domain_end``.
     tol:
@@ -96,12 +143,18 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
         Runge–Kutta integrator (DOP853), in (0, inf); the absolute
         tolerance is ``1e-3 * tol``.
 
+    The first zero of mu0 and the first sign change of a(t) are solver
+    events located on the dense output; the run stops at the latter.  Either
+    one ends the validity interval and is recorded, not raised.
+
     Raises
     ------
+    DomainError
+        If the right-hand side meets a(t) == 0 exactly.
     IntegrationError
         If the integrator aborts (e.g. step-size underflow) or a derivative
         is not finite (a coefficient returned NaN or inf, or a state
-        overflowed).  A zero of mu0 inside (0, T] is recorded, not raised.
+        overflowed).
     """
     if T is None:
         T = coeffs.domain_end
@@ -114,9 +167,11 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
     def rhs(t, y):
         mu0, dmu0, mu1, dmu1, h, i5, _, _ = y
         t = min(t, coeffs.domain_end)
+        a = coeffs.a(t)
+        if a == 0.0:
+            raise DomainError(f"a(t) = 0 at t = {t:.10g}; the reduction divides by a")
         tau, sigma = tau_sigma(coeffs, t)
-        a, c, d, f, g = (coeffs.a(t), coeffs.c(t), coeffs.d(t), coeffs.f(t),
-                         coeffs.g(t))
+        c, d, f, g = coeffs.c(t), coeffs.d(t), coeffs.f(t), coeffs.g(t)
         s = f + d * g / a
         g2a = g / (2.0 * a)
         # where f = g = 0 the source rates are exactly 0, also once h underflows
@@ -129,31 +184,35 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
             raise IntegrationError(f"characteristic system is not finite at t = {t:.6g}")
         return np.array(dy)
 
-    y0 = np.array([0.0, 2.0 * coeffs.a(0.0), 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    a0 = coeffs.a(0.0)
+
+    def mu0_zero(t, y):
+        return y[0]
+
+    # mu0 leaves 0 with the sign of a(0), so its first zero after t = 0 is
+    # crossed the other way; the direction also skips the start, where mu0 = 0
+    mu0_zero.direction = -math.copysign(1.0, a0)
+
+    def a_zero(t, y):  # the sign, so that a multiple zero is bisected too
+        return np.sign(coeffs.a(min(t, coeffs.domain_end)))
+
+    a_zero.terminal = True
+
+    y0 = np.array([0.0, 2.0 * a0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", dense_output=True,
-                    rtol=tol, atol=tol * 1e-3)
+                    rtol=tol, atol=tol * 1e-3, events=(mu0_zero, a_zero))
     if not sol.success:
         raise IntegrationError(f"characteristic integration failed: {sol.message}")
 
-    return CharacteristicSolution(coeffs=coeffs, T=T, tol=tol,
-                                  first_zero_of_mu0=_first_zero(sol.sol, T),
-                                  _sol=sol.sol)
-
-
-def _first_zero(dense, T):
-    """Smallest t > 0 with mu0(t) = 0, by sign scan plus bisection refinement."""
-    ts = np.linspace(0.0, T, _ZERO_SCAN_POINTS + 1)[1:]
-    vals = dense(ts)[0]
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    candidates = []
-    if len(flips):
-        lo, hi = ts[flips[0]], ts[flips[0] + 1]
-        candidates.append(brentq(lambda t: float(dense(t)[0]), lo, hi, xtol=1e-12))
-    if len(exact):
-        candidates.append(float(ts[exact[0]]))
-    return min(candidates) if candidates else None
+    mu0_zeros, a_zeros = sol.t_events
+    if len(mu0_zeros):
+        T_valid, end_cause = float(mu0_zeros[0]), "mu0-zero"
+    elif len(a_zeros):
+        T_valid, end_cause = float(a_zeros[0]), "a-zero"
+    else:
+        T_valid, end_cause = T, "horizon"
+    return CharacteristicSolution(coeffs=coeffs, T=T, tol=tol, T_valid=T_valid,
+                                  end_cause=end_cause, _sol=sol.sol)
 
 
 def wronskian_residual(chs: CharacteristicSolution, coeffs: CoefficientSet,

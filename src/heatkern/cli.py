@@ -188,8 +188,7 @@ def cmd_wave(args) -> int:
 def cmd_riccati(args) -> int:
     coeffs = _coefficients(args)
     chs = solve_characteristic(coeffs, tol=args.tol)
-    ts = np.geomspace(args.tmin, min(args.tmax, chs.T_valid * 0.999999),
-                      args.points)
+    ts = np.geomspace(args.tmin, min(args.tmax, chs.t_last), args.points)
     if args.characteristic:
         columns = chs.states(ts)[:5]
         header = ("t", "mu0", "dmu0", "mu1", "dmu1", "h")

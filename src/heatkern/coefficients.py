@@ -43,9 +43,12 @@ def _zero(t: float) -> float:
 class CoefficientSet:
     """The six time coefficients of the master equation plus a', d'.
 
-    All callables take a scalar time and return a scalar.  ``a`` must not
-    vanish anywhere on [0, domain_end]; this is checked by :func:`validate`,
-    not at construction.
+    All callables take a scalar time and return a scalar.  The kernel needs
+    a(0) > 0 and exists only up to the first sign change of ``a``; the
+    characteristic solve finds that zero and ends the validity interval
+    there (:mod:`heatkern.characteristic`).  :func:`validate` samples the
+    set for zeros of ``a`` and other defects beforehand; nothing is checked
+    at construction.
     """
 
     a: Callable[[float], float]

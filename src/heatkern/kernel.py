@@ -361,7 +361,15 @@ def _exp_guard(log_value):
 
 def make_kernel(coeffs: CoefficientSet, T: float | None = None,
                 tol: float = 1e-10) -> HeatKernel:
-    """Characteristic solve + fundamental solution + kernel, in one call."""
+    """Characteristic solve + fundamental solution + kernel, in one call.
+
+    Raises :class:`DomainError` if a(0) < 0: the equation then diffuses
+    backward and mu0 < 0 on the whole validity interval, so the kernel is
+    undefined at every t.
+    """
+    if coeffs.a(0.0) < 0.0:
+        raise DomainError(f"a(0) = {coeffs.a(0.0):.6g} < 0: backward diffusion "
+                          "has no kernel")
     return HeatKernel(fundamental(solve_characteristic(coeffs, T=T, tol=tol)))
 
 

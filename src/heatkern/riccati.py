@@ -22,6 +22,7 @@ an independent cross-check, and provides the small-time expansions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,14 +97,13 @@ class FundamentalRiccati:
     rest, so J and M have regular integrands.  As t -> 0+,
     I5/mu0 -> g(0)/(2a(0)), so eps0(0) = -g(0)/(2a(0)) and kappa0(0) = 0.
     alpha0, beta0 and gamma0 diverge like 1/t at the origin, so evaluation
-    at t = 0 (or past the first zero of mu0) is a domain error.
+    at t = 0 (or past the end of the validity interval, see
+    :meth:`CharacteristicSolution.check_valid`) is a domain error.
     """
 
     def __init__(self, chs: CharacteristicSolution):
         self.chs = chs
         self.coeffs = chs.coeffs
-        zero = chs.first_zero_of_mu0
-        self._t_max = chs.T if zero is None else zero * (1.0 - 1e-6)
         self._gamma_shift = self.coeffs.d(0.0) / (2.0 * self.coeffs.a(0.0))
 
     @property
@@ -114,9 +114,7 @@ class FundamentalRiccati:
         """All seven functions at ``t`` (a float or an array) from one dense
         evaluation; array fields for an array ``t``."""
         t_arr = np.asarray(t, dtype=float)
-        if not ((0.0 < t_arr) & (t_arr <= self._t_max * (1.0 + 1e-12))).all():
-            raise DomainError(f"t outside the validity interval (0, {self._t_max:.6g}]"
-                              "; the fundamental coefficients diverge at t = 0")
+        self.chs.check_valid(t_arr)
         states, ts, co = self.chs.states(t_arr), t_arr.tolist(), self.coeffs
         if t_arr.ndim == 0:  # Python floats: the array path's arithmetic, faster
             states, a, d = states.tolist(), co.a(ts), co.d(ts)
@@ -160,9 +158,8 @@ def fundamental(chs: CharacteristicSolution) -> FundamentalRiccati:
     """The fundamental solution of the seven-function system built on ``chs``.
 
     No further integration: the seven functions are algebraic in the dense
-    characteristic states (see :class:`FundamentalRiccati`).  They are
-    evaluated on (0, T_valid], stopping a relative 1e-6 short of a zero of
-    mu0.
+    characteristic states (see :class:`FundamentalRiccati`), on the validity
+    interval that ``chs`` records.
     """
     return FundamentalRiccati(chs)
 
@@ -227,8 +224,8 @@ def integrate_direct(coeffs: CoefficientSet, init, T: float,
                          "(mu, alpha, beta, gamma, delta, eps, kappa)")
     if not np.all(np.isfinite(init)):
         raise ValueError("init must be finite")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     def rhs(t, y):
         mu, alpha, beta, gamma, delta, eps, kappa = y

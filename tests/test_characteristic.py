@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from heatkern import make_kernel, profile, solve_characteristic, wronskian_residual
+from heatkern import (InitialData, make_kernel, profile, solve_characteristic,
+                      solve_ivp, wronskian_residual)
 from heatkern.errors import DomainError, IntegrationError
 
 TS = np.linspace(0.04, 2.0, 50)
@@ -92,6 +93,9 @@ def test_first_zero_of_mu0_oscillatory():
     chs = solve_characteristic(co, T=2.0, tol=1e-11)
     assert chs.first_zero_of_mu0 == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert chs.T_valid == pytest.approx(math.pi / 2.0, abs=1e-9)
+    assert chs.end_cause == "mu0-zero"
+    assert chs.t_last == chs.T_valid * (1.0 - 1e-6)
+    assert abs(chs.mu0(1.9)) > 0.1  # the states run on past the zero of mu0
 
 
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
@@ -99,7 +103,8 @@ def test_no_spurious_zero_on_builtins(name):
     co = _analytic(name)[0]
     chs = solve_characteristic(co, T=2.0, tol=1e-10)
     assert chs.first_zero_of_mu0 is None
-    assert chs.T_valid == 2.0
+    assert chs.T_valid == chs.t_last == 2.0
+    assert chs.end_cause == "horizon"
 
 
 def test_halving_tol_never_increases_error():
@@ -142,3 +147,45 @@ def test_non_finite_coefficient_raises(deadline, t_bad):
                              c=lambda t: math.nan if t >= t_bad else 0.0)
     with deadline(30), pytest.raises(IntegrationError, match="not finite at t"):
         make_kernel(co)
+
+
+# a(t) turns negative at t = 1; the triple zero is too flat for a root finder
+# on a(t) itself
+@pytest.mark.parametrize("co", [
+    profile("custom", T=2.0, poly={"a": [1.0, -1.0]}),
+    dataclasses.replace(profile("constant-heat", T=2.0),
+                        a=lambda t: (1.0 - t) ** 3,
+                        da=lambda t: -3.0 * (1.0 - t) ** 2),
+], ids=["1-t", "(1-t)^3"])
+def test_sign_change_of_a_ends_validity(deadline, co):
+    with deadline(30):
+        K = make_kernel(co)
+    chs = K.fund.chs
+    assert chs.T_valid == pytest.approx(1.0, abs=1e-9)
+    assert chs.end_cause == "a-zero" and chs.first_zero_of_mu0 is None
+    assert K.T_valid == chs.T_valid
+    with pytest.raises(DomainError, match=r"a\(t\) changes sign"):
+        K.evaluate(0.0, 0.0, 1.5)
+    with pytest.raises(DomainError, match=r"a\(t\) changes sign"):
+        solve_ivp(K, InitialData.gaussian(), [0.0, 0.5], 1.5)
+    with pytest.raises(DomainError):
+        chs.mu0(1.5)  # the run stopped at the zero of a
+    assert math.isfinite(K.evaluate(0.0, 0.0, chs.t_last))
+
+
+def test_exact_zero_of_a_is_a_domain_error(deadline):
+    # a = (1 - t)^2 never changes sign, but the solve meets a(t) == 0 exactly
+    co = profile("custom", T=2.0, poly={"a": [1.0, -2.0, 1.0]})
+    with deadline(30), pytest.raises(DomainError, match=r"a\(t\) = 0"):
+        solve_characteristic(co)
+
+
+def test_last_valid_time_before_a_zero_of_mu0():
+    # b = -4: mu0 = sin(4t)/2 vanishes at pi/4
+    K = make_kernel(profile("custom", T=2.0, poly={"a": [1.0], "b": [-4.0]}))
+    chs = K.fund.chs
+    assert chs.T_valid == pytest.approx(math.pi / 4.0, abs=1e-9)
+    assert math.isfinite(K.evaluate(0.0, 0.0, chs.t_last))
+    with pytest.raises(DomainError, match="mu0 vanishes") as err:
+        K.evaluate(0.0, 0.0, K.T_valid)
+    assert "diverge" not in str(err.value)

@@ -68,6 +68,32 @@ def test_riccati_command(tmp_path):
     assert rows.shape == (5, 7)
 
 
+def test_riccati_command_stops_at_last_valid_time(tmp_path):
+    # a = 1, b = -4: mu0 = sin(4t)/2 vanishes at pi/4 < --tmax
+    config = tmp_path / "osc.json"
+    config.write_text(json.dumps({"coefficients": {
+        "profile": "custom", "poly": {"a": [1.0], "b": [-4.0]}, "T": 2.0}}))
+    out = tmp_path / "riccati.csv"
+    rc = main(["riccati", "--config", str(config), "--points", "7",
+               "--out", str(out)])
+    assert rc == 0
+    _, rows = _read_csv(out)
+    assert rows.shape == (7, 7) and np.all(np.isfinite(rows))
+    assert rows[-1, 0] == pytest.approx(math.pi / 4.0 * (1.0 - 1e-6), rel=1e-9)
+
+
+def test_kernel_past_a_zero_of_a_exit_code(tmp_path, capsys):
+    config = tmp_path / "backward.json"
+    config.write_text(json.dumps({"coefficients": {
+        "profile": "custom", "poly": {"a": [1.0, -1.0]}, "T": 2.0}}))
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "--config", str(config), "--t", "1.5",
+               "--grid=-1:1:3", "--out", str(out)])
+    assert rc == 3
+    assert "a(t) changes sign at t = 1 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_riccati_characteristic_dump(tmp_path):
     out = tmp_path / "chs.csv"
     rc = main(["riccati", "--profile", "cable", "--param", "lam=1",

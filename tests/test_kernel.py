@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       closed_form, diffusion_residual, expectation,
-                      make_kernel, normalization, profile, solve_ivp,
-                      transform_solve)
+                      fundamental, make_kernel, normalization, profile,
+                      solve_characteristic, solve_ivp, transform_solve)
 from heatkern.errors import DomainError, QuadratureError
 from heatkern.kernel import (NonconservativeWarning, TruncationWarning,
                              _exp_guard, _quad)
@@ -54,6 +54,16 @@ def test_evaluate_domain_errors(kernel_heat):
         kernel_heat.evaluate(0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         kernel_heat.evaluate(0.0, 0.0, 3.0)
+
+
+def test_negative_diffusion_has_no_kernel():
+    co = profile("constant-heat", a=-1.0)
+    with pytest.raises(DomainError, match=r"a\(0\) = -1 < 0"):
+        make_kernel(co)
+    # the characteristic solve and the seven functions stay available
+    fund = fundamental(solve_characteristic(co))
+    assert fund.T_valid == 2.0
+    assert fund.mu0(1.0) == pytest.approx(-2.0, rel=1e-9)
 
 
 def test_exp_guard_overflow():

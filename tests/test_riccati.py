@@ -153,7 +153,7 @@ _linear = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(a=st.tuples(st.floats(0.3, 2.0), st.floats(0.0, 1.0)), b=_linear,
+@given(a=st.tuples(st.floats(0.3, 2.0), st.floats(-1.0, 1.0)), b=_linear,
        c=_linear, d=_linear, f=_linear, g=_linear)
 def test_random_linear_coefficients_match_direct_or_raise(deadline, a, b, c,
                                                           d, f, g):
@@ -247,6 +247,12 @@ def test_direct_integration_input_validation(coeffs_heat):
     traj = integrate_direct(coeffs_heat, (1.0, -1.0, 1.0, 0, 0, 0, 0), 0.5)
     with pytest.raises(DomainError):
         traj.state(0.7)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_direct_integration_rejects_bad_tol(deadline, coeffs_heat, tol):
+    with deadline(30), pytest.raises(ValueError, match="positive and finite"):
+        integrate_direct(coeffs_heat, DIRECT_INIT, 1.0, tol=tol)
 
 
 # ----------------------------------------------------------------------- invert
