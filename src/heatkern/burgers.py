@@ -6,9 +6,9 @@ The nonlinear equation
 
 linearizes under v = -2 u_x / u into the diffusion-type master equation, so
 its Cauchy problem is solved by one batched kernel quadrature over the grid
-followed by a log-derivative.  The classical constant-viscosity equation
-v_t + v v_x = a v_xx uses the scaled substitution v = -2a u_x / u and the
-correspondingly scaled exponent.  Traveling-wave families are constructed
+followed by a log-derivative.  The classical v_t + v v_x = a v_xx is the
+general equation for w = v / a, so it uses the same kernel, its validity
+interval and its errors, rescaled.  Traveling-wave families are constructed
 from the moving-frame reduction, whose profile ODE is integrated through an
 equivalent linear second-order equation (poles of the profile appear as
 zeros of its solution rather than as blow-up mid-integration).
@@ -47,38 +47,38 @@ def _is_classical(coeffs: CoefficientSet) -> bool:
 
 
 class _DenseAntiderivative:
-    """V(y) = int_0^y v(z) dz as a dense two-sided ODE solution."""
+    """V(y) = int_0^y v(z) dz on [-W, W] from one dense ODE solution.
+
+    One run over s in [0, W] carries (V(s), V(-s))' = (v(s), -v(-s)) from
+    0, so it starts where the data is; a run across [-W, W] starts where v
+    underflows to 0 and, for W beyond about 35, steps over a bump at 0.
+    """
 
     def __init__(self, v: Callable[[float], float], half_width: float,
                  tol: float = 1e-12):
         self.v = v
         self.half_width = 0.0
         self.tol = tol
-        self._pos = None
-        self._neg = None
         self.extend(half_width)
 
     def extend(self, half_width: float):
         if half_width <= self.half_width:
             return
-        rhs = lambda y, V: [self.v(y)]
-        kw = dict(method="DOP853", dense_output=True, rtol=self.tol, atol=1e-14)
-        pos = _solve_ivp(rhs, (0.0, half_width), [0.0], **kw)
-        neg = _solve_ivp(rhs, (0.0, -half_width), [0.0], **kw)
-        if not (pos.success and neg.success):
+        sol = _solve_ivp(lambda s, V: [self.v(s), -self.v(-s)],
+                         (0.0, half_width), [0.0, 0.0], method="DOP853",
+                         dense_output=True, rtol=self.tol, atol=1e-14)
+        if not sol.success:
             raise IntegrationError("antiderivative integration failed")
-        self._pos, self._neg = pos.sol, neg.sol
+        self._sol = sol.sol
         self.half_width = half_width
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         if np.any(np.abs(y) > self.half_width * (1.0 + 1e-12)):
             raise DomainError(f"antiderivative queried outside ±{self.half_width}")
-        flat = np.clip(y, -self.half_width, self.half_width).ravel()
-        out = np.empty_like(flat)
-        for sol, side in ((self._pos, flat >= 0.0), (self._neg, flat < 0.0)):
-            if side.any():
-                out[side] = sol(flat[side])[0]
+        flat = y.ravel()
+        right, left = self._sol(np.minimum(np.abs(flat), self.half_width))
+        out = np.where(flat >= 0.0, right, left)
         return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
@@ -88,25 +88,30 @@ class BurgersProblem:
 
     ``coeffs`` provides a, b, c, f, g (its d is ignored: the linearizing
     substitution leaves v unchanged under any x-independent zeroth-order
-    term, so the kernel is built with d = 0).  ``classical`` forces or
-    forbids the constant-viscosity scaling; by default it is detected from
-    the coefficients.  ``v0_antiderivative`` may supply an analytic
-    int_0^y v0; otherwise a dense numerical one is built on demand.
+    term, so the kernel is built with d = 0).  ``classical`` (b = c = f = g
+    = 0 and constant a, detected from the coefficients) marks the classical
+    v_t + v v_x = a v_xx, solved on the same kernel for w = v / a.
+    ``v0_antiderivative`` may supply an analytic int_0^y v0; otherwise a
+    dense numerical one is built on demand.
     """
 
     coeffs: CoefficientSet
     v0: Callable[[float], float]
     xs: np.ndarray
-    classical: Optional[bool] = None
     v0_antiderivative: Optional[Callable[[float], float]] = None
     tol: float = 1e-10
+    classical: bool = field(init=False)
     _kernel: Optional[HeatKernel] = field(default=None, repr=False)
     _v0_dense: Optional[_DenseAntiderivative] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
-        if self.classical is None:
-            self.classical = _is_classical(self.coeffs)
+        self.classical = _is_classical(self.coeffs)
+
+    @property
+    def scale(self) -> float:
+        """v = scale * w with w = -2 u_x / u: a in the classical case, else 1."""
+        return self.coeffs.a(0.0) if self.classical else 1.0
 
     def kernel(self) -> HeatKernel:
         if self._kernel is None:
@@ -125,8 +130,13 @@ class BurgersProblem:
         return self._v0_dense
 
     def v0_bound(self, half_width: float) -> float:
+        """max |v0| on 513 points; IntegrationError where v0 is not finite."""
         ys = np.linspace(-half_width, half_width, 513)
-        return float(np.max(np.abs(_on_arrays(self.v0)(ys))))
+        vals = np.abs(_on_arrays(self.v0)(ys))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise IntegrationError(f"v0 is not finite at y = {ys[bad][0]:.6g}")
+        return float(vals.max())
 
 
 def cole_hopf(u: GridField) -> GridField:
@@ -141,42 +151,29 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
                       quad_spec: QuadSpec = QuadSpec()) -> GridField:
     """Solve the Burgers-type Cauchy problem at time(s) ``t`` on ``prob.xs``.
 
-    Computes the inner integral int K(x, y, t) exp(-s V0(y)) dy per grid
-    point (s = 1/2 in general, 1/(2a) in the classical constant-viscosity
-    case) in shifted log space, then applies -2 (resp. -2a) times the
-    fourth-order x-derivative of the log-values.
+    Computes u = int K(x, y, t) exp(-s V0(y)) dy per grid point with the
+    kernel of ``prob.kernel()`` and s = 1 / (2 scale), in shifted log space,
+    then applies -2 scale times the fourth-order x-derivative of log u.  A t
+    outside the kernel's validity interval (or NaN) raises DomainError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     xs = prob.xs
     values = np.empty((len(ts), len(xs)))
     for i, ti in enumerate(ts):
         values[i] = _log_inner_integral(prob, float(ti), quad_spec)
-    scale = 2.0 * prob.coeffs.a(0.0) if prob.classical else 2.0
-    v = -scale * d1_uniform4(values, xs[1] - xs[0])
+    v = -2.0 * prob.scale * d1_uniform4(values, xs[1] - xs[0])
     return GridField(xs, ts, v)
 
 
 def _log_inner_integral(prob, t, quad_spec):
     """log of the linearized solution u(x, t) on the problem grid."""
-    if t <= 0.0:
-        raise DomainError("Burgers IVP solution is defined for t > 0")
+    K = prob.kernel()
     xs = prob.xs
-    # exponent of K(x, y, t) as the quadratic q2 y^2 + q1 y + q0 in y
-    if prob.classical:
-        a = prob.coeffs.a(0.0)
-        s = 1.0 / (2.0 * a)
-        q2 = -1.0 / (4.0 * a * t)
-        q1 = xs / (2.0 * a * t)
-        q0 = -0.5 * math.log(4.0 * math.pi * a * t) - xs * xs / (4.0 * a * t)
-        sigma = math.sqrt(2.0 * a * t)
-    else:
-        K = prob.kernel()
-        lnk, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
-        if g0 >= 0.0:
-            raise QuadratureError("kernel not integrable in y; cannot linearize")
-        s = 0.5
-        q2, q1, q0 = g0, b0 * xs + e0, lnk + a0 * xs * xs + d0 * xs + k0
-        sigma = 1.0 / math.sqrt(-2.0 * g0)
+    # the exponent of K(x, y, t) is g0 y^2 + q1 y + (terms free of y)
+    lnk, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
+    mean, sigma = K.y_gaussian(t, xs)
+    q1 = b0 * xs + e0
+    s = 0.5 / prob.scale
 
     half = float(np.max(np.abs(xs))) + 1.0
     vb = prob.v0_bound(half + 16.0 * sigma)
@@ -184,12 +181,11 @@ def _log_inner_integral(prob, t, quad_spec):
     width = pad + 12.0 * sigma
 
     # the antiderivative must cover every quadrature window
-    mean = -q1 / (2.0 * q2)
     needed = float(np.max(np.abs(mean))) + width
     V0 = _on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
     def exponent(rows, y):
-        return q2 * y * y + q1[rows, None] * y - s * V0(y)
+        return g0 * y * y + q1[rows, None] * y - s * V0(y)
 
     rows = np.arange(len(xs))
     probe = (mean - width)[:, None] + np.linspace(0.0, 2.0 * width, 33)
@@ -198,7 +194,7 @@ def _log_inner_integral(prob, t, quad_spec):
                 mean - width, mean + width, mean, quad_spec)
     if np.any(val <= 0.0):
         raise QuadratureError("nonpositive inner integral")
-    return q0 + shift + np.log(val)
+    return lnk + a0 * xs * xs + d0 * xs + k0 + shift + np.log(val)
 
 
 def burgers_residual(v: GridField, coeffs: CoefficientSet) -> GridField:

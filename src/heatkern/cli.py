@@ -120,10 +120,9 @@ def cmd_kernel(args) -> int:
     coeffs = _coefficients(args)
     K = kn.make_kernel(coeffs, tol=args.tol)
     xs = _parse_grid(args.grid)
-    rows = []
-    for x in xs:
-        vals = K.evaluate(x, xs, args.t)
-        rows.extend((x, y, args.t, v) for y, v in zip(xs, vals))
+    grid = K.evaluate(xs[:, None], xs[None, :], args.t)
+    rows = ((x, y, args.t, v) for x, row in zip(xs, grid)
+            for y, v in zip(xs, row))
     with _output(args.out) as fh:
         kn.write_csv(fh, ("x", "y", "t", "K"), rows)
     _gnuplot(args, "1:2:4", mode="splot")

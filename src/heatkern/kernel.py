@@ -27,7 +27,7 @@ from scipy.special import erfc
 from .characteristic import solve_characteristic
 from .coefficients import CoefficientSet
 from .errors import DomainError, QuadratureError, SingularityError
-from .riccati import FundamentalRiccati, fundamental, superpose
+from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 LOG_OVERFLOW = 700.0
@@ -620,21 +620,20 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
 
 
 def asymptotic_kernel(coeffs: CoefficientSet):
-    """Small-time approximation of the kernel; for t -> 0+ checks only."""
+    """Small-time approximation of the kernel; for t -> 0+ checks only.
+
+    The Gaussian form with mu0 = 2 a(0) t and the truncated expansions of
+    :func:`heatkern.riccati.asymptotics` as exponent coefficients.
+    """
     a0 = coeffs.a(0.0)
-    c0 = coeffs.c(0.0)
-    g0 = coeffs.g(0.0)
-    da0 = coeffs.da(0.0)
 
     def log_K(x, y, t):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        diff = x - y
+        r = asymptotics(coeffs, t)
         val = (-0.5 * math.log(4.0 * math.pi * a0 * t)
-               - diff ** 2 / (4.0 * a0 * t)
-               + da0 / (8.0 * a0 ** 2) * diff ** 2
-               - c0 / (4.0 * a0) * (x ** 2 - y ** 2)
-               + g0 / (2.0 * a0) * diff)
+               + r.alpha0 * x * x + r.beta0 * x * y + r.gamma0 * y * y
+               + r.delta0 * x + r.eps0 * y + r.kappa0)
         return float(val) if val.ndim == 0 else val
 
     def K(x, y, t):

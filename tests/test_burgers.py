@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
                       QuadSpec, TravelingWaveSpec, burgers_residual, cole_hopf,
                       integrate_profile_direct, profile, solve_burgers_ivp,
                       solve_ivp, traveling_wave)
 from heatkern.burgers import _is_classical, _log_inner_integral
-from heatkern.errors import DomainError, SingularityError
+from heatkern.errors import DomainError, IntegrationError, SingularityError
 from heatkern._differences import d1_uniform4
 
 
@@ -82,9 +83,25 @@ def test_solver_requires_positive_time(coeffs_heat):
 def test_classical_detection(coeffs_heat, coeffs_fp):
     assert _is_classical(coeffs_heat)
     assert not _is_classical(coeffs_fp)
-    forced = BurgersProblem(coeffs_heat, lambda y: 0.0,
-                            np.linspace(-1, 1, 21), classical=False)
-    assert forced.classical is False
+
+
+@pytest.mark.parametrize("t, why", [(7.0, "horizon"), (math.nan, "not a number")])
+def test_classical_outside_validity_interval(deadline, coeffs_heat, t, why):
+    # the classical problem shares the kernel's validity interval (0, T]
+    prob = BurgersProblem(coeffs_heat, lambda y: 0.3 * np.exp(-y * y),
+                          np.linspace(-1, 1, 21))
+    assert prob.classical
+    with deadline(30), pytest.raises(DomainError, match=why):
+        solve_burgers_ivp(prob, t)
+
+
+def test_non_finite_v0_raises(deadline, coeffs_fp):
+    # sqrt(1 - y^2) is NaN for |y| > 1, inside the antiderivative's window
+    prob = BurgersProblem(coeffs_fp, lambda y: np.sqrt(1.0 - y * y),
+                          np.linspace(-1, 1, 21))
+    with deadline(30), np.errstate(invalid="ignore"), \
+            pytest.raises(IntegrationError, match="not finite at y = -"):
+        solve_burgers_ivp(prob, 0.5)
 
 
 def test_cole_hopf_consistency_general_path(coeffs_fp):
@@ -325,6 +342,20 @@ def test_bateman_validation():
         BatemanWave(A=1.0, V=0.0, a=1.0, c=0.0, sign="x")
     with pytest.raises(ValueError):
         BatemanWave(A=1.0, V=0.0, a=1.0, c=0.0, sign="+").initial_antiderivative()
+
+
+def test_antiderivative_wide_window(coeffs_fp):
+    # Fokker-Planck at t = 1 needs V0 on about +-40, far wider than the
+    # support of v0; the numerical V0 must still resolve the bump at 0
+    v0 = lambda y: 0.5 * np.exp(-y * y)
+    V0 = lambda y: 0.25 * math.sqrt(math.pi) * erf(y)
+    xs = np.linspace(-2.0, 2.0, 41)
+    prob = BurgersProblem(coeffs_fp, v0, xs)
+    sol = solve_burgers_ivp(prob, 1.0)
+    ys = np.linspace(-35.0, 35.0, 141)
+    assert np.max(np.abs(prob.antiderivative(35.0)(ys) - V0(ys))) < 1e-10
+    exact = BurgersProblem(coeffs_fp, v0, xs, v0_antiderivative=V0)
+    assert np.max(np.abs(sol.values - solve_burgers_ivp(exact, 1.0).values)) < 1e-8
 
 
 def test_antiderivative_domain_guard(coeffs_heat):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from heatkern import make_kernel, profile
 from heatkern.cli import main, _parse_grid, ConfigError
 
 
@@ -42,6 +43,10 @@ def test_kernel_command_deterministic(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # the one grid evaluation equals point-by-point evaluation to the bit
+    K = make_kernel(profile("ou-drift", T=2.5, k=1.0, g=0.5), tol=1e-10)
+    _, rows = _read_csv(out1)
+    assert [K.evaluate(x, y, t) for x, y, t, _ in rows] == rows[:, 3].tolist()
 
 
 def test_solve_command_matches_analytic(tmp_path):
@@ -216,5 +221,23 @@ def test_nan_time_exit_code(tmp_path):
     out = tmp_path / "k.csv"
     rc = main(["kernel", "--profile", "fokker-planck", "--t", "nan",
                "--grid=-1:1:3", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+
+
+def test_classical_burgers_past_horizon_exit_code(deadline, capsys):
+    with deadline(30):
+        rc = main(["burgers", "--profile", "constant-heat", "--T", "2.5",
+                   "--t", "7", "--grid=-1:1:21"])
+    assert rc == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_burgers_backward_viscosity_exit_code(deadline, tmp_path):
+    out = tmp_path / "v.csv"
+    with deadline(30):
+        rc = main(["burgers", "--profile", "constant-heat", "--param", "a=-1",
+                   "--v0", "gaussian", "--t", "0.5", "--grid=-1:1:21",
+                   "--out", str(out)])
     assert rc == 3
     assert not out.exists()
