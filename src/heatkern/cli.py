@@ -144,8 +144,11 @@ def cmd_burgers(args) -> int:
     coeffs = _coefficients(args)
     xs = _parse_grid(args.grid)
     if args.v0 == "bateman":
-        wave = bg.BatemanWave(A=args.A, V=args.V, a=coeffs.a(0.0), c=args.c,
-                              sign=args.sign)
+        try:
+            wave = bg.BatemanWave(A=args.A, V=args.V, a=coeffs.a(0.0), c=args.c,
+                                  sign=args.sign)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         anti = (wave.initial_antiderivative() if args.sign == "-" else None)
         prob = bg.BurgersProblem(coeffs, wave.initial_profile(), xs,
                                  v0_antiderivative=anti, tol=args.tol)

@@ -6,6 +6,16 @@ the Burgers-type equation, both on a fixed symmetric window with the edge
 values pinned to the initial data (which is required to have decayed there).
 Second order in space and time for the diffusion solver; the time-dependent
 coefficients are sampled at the step midpoint to keep that order.
+
+The implicit half of each step is a tridiagonal system.  Its matrix is
+LU-factored (LAPACK ``gttrf``) only when the coefficient values that build it
+change -- (a, b, c, d, f, g) at the step midpoint for the diffusion solver,
+a at the midpoint for the Burgers solver -- and every step solves with the
+stored factors (``gttrs``), which is the same elimination a one-shot ``gtsv``
+does.  The values are compared exactly, so constant coefficients factor once
+per run and time-dependent ones every step, through the same code.  A
+coefficient value or initial datum that is not finite, or a singular step
+matrix, raises :class:`~heatkern.errors.StabilityError` naming the time.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import CoefficientSet
 from .errors import StabilityError
@@ -63,10 +73,18 @@ def _check_decay(phi_edge_left, phi_edge_right):
                       UserWarning, stacklevel=3)
 
 
-def _growth_free(coeffs: CoefficientSet, t_end: float) -> bool:
-    ts = np.linspace(0.0, t_end, 9)
-    return all(abs(coeffs.b(t)) <= 1e-14 and abs(coeffs.d(t)) <= 1e-14
-               and abs(coeffs.f(t)) <= 1e-14 for t in ts)
+def _require_finite(values, what: str, t: float):
+    if not np.all(np.isfinite(values)):
+        raise StabilityError(f"{what} not finite at t={t:.6g}")
+
+
+def _factor(lower, diag, upper, t: float):
+    """LU factors of the tridiagonal matrix with these three diagonals."""
+    *factors, info = dgttrf(lower, diag, upper)
+    if info > 0:
+        raise StabilityError(f"finite-difference step matrix is singular "
+                             f"at t={t:.6g}")
+    return factors
 
 
 def _check_bounded(u, growth_free: bool, t: float):
@@ -82,33 +100,37 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
                  spec: FDSpec, t_end: float) -> GridField:
     """Crank–Nicolson solve of the master equation up to ``t_end``.
 
-    Returns a two-level field (initial data and final time).  Tridiagonal
-    systems are solved directly; coefficients are evaluated at the midpoint
-    of every step.
+    Returns a two-level field (initial data and final time).  Coefficients
+    are evaluated at the midpoint of every step; the tridiagonal step matrix
+    is refactored only when those six values change.
     """
     xs = spec.xs
     dx = spec.dx
     u = np.array([phi(x) for x in xs], dtype=float)
+    _require_finite(u, "initial data", 0.0)
     _check_decay(u[0], u[-1])
     u0 = u.copy()
     bc_l, bc_r = u[0], u[-1]
-    growth_free = _growth_free(coeffs, t_end)
+    growth_free = True   # no step so far had b, d or f != 0
 
     n_steps, dt = _steps(t_end, spec.dt)
     xi = xs[1:-1]
+    key = None
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
-        a = coeffs.a(t_mid)
-        b = coeffs.b(t_mid)
-        c = coeffs.c(t_mid)
-        d = coeffs.d(t_mid)
-        f = coeffs.f(t_mid)
-        g = coeffs.g(t_mid)
-
-        drift = (g - c * xi) / (2.0 * dx)
-        lower = a / dx ** 2 + drift
-        upper = a / dx ** 2 - drift
-        diag = -2.0 * a / dx ** 2 + (d + f * xi - b * xi * xi)
+        values = (coeffs.a(t_mid), coeffs.b(t_mid), coeffs.c(t_mid),
+                  coeffs.d(t_mid), coeffs.f(t_mid), coeffs.g(t_mid))
+        if values != key:
+            _require_finite(values, "coefficient value", t_mid)
+            a, b, c, d, f, g = values
+            growth_free = growth_free and max(abs(b), abs(d), abs(f)) <= 1e-14
+            drift = (g - c * xi) / (2.0 * dx)
+            lower = a / dx ** 2 + drift
+            upper = a / dx ** 2 - drift
+            diag = -2.0 * a / dx ** 2 + (d + f * xi - b * xi * xi)
+            factors = _factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
+                              -0.5 * dt * upper[:-1], t_mid)
+            key = values
 
         # explicit half-step (I + dt/2 A) u, boundary values folded in
         au = diag * u[1:-1]
@@ -117,13 +139,7 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
         rhs = u[1:-1] + 0.5 * dt * au
         rhs[0] += 0.5 * dt * lower[0] * bc_l
         rhs[-1] += 0.5 * dt * upper[-1] * bc_r
-
-        m = len(xi)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -0.5 * dt * upper[:-1]
-        ab[1, :] = 1.0 - 0.5 * dt * diag
-        ab[2, :-1] = -0.5 * dt * lower[1:]
-        u[1:-1] = solve_banded((1, 1), ab, rhs)
+        u[1:-1], _ = dgttrs(*factors, rhs)
 
         if step % 50 == 0 or step == n_steps - 1:
             _check_bounded(u, growth_free, (step + 1) * dt)
@@ -137,16 +153,20 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
 
     The advection term (a v + g - c x) v_x is explicit with donor-cell
     upwinding and must satisfy max|speed| dt/dx <= 0.5 (checked each step);
-    the diffusion term is Crank–Nicolson, so it imposes no step limit.
+    the diffusion term is Crank–Nicolson, so it imposes no step limit.  Its
+    matrix is refactored only when a at the step midpoint changes.
     """
     xs = spec.xs
     dx = spec.dx
     v = np.array([v0(x) for x in xs], dtype=float)
+    _require_finite(v, "initial data", 0.0)
     v_init = v.copy()
     bc_l, bc_r = v[0], v[-1]
 
     n_steps, dt = _steps(t_end, spec.dt)
     xi = xs[1:-1]
+    m = len(xi)
+    key = None
     for step in range(n_steps):
         t = step * dt
         t_mid = t + 0.5 * dt
@@ -156,6 +176,7 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
         c = coeffs.c(t)
         f = coeffs.f(t)
         g = coeffs.g(t)
+        _require_finite((a_mid, a, b, c, f, g), "coefficient value", t)
 
         speed = a * v[1:-1] + g - c * xi
         cfl = np.max(np.abs(speed)) * dt / dx
@@ -171,14 +192,12 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
         rhs = v[1:-1] + dt * explicit + 0.5 * dt * a_mid * lap
         rhs[0] += 0.5 * dt * a_mid / dx ** 2 * bc_l
         rhs[-1] += 0.5 * dt * a_mid / dx ** 2 * bc_r
-
-        m = len(xi)
-        r = 0.5 * dt * a_mid / dx ** 2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :-1] = -r
-        v[1:-1] = solve_banded((1, 1), ab, rhs)
+        if a_mid != key:
+            r = 0.5 * dt * a_mid / dx ** 2
+            factors = _factor(np.full(m - 1, -r), np.full(m, 1.0 + 2.0 * r),
+                              np.full(m - 1, -r), t_mid)
+            key = a_mid
+        v[1:-1], _ = dgttrs(*factors, rhs)
 
         if step % 50 == 0 or step == n_steps - 1:
             _check_bounded(v, True, (step + 1) * dt)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,3 +245,23 @@ def test_burgers_backward_viscosity_exit_code(deadline, tmp_path):
                    "--out", str(out)])
     assert rc == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--param", "a=-1"], ["--A", "-1"]])
+def test_burgers_bateman_parameter_exit_code(deadline, tmp_path, flags):
+    out = tmp_path / "v.csv"
+    with deadline(30):
+        rc = main(["burgers", "--profile", "constant-heat", *flags, "--t", "0.5",
+                   "--grid=-1:1:21", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "heatkern", "validate",
+                           "--only", "fd-richardson/heat"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "fd-richardson/heat" in done.stdout
