@@ -192,7 +192,7 @@ def cmd_riccati(args) -> int:
     chs = solve_characteristic(coeffs, tol=args.tol)
     ts = np.geomspace(args.tmin, min(args.tmax, chs.t_last), args.points)
     if args.characteristic:
-        columns = chs.states(ts)[:5]
+        columns = chs.standard(ts)
         header = ("t", "mu0", "dmu0", "mu1", "dmu1", "h")
     else:
         columns = fundamental(chs).values(ts)[1:]

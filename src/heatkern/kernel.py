@@ -224,9 +224,9 @@ class GridField:
 
 def write_csv(fh, header, rows):
     """Write ``header`` and numeric ``rows`` as CSV with 17 significant digits."""
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    fh.write(",".join(header) + "\n"
+             + "".join(row_format % tuple(row) for row in rows))
 
 
 @dataclass

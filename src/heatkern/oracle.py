@@ -20,6 +20,7 @@ matrix, raises :class:`~heatkern.errors.StabilityError` naming the time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import CoefficientSet
-from .errors import StabilityError
+from .errors import DomainError, StabilityError
 from .kernel import GridField
 
 DIVERGENCE_THRESHOLD = 1e8
@@ -61,6 +62,8 @@ class FDSpec:
 
 
 def _steps(t_end: float, dt: float):
+    if not 0.0 < t_end < math.inf:
+        raise DomainError(f"t_end = {t_end!r} outside (0, inf)")
     n_steps = max(1, int(round(t_end / dt)))
     return n_steps, t_end / n_steps
 

@@ -84,27 +84,28 @@ class FundamentalRiccati:
     """Dense evaluators for alpha0 ... kappa0 on (0, T_valid].
 
     Every function is algebraic in the states of the characteristic solution
-    (mu0, mu0', mu1, h and the source quadratures I5, J, M):
+    (the drift-scaled linear pairs (X^0, Y^0), (X^1, Y^1), C = int c,
+    D = int d and the source quadratures P, Q, R; see
+    :mod:`heatkern.characteristic`):
 
-        alpha0 = -mu0'/(4 a mu0) - d/(2a)     beta0  = h/mu0
-        gamma0 = d(0)/(2a(0)) - mu1/(2 mu0)   delta0 = h I5/mu0
-        eps0   = J - mu1 I5/mu0               kappa0 = M - mu1 I5^2/(2 mu0)
+        alpha0 = X^0 e^{2C}/Y^0    beta0  = -2 e^C/Y^0      gamma0 = Y^1/Y^0
+        mu0    = -Y^0 e^{-2D}/2    delta0 = P e^C/Y^0
+        eps0   = Q - P gamma0      kappa0 = gamma0 P^2/4 - R/2
 
-    The last two come from eps0' = (2a delta0 - g) beta0 and
-    kappa0' = a delta0^2 - g delta0 integrated by parts: the Wronskian
-    mu0 mu1' - mu1 mu0' = -2a h^2 gives (mu1/mu0)' = -2a h^2/mu0^2, which
-    absorbs every 1/mu0^2 term, and J' - mu1 I5'/mu0 = -g h/mu0 absorbs the
-    rest, so J and M have regular integrands.  As t -> 0+,
-    I5/mu0 -> g(0)/(2a(0)), so eps0(0) = -g(0)/(2a(0)) and kappa0(0) = 0.
-    alpha0, beta0 and gamma0 diverge like 1/t at the origin, so evaluation
-    at t = 0 (or past the end of the validity interval, see
+    alpha0 = X/Y solves the Riccati equation and mu0, beta0 follow from
+    Y'/Y = -(c + 4a alpha0).  The Wronskian X^0 Y^1 - X^1 Y^0 = 1 gives
+    gamma0' = 4a e^{2C}/(Y^0)^2 = a beta0^2 and
+    Q' - gamma0 P' = 2g e^C/Y^0 = -g beta0, which with
+    (Y delta0)' = f Y - 2g X = P' prove the eps0 and kappa0 equations.  As
+    t -> 0+, P/Y^0 -> g(0)/(2a(0)), so eps0(0) = -g(0)/(2a(0)) and
+    kappa0(0) = 0.  alpha0, beta0 and gamma0 diverge like 1/t at the origin,
+    so evaluation at t = 0 (or past the end of the validity interval, see
     :meth:`CharacteristicSolution.check_valid`) is a domain error.
     """
 
     def __init__(self, chs: CharacteristicSolution):
         self.chs = chs
         self.coeffs = chs.coeffs
-        self._gamma_shift = self.coeffs.d(0.0) / (2.0 * self.coeffs.a(0.0))
 
     @property
     def T_valid(self) -> float:
@@ -115,21 +116,27 @@ class FundamentalRiccati:
         evaluation; array fields for an array ``t``."""
         t_arr = np.asarray(t, dtype=float)
         self.chs.check_valid(t_arr)
-        states, ts, co = self.chs.states(t_arr), t_arr.tolist(), self.coeffs
-        if t_arr.ndim == 0:  # Python floats: the array path's arithmetic, faster
-            states, a, d = states.tolist(), co.a(ts), co.d(ts)
-        else:
-            a, d = (np.array([fn(ti) for ti in ts]) for fn in (co.a, co.d))
-        mu0, dmu0, mu1, _, h, i5, j, m = states
-        ratio = i5 / mu0
+        states = self.chs.states(t_arr)
+        try:
+            if t_arr.ndim == 0:  # Python floats: the array path's arithmetic, faster
+                states = states.tolist()
+                e_c, e_2d = math.exp(states[4]), math.exp(-2.0 * states[5])
+            else:  # math.exp per element as well: np.exp may differ in the last bit
+                e_c, e_2d = (np.array([math.exp(v) for v in row.tolist()])
+                             for row in (states[4], -2.0 * states[5]))
+        except OverflowError:
+            raise IntegrationError("e^C or e^(-2D) overflows: mu0 or beta0 is "
+                                   "out of floating-point range") from None
+        x0, y0, _, y1, _, _, p, q, r = states
+        gamma0 = y1 / y0
         return FundamentalValues(
-            mu0=mu0,
-            alpha0=-dmu0 / (4.0 * a * mu0) - d / (2.0 * a),
-            beta0=h / mu0,
-            gamma0=self._gamma_shift - mu1 / (2.0 * mu0),
-            delta0=h * ratio,
-            eps0=j - mu1 * ratio,
-            kappa0=m - 0.5 * mu1 * i5 * ratio,
+            mu0=-0.5 * y0 * e_2d,
+            alpha0=x0 * e_c * e_c / y0,
+            beta0=-2.0 * e_c / y0,
+            gamma0=gamma0,
+            delta0=p * e_c / y0,
+            eps0=q - p * gamma0,
+            kappa0=0.25 * gamma0 * p * p - 0.5 * r,
         )
 
     def mu0(self, t):
@@ -317,7 +324,7 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, coeffs: CoefficientSet,
     which follows from differentiating the boundary term:
     d/dt[-a h^2/(mu0 mu0')] = a h^2/mu0^2 + 4 a sigma h^2/(mu0')^2.
     Valid only where mu0' does not vanish on (0, t]; retained as an
-    independent cross-check of the mu1-based evaluation.
+    independent cross-check of gamma0 = Y^1/Y^0.
     """
     from .coefficients import tau_sigma
 
@@ -326,7 +333,8 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, coeffs: CoefficientSet,
     def integrand(s):
         a = coeffs.a(s)
         sigma = tau_sigma(coeffs, s)[1]
-        return a * sigma * chs.h(s) ** 2 / chs.dmu0(s) ** 2
+        _, dmu0, _, _, h = chs.standard(s)
+        return a * sigma * h ** 2 / dmu0 ** 2
 
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=4096)
     a0 = coeffs.a(0.0)

@@ -141,6 +141,12 @@ def test_horizon_validation(deadline):
                 solve_characteristic(co, T=1.0, tol=tol)
 
 
+def test_zero_a_at_the_start_is_a_domain_error():
+    co = dataclasses.replace(profile("constant-heat", T=1.0), a=lambda t: t)
+    with pytest.raises(DomainError, match=r"a\(0\) = 0"):
+        solve_characteristic(co)
+
+
 @pytest.mark.parametrize("t_bad", [0.0, 0.4])
 def test_non_finite_coefficient_raises(deadline, t_bad):
     co = dataclasses.replace(profile("constant-heat", T=1.0),
@@ -173,11 +179,49 @@ def test_sign_change_of_a_ends_validity(deadline, co):
     assert math.isfinite(K.evaluate(0.0, 0.0, chs.t_last))
 
 
-def test_exact_zero_of_a_is_a_domain_error(deadline):
-    # a = (1 - t)^2 never changes sign, but the solve meets a(t) == 0 exactly
-    co = profile("custom", T=2.0, poly={"a": [1.0, -2.0, 1.0]})
-    with deadline(30), pytest.raises(DomainError, match=r"a\(t\) = 0"):
-        solve_characteristic(co)
+# a = (1 - t)^2 touches 0 at t = 1 without changing sign; mu0 = 2 int a
+# gives K(0, 0, 1.5) = 1/sqrt(2 pi 0.75).  The polynomial form meets
+# a(t) == 0 exactly near t = 1 (Horner rounding).
+@pytest.mark.parametrize("co", [
+    profile("custom", T=2.0, poly={"a": [1.0, -2.0, 1.0]}),
+    dataclasses.replace(profile("constant-heat", T=2.0),
+                        a=lambda t: (1.0 - t) ** 2, da=lambda t: -2.0 * (1.0 - t)),
+], ids=["polynomial", "callable"])
+def test_double_zero_of_a_is_passed_through(deadline, co):
+    with deadline(30):
+        K = make_kernel(co, tol=1e-12)
+    assert K.fund.chs.end_cause == "horizon"
+    assert K.evaluate(0.0, 0.0, 1.5) == pytest.approx(   # 0.46065886596178
+        1.0 / math.sqrt(2.0 * math.pi * 0.75), rel=1e-10)
+
+
+def _ou_log_kernel(x, y, t, a, k, g):
+    """log K for u_t = a u_xx + (g - k x) u_x: a Gaussian in y with mean m
+    and variance v, written so that nothing overflows for large k t."""
+    v = -a * math.expm1(-2.0 * k * t) / k
+    m = x * math.exp(-k * t) - g * math.expm1(-k * t) / k
+    return -0.5 * math.log(2.0 * math.pi * v) - (y - m) ** 2 / (2.0 * v), m, v
+
+
+@pytest.mark.parametrize("k", [100.0, 1000.0, 10000.0])
+def test_stiff_ou_matches_log_space_closed_form(deadline, k):
+    with deadline(30):
+        K = make_kernel(profile("ou-drift", T=2.5, a=1.0, k=k, g=0.5), tol=1e-10)
+    for t in (1e-3, 0.5, 2.5):
+        for x in (-1.0, 0.0, 0.7):
+            _, m, v = _ou_log_kernel(x, 0.0, t, 1.0, k, 0.5)
+            for y in (m - 2.0 * math.sqrt(v), m, m + 2.0 * math.sqrt(v)):
+                ref = _ou_log_kernel(x, y, t, 1.0, k, 0.5)[0]
+                got = K.log_evaluate(x, y, t)
+                assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref)), (t, x, y)
+
+
+def test_stiff_ou_without_source_is_not_step_bound(deadline):
+    co = profile("ou-drift", T=2.5, a=1.0, k=1e4, g=0.0)
+    with deadline(10):
+        chs = solve_characteristic(co, tol=1e-10)
+    assert 0 < chs.steps <= 100 and chs.nfev > chs.steps
+    assert chs.mu0(2.0) == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_last_valid_time_before_a_zero_of_mu0():

@@ -11,7 +11,7 @@ from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       solve_characteristic, solve_ivp, transform_solve)
 from heatkern.errors import DomainError, QuadratureError
 from heatkern.kernel import (NonconservativeWarning, TruncationWarning,
-                             _exp_guard, _quad)
+                             _exp_guard, _quad, write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -418,3 +418,15 @@ def test_quad_reports_nonconvergence(kernel_heat):
     with pytest.raises(QuadratureError):
         solve_ivp(kernel_heat, wiggly, np.linspace(-1.0, 1.0, 5), 0.5,
                   QuadSpec(abs_tol=1e-14, rel_tol=1e-14, limit=16))
+
+
+def test_write_csv_bytes_match_per_value_formatting():
+    specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                2.2250738585072014e-308, 1.0 / 3.0, -1e300, 123456789.0]
+    rows = [(specials[i], np.float64(specials[-1 - i]), np.float64(i))
+            for i in range(len(specials))]
+    buf = io.StringIO()
+    write_csv(buf, ("t", "x", "u"), rows)
+    old = "t,x,u\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                              for row in rows)
+    assert buf.getvalue() == old

@@ -6,7 +6,7 @@ import pytest
 
 from heatkern import (BatemanWave, FDSpec, InitialData, closed_form,
                       fd_burgers, fd_diffusion, oracle, profile, solve_ivp)
-from heatkern.errors import StabilityError
+from heatkern.errors import DomainError, StabilityError
 from heatkern.oracle import _check_bounded
 
 # every coefficient nonzero and time-dependent: the step matrix changes
@@ -225,6 +225,15 @@ def test_non_finite_input_raises_naming_t(deadline, solver):
     with deadline(30), pytest.raises(StabilityError,
                                      match="initial data not finite at t=0"):
         solver(heat, lambda x: math.inf if x == 0.0 else phi(x), spec, 0.5)
+
+
+@pytest.mark.parametrize("solver", [fd_diffusion, fd_burgers])
+@pytest.mark.parametrize("t_end", [-0.5, 0.0, math.nan, math.inf])
+def test_t_end_outside_open_half_line_raises(deadline, solver, t_end):
+    # a negative t_end would take a backward step and return a field
+    heat = profile("constant-heat", T=2.5)
+    with deadline(30), pytest.raises(DomainError, match="t_end = "):
+        solver(heat, lambda x: math.exp(-x * x), FDSpec(8.0, 65, 1e-3), t_end)
 
 
 @pytest.mark.parametrize("solver, coefficient", [

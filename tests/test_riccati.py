@@ -149,6 +149,43 @@ def test_eps0_kappa0_against_direct(co):
         assert mixed_err(fund.kappa0(t), ref.kappa0) < 1e-9
 
 
+def test_hyperbolic_drift_matches_direct(deadline):
+    # b e^{-2C} grows like e^{40 t}: many steps, but the values stay right
+    co = profile("custom", T=2.0, poly={"a": [1.0], "b": [1.0], "c": [-20.0]})
+    with deadline(30):
+        fund = make_kernel(co, tol=1e-10).fund
+        ts = [fund.T_valid * s for s in (0.1, 0.5, 0.9)]
+        traj = integrate_direct(co, DIRECT_INIT, ts[-1], tol=1e-12)
+    for t in ts:
+        for got, want in zip(fund.values(t), invert(traj.state(t))):
+            assert mixed_err(got, want) < 1e-6
+
+
+def test_hyperbolic_overflow_is_typed_or_the_fixed_point(deadline):
+    # c = -400: b e^{-2C} overflows near t = 0.89.  Either a typed error, or
+    # alpha0 at the stable fixed point -(2c + sqrt(4c^2 + 16ab))/(8a)
+    a, b, c = 1.0, 1.0, -400.0
+    co = profile("custom", T=2.0, poly={"a": [a], "b": [b], "c": [c]})
+    with deadline(30):
+        try:
+            alpha0 = make_kernel(co, tol=1e-10).fund.alpha0(1.5)
+        except IntegrationError:
+            return
+    fixed = -(2.0 * c + math.sqrt(4.0 * c * c + 16.0 * a * b)) / (8.0 * a)
+    assert alpha0 == pytest.approx(fixed, rel=1e-8)   # -0.0012499922
+
+
+def test_mu0_out_of_range_is_a_typed_error():
+    # d = -400: mu0 = 2t e^{800t} is finite up to t = 0.88 and overflows after
+    co = profile("custom", T=2.0, poly={"a": [1.0], "d": [-400.0]})
+    fund = make_kernel(co, tol=1e-10).fund
+    assert fund.mu0(0.5) == pytest.approx(math.exp(400.0), rel=1e-9)
+    with pytest.raises(IntegrationError, match="overflows"):
+        fund.values(1.5)
+    with pytest.raises(IntegrationError, match="overflows"):
+        fund.values(np.array([0.5, 1.5]))
+
+
 _linear = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
