@@ -273,20 +273,29 @@ class TravelingWave:
             raise DomainError(f"t={t} outside [0, {self.T}]")
         return min(t, self.T)
 
-    def profile(self, z: float) -> float:
-        """F(z) = -2 mu'(z) / mu(z); raises near the zeros of mu."""
-        z = float(z)
-        z0, z1 = self.spec.z_window
-        if z < z0 - 1e-12 or z > z1 + 1e-12:
-            raise DomainError(f"z={z} outside the profile window [{z0}, {z1}]")
-        mu, dmu = self._mu(float(np.clip(z, z0, z1)))
-        if abs(mu) < 1e-12 * max(1.0, abs(dmu)):
-            raise SingularityError(f"profile pole near z={z:.6g}")
-        return -2.0 * dmu / mu
+    def profile(self, z):
+        """F(z) = -2 mu'(z) / mu(z); raises near the zeros of mu.
 
-    def __call__(self, x: float, t: float) -> float:
-        b = self.beta(t)
-        return b * self.profile(b * float(x) + self.gamma(t))
+        ``z`` may be a float or a 1-D array; an array takes one dense-output
+        call, and an error names the first offending z.
+        """
+        zs = np.asarray(z, dtype=float)
+        z0, z1 = self.spec.z_window
+        outside = ~((zs >= z0 - 1e-12) & (zs <= z1 + 1e-12))
+        if outside.any():
+            bad = float(zs[outside][0])
+            raise DomainError(f"z={bad} outside the profile window [{z0}, {z1}]")
+        mu, dmu = self._mu(np.clip(zs, z0, z1))
+        pole = np.abs(mu) < 1e-12 * np.maximum(1.0, np.abs(dmu))
+        if pole.any():
+            raise SingularityError(f"profile pole near z={zs[pole][0]:.6g}")
+        F = -2.0 * dmu / mu
+        return float(F) if F.ndim == 0 else F
+
+    def __call__(self, x, t: float):
+        """v(x, t) for a float or a 1-D array ``x``; one frame call per t."""
+        b, g = self._frame(self._check_t(t))
+        return b * self.profile(b * np.asarray(x, dtype=float) + g)
 
     def induced_g(self, t: float) -> float:
         return self.spec.c1 * self.a(t) * self.beta(t)

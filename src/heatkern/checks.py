@@ -375,7 +375,7 @@ def check_traveling_wave_residual() -> CheckResult:
     for spec, a, c, xw in cases:
         tw = bg.traveling_wave(spec, a, c, T=1.0)
         ts = np.array([0.3 - 0.001, 0.3, 0.3 + 0.001])
-        vals = np.array([[tw(x, t) for x in xw] for t in ts])
+        vals = np.array([tw(xw, t) for t in ts])
         res = bg.burgers_residual(kn.GridField(xw, ts, vals),
                                   tw.induced_coefficients())
         scale = float(np.max(np.abs(vals)))
@@ -501,15 +501,15 @@ def run_named(prefixes) -> list[CheckResult]:
 def format_table(results) -> str:
     width = max(len(r.name) for r in results) + 2
     lines = [f"{'check':<{width}}{'measured':>12}  {'tolerance':>10}  "
-             f"{'time':>7}  status"]
-    lines.append("-" * (width + 44))
+             f"{'time':>8}  status"]
+    lines.append("-" * (width + 45))
     for r in results:
         status = "pass" if r.passed else "FAIL"
         extra = f"  ({r.detail})" if r.detail else ""
         lines.append(f"{r.name:<{width}}{r.measured:>12.3e}  "
-                     f"{r.tolerance:>10.1e}  {r.seconds:>6.2f}s  {status}{extra}")
+                     f"{r.tolerance:>10.1e}  {1e3 * r.seconds:>6.1f}ms  {status}{extra}")
     n_fail = sum(not r.passed for r in results)
     total = sum(r.seconds for r in results)
-    lines.append("-" * (width + 44))
+    lines.append("-" * (width + 45))
     lines.append(f"{len(results)} checks, {n_fail} failures, {total:.1f}s total")
     return "\n".join(lines)

@@ -9,6 +9,7 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,7 +181,7 @@ def cmd_wave(args) -> int:
         print("profile poles at z = "
               + ", ".join(f"{p:.12g}" for p in tw.poles), file=sys.stderr)
     xs = _parse_grid(args.grid)
-    rows = [(args.t, x, tw(x, args.t)) for x in xs]
+    rows = [(args.t, x, v) for x, v in zip(xs, tw(xs, args.t))]
     with _output(args.out) as fh:
         kn.write_csv(fh, ("t", "x", "v"), rows)
     _gnuplot(args, "2:3")
@@ -319,11 +320,15 @@ def _merge_dash_values(argv):
     return merged
 
 
+# Building the parser costs milliseconds; parse_args leaves it unchanged, so
+# one instance serves every main() call in the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    args = _parser().parse_args(_merge_dash_values(list(argv)))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -321,10 +321,9 @@ class HeatKernel:
 
     def log_evaluate(self, x, y, t: float):
         ln, a0, b0, g0, d0, e0, k0 = self.exponent_coefficients(t)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _operands(x, y)
         val = ln + a0 * x * x + b0 * x * y + g0 * y * y + d0 * x + e0 * y + k0
-        return float(val) if val.ndim == 0 else val
+        return _float_or_array(val)
 
     def evaluate(self, x, y, t: float):
         return _exp_guard(self.log_evaluate(x, y, t))
@@ -350,13 +349,36 @@ class HeatKernel:
         return mean, 1.0 / math.sqrt(-2.0 * a0)
 
 
+_REAL_SCALARS = (float, int)    # np.float64 is a float subclass
+
+
+def _operands(x, y):
+    """``x`` and ``y`` as Python floats when both are real scalars, else arrays.
+
+    Python's float +, -, * and / round exactly as numpy's elementwise
+    float64 ones do, so the float path gives the array path's values to the
+    bit without the cost of building 0-d arrays.  Squares are written as
+    products: Python's ``** 2`` calls ``pow``, which may round differently.
+    """
+    if isinstance(x, _REAL_SCALARS) and isinstance(y, _REAL_SCALARS):
+        return float(x), float(y)
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
+def _float_or_array(val):
+    return val if getattr(val, "ndim", 0) else float(val)
+
+
 def _exp_guard(log_value):
-    arr = np.asarray(log_value, dtype=float)
-    if np.any(arr > LOG_OVERFLOW):
+    if isinstance(log_value, float):
+        too_large = log_value > LOG_OVERFLOW
+    else:
+        log_value = np.asarray(log_value, dtype=float)
+        too_large = np.any(log_value > LOG_OVERFLOW)
+    if too_large:
         raise OverflowError(f"kernel log-value exceeds {LOG_OVERFLOW:g}; "
                             "evaluate in log space instead")
-    out = np.exp(arr)
-    return float(out) if arr.ndim == 0 else out
+    return _float_or_array(np.exp(log_value))
 
 
 def make_kernel(coeffs: CoefficientSet, T: float | None = None,
@@ -396,22 +418,23 @@ class ClosedFormKernel:
         t = float(t)
         if t <= 0.0:
             raise DomainError("closed-form kernels are defined for t > 0")
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _operands(x, y)
         p = self.params
         if self.kind == "heat":
             a = p.get("a", 1.0)
-            val = -0.5 * math.log(4.0 * math.pi * a * t) - (x - y) ** 2 / (4.0 * a * t)
+            r = x - y
+            val = -0.5 * math.log(4.0 * math.pi * a * t) - r * r / (4.0 * a * t)
         elif self.kind == "cable":
             lam = p.get("lam", 1.0)
             tau = p.get("tau", 2.0)
+            r = x - y
             val = (0.5 * math.log(tau) + t / tau
                    - 0.5 * math.log(4.0 * math.pi * lam * lam * t)
-                   - tau * (x - y) ** 2 / (4.0 * lam * lam * t))
+                   - tau * (r * r) / (4.0 * lam * lam * t))
         elif self.kind == "fokker-planck":
             s = 1.0 - math.exp(-2.0 * t)
-            val = (-0.5 * math.log(2.0 * math.pi * s)
-                   - (x - math.exp(-t) * y) ** 2 / (2.0 * s))
+            r = x - math.exp(-t) * y
+            val = -0.5 * math.log(2.0 * math.pi * s) - r * r / (2.0 * s)
         else:  # ou-drift
             a = p.get("a", 1.0)
             k = p.get("k", 1.0)
@@ -421,8 +444,8 @@ class ClosedFormKernel:
                     + 2.0 * g * math.sinh(k * t / 2.0))
             val = (0.5 * math.log(k) + k * t / 2.0
                    - 0.5 * math.log(4.0 * math.pi * a * sh)
-                   - core ** 2 / (4.0 * a * k * sh))
-        return float(val) if val.ndim == 0 else val
+                   - core * core / (4.0 * a * k * sh))
+        return _float_or_array(val)
 
     def evaluate(self, x, y, t: float):
         return _exp_guard(self.log_evaluate(x, y, t))

@@ -13,7 +13,17 @@ change -- (a, b, c, d, f, g) at the step midpoint for the diffusion solver,
 a at the midpoint for the Burgers solver -- and every step solves with the
 stored factors (``gttrs``), which is the same elimination a one-shot ``gtsv``
 does.  The values are compared exactly, so constant coefficients factor once
-per run and time-dependent ones every step, through the same code.  A
+per run and time-dependent ones every step, through the same code.
+
+A Crank–Nicolson step of the diffusion solver, with A the interior
+three-diagonal operator, M = I - dt/2 A its step matrix and e the two
+pinned-edge terms, is M u+ = (I + dt/2 A) u + dt e.  Since
+I + dt/2 A = 2I - M, this is
+
+    u+ = M^-1 (2u + dt e) - u,
+
+the same scheme with one stored-factor solve and no explicit product with A
+per step; it differs from the two-stage form only by rounding.  A
 coefficient value or initial datum that is not finite, or a singular step
 matrix, raises :class:`~heatkern.errors.StabilityError` naming the time.
 """
@@ -118,6 +128,8 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
 
     n_steps, dt = _steps(t_end, spec.dt)
     xi = xs[1:-1]
+    interior = u[1:-1]          # a view: the steps update u in place
+    edge = np.zeros(len(xi))    # pinned-edge terms, both time levels
     key = None
     for step in range(n_steps):
         t_mid = (step + 0.5) * dt
@@ -133,16 +145,13 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
             diag = -2.0 * a / dx ** 2 + (d + f * xi - b * xi * xi)
             factors = _factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
                               -0.5 * dt * upper[:-1], t_mid)
+            edge[0] = dt * lower[0] * bc_l
+            edge[-1] = dt * upper[-1] * bc_r
             key = values
 
-        # explicit half-step (I + dt/2 A) u, boundary values folded in
-        au = diag * u[1:-1]
-        au += lower * u[:-2]
-        au += upper * u[2:]
-        rhs = u[1:-1] + 0.5 * dt * au
-        rhs[0] += 0.5 * dt * lower[0] * bc_l
-        rhs[-1] += 0.5 * dt * upper[-1] * bc_r
-        u[1:-1], _ = dgttrs(*factors, rhs)
+        # one Crank–Nicolson step, u+ = M^-1 (2u + dt e) - u
+        w, _ = dgttrs(*factors, 2.0 * interior + edge, overwrite_b=1)
+        np.subtract(w, interior, out=interior)
 
         if step % 50 == 0 or step == n_steps - 1:
             _check_bounded(u, growth_free, (step + 1) * dt)

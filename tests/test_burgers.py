@@ -233,6 +233,36 @@ def test_growing_profile_pole_location():
         tw.profile(5.0)
 
 
+def test_traveling_wave_array_path_equals_scalar_calls():
+    spec = TravelingWaveSpec(c0=0.3, c1=0.2, c2=0.1, c3=-0.2, c4=0.1,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 1.0), F0=-0.3)
+    tw = traveling_wave(spec, a=lambda t: 1.0, c=lambda t: 0.1, T=1.0)
+    xs = np.linspace(-1.6, 0.2, 301)
+    for t in (0.0, 0.3, 1.0):
+        assert tw(xs, t).tolist() == [tw(float(x), t) for x in xs]
+    zs = np.linspace(-2.0, 1.0, 301)
+    assert tw.profile(zs).tolist() == [tw.profile(z) for z in zs.tolist()]
+    assert type(tw.profile(0.5)) is float
+
+
+def test_traveling_wave_array_errors_name_the_offending_z():
+    spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 1.0), F0=0.5)
+    tw = traveling_wave(spec, a=lambda t: 1.0, c=lambda t: 0.0, T=1.0)
+    pole = tw.poles[0]
+    with pytest.raises(DomainError, match=r"z=1\.25 outside"):
+        tw.profile(np.array([-1.5, 0.5, 1.25, -1.0]))
+    with pytest.raises(DomainError, match=r"z=nan outside"):
+        tw.profile(np.array([-1.5, math.nan]))
+    with pytest.raises(SingularityError, match=f"z={pole:.6g}"):
+        tw.profile(np.array([-1.5, pole, 0.5]))
+    # v(x, t) = F(x + gamma(t)) with gamma(t) = t reaches past the window
+    with pytest.raises(DomainError, match=r"z=1\.5 outside"):
+        tw(np.array([0.0, 1.0]), 0.5)
+
+
 def test_frame_functions_analytic():
     # c = 0.1 gives beta = e^{0.1 t}; gamma' = c0 a beta^2 integrates to
     # gamma(0) + c0 (e^{0.2 t} - 1)/0.2

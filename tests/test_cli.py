@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatkern import make_kernel, profile
+from heatkern import TravelingWaveSpec, make_kernel, profile, traveling_wave
 from heatkern.cli import main, _parse_grid, ConfigError
 
 
@@ -136,6 +136,49 @@ def test_wave_command(tmp_path):
     assert rc == 0
     header, rows = _read_csv(out)
     assert header == ["t", "x", "v"]
+
+
+def test_wave_command_deterministic(tmp_path):
+    out = tmp_path / "wave.csv"
+    rc = main(["wave", "--c0", "0.3", "--c1", "0.2", "--c2", "0.1",
+               "--c3=-0.2", "--c4", "0.1", "--F0=-0.3", "--window=-2:1",
+               "--t", "0.3", "--grid=-1.6:0.2:31", "--out", str(out)])
+    assert rc == 0
+    # the one grid evaluation equals point-by-point evaluation to the bit
+    spec = TravelingWaveSpec(c0=0.3, c1=0.2, c2=0.1, c3=-0.2, c4=0.1,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 1.0), F0=-0.3)
+    coeffs = profile("constant-heat", T=2.5)
+    tw = traveling_wave(spec, coeffs.a, coeffs.c, T=1.0)
+    _, rows = _read_csv(out)
+    assert [tw(x, t) for t, x, _ in rows] == rows[:, 2].tolist()
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    def kernel_center(out):
+        _, rows = _read_csv(out)
+        return rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0, 3]
+
+    out = tmp_path / "out.csv"
+    grid = ["--t", "1", "--grid=-1:1:3", "--out", str(out)]
+    # an appended --param does not leak into the next call
+    assert main(["kernel", "--profile", "constant-heat", "--param", "a=2",
+                 *grid]) == 0
+    assert kernel_center(out) == pytest.approx(1.0 / math.sqrt(8.0 * math.pi))
+    assert main(["kernel", "--profile", "constant-heat", *grid]) == 0
+    assert kernel_center(out) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi))
+    # nor does a store_true flag
+    dump = ["--profile", "cable", "--points", "3", "--out", str(out)]
+    assert main(["riccati", "--characteristic", *dump]) == 0
+    assert _read_csv(out)[0][1] == "mu0"
+    assert main(["riccati", *dump]) == 0
+    assert _read_csv(out)[0][1] == "alpha0"
+    # an argparse error leaves the next call working
+    with pytest.raises(SystemExit):
+        main(["kernel", "--profile", "constant-heat"])
+    assert "--t" in capsys.readouterr().err
+    assert main(["kernel", "--profile", "constant-heat", *grid]) == 0
+    assert kernel_center(out) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi))
 
 
 def test_validate_filtered():

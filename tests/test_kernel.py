@@ -10,8 +10,8 @@ from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       fundamental, make_kernel, normalization, profile,
                       solve_characteristic, solve_ivp, transform_solve)
 from heatkern.errors import DomainError, QuadratureError
-from heatkern.kernel import (NonconservativeWarning, TruncationWarning,
-                             _exp_guard, _quad, write_csv)
+from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
+                             TruncationWarning, _exp_guard, _quad, write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -71,6 +71,67 @@ def test_exp_guard_overflow():
         _exp_guard(701.0)
     assert _exp_guard(0.0) == 1.0
     assert _exp_guard(-800.0) == 0.0
+
+
+KERNELS_BY_NAME = {
+    "pipeline-ou": lambda request: request.getfixturevalue("kernel_ou"),
+    "pipeline-cable": lambda request: request.getfixturevalue("kernel_cable"),
+    "closed-heat": lambda request: closed_form("heat", a=0.7),
+    "closed-cable": lambda request: closed_form("cable", lam=1.0, tau=2.0),
+    "closed-fokker-planck": lambda request: closed_form("fokker-planck"),
+    "closed-ou": lambda request: closed_form("ou-drift", a=1.0, k=1.0, g=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS_BY_NAME))
+def test_scalar_evaluation_equals_array_path_bitwise(request, name):
+    K = KERNELS_BY_NAME[name](request)
+    t = 0.7
+    xs = np.linspace(-3.0, 3.0, 41)
+    # scattered points meet more roundings than the grid's few differences;
+    # for the last three x, Python's x ** 2 rounds differently from x * x
+    xr, yr = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 4000))
+    xr = np.append(xr, [1.958632726601298, 4.971539648656998,
+                        -0.009109237708751087])
+    yr = np.append(yr, [0.0, 0.0, 0.0])
+    for method in (K.log_evaluate, K.evaluate):
+        grid = method(xs[:, None], xs[None, :], t)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(xs):
+                for got in (method(float(x), float(y), t), method(x, y, t),
+                            method(float(x), np.float64(y), t)):
+                    assert type(got) is float and got == grid[i, j]
+        assert [method(x, y, t) for x, y in zip(xr.tolist(), yr.tolist())] \
+            == method(xr, yr, t).tolist()
+        # ints take the float path too
+        assert method(2, -1, t) == method(np.array([2.0]), -1.0, t)[0]
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS_BY_NAME))
+def test_mixed_scalar_and_array_arguments_broadcast(request, name):
+    K = KERNELS_BY_NAME[name](request)
+    ys = np.linspace(-1.0, 1.0, 5)
+    row = K.evaluate(0.5, ys, 0.4)
+    col = K.evaluate(ys, 0.5, 0.4)
+    assert row.shape == col.shape == (5,)
+    assert row.tolist() == [K.evaluate(0.5, y, 0.4) for y in ys.tolist()]
+    assert col.tolist() == [K.evaluate(y, 0.5, 0.4) for y in ys.tolist()]
+    assert K.log_evaluate(np.float64(0.5), ys[:, None], 0.4).shape == (5, 1)
+
+
+@pytest.mark.parametrize("build, x", [
+    # u_t = u_xx + 20 x u: log K(x, x, 1) = 20 x - 1.27 + 33.3
+    (lambda: make_kernel(profile("custom", T=2.0,
+                                 poly={"a": [1.0], "f": [20.0]})), 40.0),
+    # the cable kernel gains t/tau: log K(0, 0, 1) = 995.3
+    (lambda: closed_form("cable", lam=1.0, tau=1e-3), 0.0)])
+def test_float_path_overflow_raises(build, x):
+    K = build()
+    assert K.log_evaluate(x, x, 1.0) > LOG_OVERFLOW
+    with pytest.raises(OverflowError, match="log space"):
+        K.evaluate(x, x, 1.0)
+    with pytest.raises(OverflowError, match="log space"):
+        K.evaluate(np.array([0.0, x]), x, 1.0)
 
 
 def test_y_gaussian_moments_heat(kernel_heat):

@@ -141,6 +141,17 @@ def test_fd_diffusion_warns_on_undecayed_data(coeffs_heat):
         fd_diffusion(coeffs_heat, lambda x: math.exp(-x * x), spec, 0.1)
 
 
+@pytest.mark.parametrize("coeffs", [profile("constant-heat", T=2.5),
+                                    profile("ou-drift", T=2.5, k=1.0, g=0.5)])
+def test_fd_diffusion_keeps_constant_data(coeffs):
+    # phi = 1 has not decayed at the edges, so the pinned-edge terms carry
+    # the solution there; without them the edges would drain it
+    with pytest.warns(UserWarning, match="window edges"):
+        out = fd_diffusion(coeffs, lambda x: 1.0, FDSpec(L=8.0, n=201, dt=1e-3),
+                           0.5)
+    assert np.max(np.abs(out.values[1] - 1.0)) < 1e-12
+
+
 def test_fd_burgers_kink(coeffs_heat):
     kink = BatemanWave(A=1.0, V=0.3, a=1.0, c=0.0, sign="-")
     spec = FDSpec(L=8.0, n=1601, dt=2e-3)
