@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 from .coefficients import CoefficientSet
 from .errors import DomainError, IntegrationError, QuadratureError, SingularityError
 from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _on_arrays,
-                     make_kernel)
+                     make_kernel, uniform_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 _POLE_SCAN_POINTS = 2048
@@ -54,11 +54,9 @@ class _DenseAntiderivative:
     underflows to 0 and, for W beyond about 35, steps over a bump at 0.
     """
 
-    def __init__(self, v: Callable[[float], float], half_width: float,
-                 tol: float = 1e-12):
+    def __init__(self, v: Callable[[float], float], half_width: float):
         self.v = v
         self.half_width = 0.0
-        self.tol = tol
         self.extend(half_width)
 
     def extend(self, half_width: float):
@@ -66,7 +64,7 @@ class _DenseAntiderivative:
             return
         sol = _solve_ivp(lambda s, V: [self.v(s), -self.v(-s)],
                          (0.0, half_width), [0.0, 0.0], method="DOP853",
-                         dense_output=True, rtol=self.tol, atol=1e-14)
+                         dense_output=True, rtol=1e-12, atol=1e-14)
         if not sol.success:
             raise IntegrationError("antiderivative integration failed")
         self._sol = sol.sol
@@ -84,7 +82,7 @@ class _DenseAntiderivative:
 
 @dataclass
 class BurgersProblem:
-    """A Burgers-type Cauchy problem on a uniform x-grid.
+    """A Burgers-type Cauchy problem on a uniform x-grid of at least 5 points.
 
     ``coeffs`` provides a, b, c, f, g (its d is ignored: the linearizing
     substitution leaves v unchanged under any x-independent zeroth-order
@@ -105,7 +103,7 @@ class BurgersProblem:
     _v0_dense: Optional[_DenseAntiderivative] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
+        self.xs = uniform_grid(self.xs, min_points=5)   # d1_uniform4's stencil
         self.classical = _is_classical(self.coeffs)
 
     @property
@@ -208,19 +206,15 @@ def burgers_residual(v: GridField, coeffs: CoefficientSet) -> GridField:
         raise ValueError("need at least 3 time levels for v_t")
     vt = dt_central(v.values, v.ts)
     xs = v.xs
-    res = np.empty_like(vt)
-    for i, t in enumerate(v.ts[1:-1]):
-        w = v.values[i + 1]
-        wx = d1_uniform4(w, v.dx)
-        wxx = d2_uniform4(w, v.dx)
-        a = coeffs.a(t)
-        b = coeffs.b(t)
-        c = coeffs.c(t)
-        f = coeffs.f(t)
-        g = coeffs.g(t)
-        res[i] = (vt[i] + a * (w * wx - wxx) + (g - c * xs) * wx
-                  - c * w + 2.0 * (f - 2.0 * b * xs))
-    return GridField(xs, v.ts[1:-1], res)
+    ts = v.ts[1:-1]
+    w = v.values[1:-1]
+    wx = d1_uniform4(w, v.dx)
+    wxx = d2_uniform4(w, v.dx)
+    a, b, c, f, g = (np.array([fn(t) for t in ts], dtype=float)[:, None]
+                     for fn in (coeffs.a, coeffs.b, coeffs.c, coeffs.f, coeffs.g))
+    res = (vt + a * (w * wx - wxx) + (g - c * xs) * wx
+           - c * w + 2.0 * (f - 2.0 * b * xs))
+    return GridField(xs, ts, res)
 
 
 @dataclass(frozen=True)
@@ -242,6 +236,10 @@ class TravelingWaveSpec:
     F0: float
 
     def __post_init__(self):
+        values = (self.c0, self.c1, self.c2, self.c3, self.c4, self.beta0_init,
+                  self.gamma0_init, self.F0, *self.z_window)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("traveling-wave constants must be finite")
         if self.beta0_init == 0.0:
             raise ValueError("beta(0) must be nonzero")
         z0, z1 = self.z_window

@@ -3,15 +3,20 @@
 Every check pits one computation route against an independent one (closed
 forms, direct ODE integration, finite differences, algebraic roundtrips,
 hand-derived constants) at a fixed tolerance, and reports the measured
-error.  The acceptance tests run these same functions, so the CLI table and
-the test suite cannot drift apart.
+error.  A check is one function under :func:`check`, which declares its
+name, its acceptance criterion and its tolerance; the function returns
+``(measured, detail)``.  The registry ``ALL_CHECKS`` and the table
+``CRITERIA`` are built from these declarations, and one runner times every
+call, so the CLI table and the acceptance tests cannot drift apart.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +35,6 @@ PROFILE_SPECS = {
     "ou-drift": ("ou-drift", {"a": 1.0, "k": 1.0, "g": 0.5}),
 }
 
-_kernel_cache: dict = {}
-
 
 @dataclass
 class CheckResult:
@@ -43,23 +46,60 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name, measured, tolerance, t0, detail=""):
+# (name, zero-argument callable returning a CheckResult), in declaration order
+ALL_CHECKS: list[tuple[str, Callable[[], CheckResult]]] = []
+# criterion number -> the names of its checks
+CRITERIA: dict[int, list[str]] = {}
+
+
+def check(criterion: int, name: str, tolerance: float, per_profile: bool = False):
+    """Register the decorated measure function as check ``name``.
+
+    A per-profile check is registered as ``name/<profile>`` for every entry
+    of ``PROFILE_SPECS`` and receives the profile name.  The check passes
+    when the measured value is at most ``tolerance``.
+    """
+    def register(measure):
+        variants = ([(f"{name}/{p}", (p,)) for p in PROFILE_SPECS]
+                    if per_profile else [(name, ())])
+        for full, args in variants:
+            ALL_CHECKS.append((full, functools.partial(_run, full, tolerance,
+                                                       measure, *args)))
+            CRITERIA.setdefault(criterion, []).append(full)
+        return measure
+
+    return register
+
+
+def _run(name, tolerance, measure, *args) -> CheckResult:
+    t0 = time.perf_counter()
+    measured, detail = measure(*args)
     return CheckResult(name=name, measured=float(measured),
                        tolerance=float(tolerance),
                        passed=bool(measured <= tolerance),
                        seconds=time.perf_counter() - t0, detail=detail)
 
 
-def builtin_profile(name: str, T: float = 2.5) -> CoefficientSet:
-    kind, params = PROFILE_SPECS[name]
-    return profile(kind, T=T, **params)
+_kernel_cache: dict = {}
 
 
-def pipeline_kernel(name: str, T: float = 2.5, tol: float = 1e-12) -> kn.HeatKernel:
-    key = (name, T, tol)
+def _kernel(kind: str, T: float = 2.5, **params) -> kn.HeatKernel:
+    """make_kernel(profile(kind, T, **params)) at tol 1e-12, built once."""
+    key = (kind, T, *sorted(params.items()))
     if key not in _kernel_cache:
-        _kernel_cache[key] = kn.make_kernel(builtin_profile(name, T), tol=tol)
+        _kernel_cache[key] = kn.make_kernel(profile(kind, T=T, **params),
+                                            tol=1e-12)
     return _kernel_cache[key]
+
+
+def builtin_profile(name: str) -> CoefficientSet:
+    kind, params = PROFILE_SPECS[name]
+    return profile(kind, T=2.5, **params)
+
+
+def pipeline_kernel(name: str) -> kn.HeatKernel:
+    kind, params = PROFILE_SPECS[name]
+    return _kernel(kind, **params)
 
 
 def rel_err(a, b, floor=1e-12):
@@ -72,11 +112,9 @@ def mixed_err(a, b, switch=1e-6):
     return abs(a - b) / scale if scale > switch else abs(a - b)
 
 
-# ---------------------------------------------------------------- criterion 1
-
-def check_closed_form(name: str) -> CheckResult:
+@check(1, "closed-form", 1e-8, per_profile=True)
+def check_closed_form(name: str):
     """Pipeline kernel vs the closed form on {|x|,|y| <= 3} x {0.1,0.5,1,2}."""
-    t0 = time.perf_counter()
     K = pipeline_kernel(name)
     ref = kn.closed_form(name, **PROFILE_SPECS[name][1])
     xs = np.linspace(-3.0, 3.0, 13)
@@ -86,19 +124,17 @@ def check_closed_form(name: str) -> CheckResult:
         got = K.evaluate(X, Y, t)
         want = ref.evaluate(X, Y, t)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    return _result(f"closed-form/{name}", worst, 1e-8, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 2
-
-def check_superposition(name: str, n_draws: int = 20) -> CheckResult:
+@check(2, "superposition-vs-direct", 1e-6, per_profile=True)
+def check_superposition(name: str):
     """Nonlinear superposition vs direct integration, 20 random initial data."""
-    t0 = time.perf_counter()
     coeffs = builtin_profile(name)
     fund = pipeline_kernel(name).fund
     rng = np.random.default_rng(20240517)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(20):
         init = np.array([
             rng.uniform(0.4, 2.0),       # mu(0) > 0
             rng.uniform(-1.0, 0.2),      # alpha(0), capped to avoid blow-up
@@ -119,14 +155,12 @@ def check_superposition(name: str, n_draws: int = 20) -> CheckResult:
         for field in ("mu", "alpha", "beta", "gamma", "delta", "eps", "kappa"):
             worst = max(worst, rel_err(getattr(direct, field),
                                        getattr(merged, field), floor=1e-12))
-    return _result(f"superposition-vs-direct/{name}", worst, 1e-6, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 3
-
-def check_inversion_roundtrip() -> CheckResult:
+@check(3, "inversion-roundtrip", 1e-9)
+def check_inversion_roundtrip():
     """Inverse map applied to the superposed solution recovers the fundamental."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
     for name in ("fokker-planck", "ou-drift"):
@@ -141,19 +175,17 @@ def check_inversion_roundtrip() -> CheckResult:
             reference = fund.values(t)
             for got, want in zip(recovered, reference):
                 worst = max(worst, mixed_err(got, want))
-    return _result("inversion-roundtrip", worst, 1e-9, t0)
+    return worst, ""
 
-
-# ---------------------------------------------------------------- criterion 4
 
 def _extrapolate(f, t1=1e-3, t2=1e-4):
     """Linear Richardson extrapolation of f(t) to t = 0."""
     return (t1 * f(t2) - t2 * f(t1)) / (t1 - t2)
 
 
-def check_asymptotic_limits(name: str) -> CheckResult:
+@check(4, "asymptotic-limits", 1e-4, per_profile=True)
+def check_asymptotic_limits(name: str):
     """Extrapolated small-time limits of the fundamental coefficients."""
-    t0 = time.perf_counter()
     coeffs = builtin_profile(name)
     fund = pipeline_kernel(name).fund
     a0 = coeffs.a(0.0)
@@ -172,12 +204,12 @@ def check_asymptotic_limits(name: str) -> CheckResult:
             worst = max(worst, abs(got))  # zero targets: absolute
         else:
             worst = max(worst, abs(got - want) / abs(want))
-    return _result(f"asymptotic-limits/{name}", worst, 1e-4, t0)
+    return worst, ""
 
 
-def check_kernel_asymptotic(name: str) -> CheckResult:
+@check(4, "kernel-asymptotic-ratio", 1e-2, per_profile=True)
+def check_kernel_asymptotic(name: str):
     """Kernel / small-time-kernel ratio near 1 at t = 1e-3, |x - y| <= 0.5."""
-    t0 = time.perf_counter()
     K = pipeline_kernel(name)
     Ka = kn.asymptotic_kernel(builtin_profile(name))
     worst = 0.0
@@ -186,63 +218,51 @@ def check_kernel_asymptotic(name: str) -> CheckResult:
             ratio = math.exp(K.log_evaluate(x, x - dy, 1e-3)
                              - Ka.log_evaluate(x, x - dy, 1e-3))
             worst = max(worst, abs(ratio - 1.0))
-    return _result(f"kernel-asymptotic-ratio/{name}", worst, 1e-2, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 5
-
-def check_ou_normalization() -> CheckResult:
-    t0 = time.perf_counter()
+@check(5, "ou-normalization", 1e-8)
+def check_ou_normalization():
     K = pipeline_kernel("ou-drift")
     worst = max(abs(kn.normalization(K, t, "y") - 1.0) for t in (0.3, 0.7, 1.5))
-    return _result("ou-normalization", worst, 1e-8, t0)
+    return worst, ""
 
 
-def check_ou_mean() -> CheckResult:
-    t0 = time.perf_counter()
-    key = ("ou-mean-kernel",)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = kn.make_kernel(profile("ou-drift", T=2.5, a=1.0,
-                                                    k=1.0, g=0.0), tol=1e-12)
-    K = _kernel_cache[key]
+@check(5, "ou-mean", 1e-6)
+def check_ou_mean():
+    K = _kernel("ou-drift", a=1.0, k=1.0, g=0.0)
     ident = kn.InitialData.from_callable(lambda y: y)
     worst = 0.0
     for x, t in ((1.0, 0.5), (-0.7, 0.8), (2.0, 0.25)):
         got = kn.expectation(K, ident, x, t)
         want = x * math.exp(-t)
         worst = max(worst, abs(got - want) / abs(want))
-    return _result("ou-mean", worst, 1e-6, t0)
+    return worst, ""
 
 
-def check_fp_longtime() -> CheckResult:
+@check(5, "fp-longtime-limit", 1e-8)
+def check_fp_longtime():
     """K(x, 0, 10) against the stationary density, pipeline and closed form."""
-    t0 = time.perf_counter()
-    key = ("fp-longtime-kernel",)
-    if key not in _kernel_cache:
-        _kernel_cache[key] = kn.make_kernel(profile("fokker-planck", T=10.5),
-                                            tol=1e-12)
-    K = _kernel_cache[key]
+    K = _kernel("fokker-planck", T=10.5)
     ref = kn.closed_form("fokker-planck")
     xs = np.linspace(-3.0, 3.0, 25)
     stationary = np.exp(-xs ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
     worst = float(np.max(np.abs(K.evaluate(xs, 0.0 * xs, 10.0) - stationary)))
     worst = max(worst, float(np.max(np.abs(ref.evaluate(xs, 0.0 * xs, 10.0)
                                            - stationary))))
-    return _result("fp-longtime-limit", worst, 1e-8, t0)
+    return worst, ""
 
 
-def check_fp_normalization_x() -> CheckResult:
-    t0 = time.perf_counter()
+@check(5, "fp-normalization-x", 1e-8)
+def check_fp_normalization_x():
     K = pipeline_kernel("fokker-planck")
     worst = abs(kn.normalization(K, 0.5, "x") - 1.0)
-    return _result("fp-normalization-x", worst, 1e-8, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 6
-
-def check_chapman_kolmogorov(name: str) -> CheckResult:
+@check(6, "chapman-kolmogorov", 1e-6, per_profile=True)
+def check_chapman_kolmogorov(name: str):
     """Semigroup composition of the pipeline kernel at t = s = 0.3."""
-    t0 = time.perf_counter()
     K = pipeline_kernel(name)
     spec = kn.QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
     t = s = 0.3
@@ -252,14 +272,12 @@ def check_chapman_kolmogorov(name: str) -> CheckResult:
         val = kn._quad(lambda z: K.evaluate(x, z, t) * K.evaluate(z, y, s),
                        -25.0, 25.0, spec)
         worst = max(worst, abs(val - ref) / abs(ref))
-    return _result(f"chapman-kolmogorov/{name}", worst, 1e-6, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 7
-
-def check_cauchy_vs_fd(name: str) -> CheckResult:
+@check(7, "cauchy-vs-fd", 1e-3, per_profile=True)
+def check_cauchy_vs_fd(name: str):
     """Kernel-quadrature Cauchy solution vs Crank–Nicolson at t = 0.5."""
-    t0 = time.perf_counter()
     coeffs = builtin_profile(name)
     K = pipeline_kernel(name)
     spec = oc.FDSpec(L=8.0, n=801, dt=1e-4)
@@ -267,12 +285,12 @@ def check_cauchy_vs_fd(name: str) -> CheckResult:
     phi = kn.InitialData.gaussian()
     ivp = kn.solve_ivp(K, phi, fd.xs, 0.5)
     worst = float(np.max(np.abs(fd.values[1] - ivp.values[0])))
-    return _result(f"cauchy-vs-fd/{name}", worst, 1e-3, t0)
+    return worst, ""
 
 
-def check_fd_richardson(name: str) -> CheckResult:
+@check(7, "fd-richardson", 1.0, per_profile=True)
+def check_fd_richardson(name: str):
     """Order-2 convergence of the FD oracle (error ratio in [3, 5])."""
-    t0 = time.perf_counter()
     coeffs = builtin_profile(name)
     K = pipeline_kernel(name)
     phi = kn.InitialData.gaussian()
@@ -287,16 +305,12 @@ def check_fd_richardson(name: str) -> CheckResult:
         errors.append(float(np.max(np.abs(fd.values[1][::stride] - ref.values[0]))))
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     worst = max(abs(r - 4.0) for r in ratios)
-    res = _result(f"fd-richardson/{name}", worst, 1.0, t0,
-                  detail=f"ratios {ratios[0]:.2f}, {ratios[1]:.2f}")
-    return res
+    return worst, f"ratios {ratios[0]:.2f}, {ratios[1]:.2f}"
 
 
-# ---------------------------------------------------------------- criterion 8
-
-def check_burgers_bateman() -> CheckResult:
+@check(8, "burgers-bateman", 1e-4)
+def check_burgers_bateman():
     """Cole–Hopf IVP route against the exact kink, a = 1 and a = 0.7."""
-    t0 = time.perf_counter()
     worst = 0.0
     for a_visc, A, V, c in ((1.0, 1.0, 0.3, 0.0), (0.7, 0.8, 0.2, 0.5)):
         coeffs = profile("constant-heat", a=a_visc)
@@ -308,12 +322,12 @@ def check_burgers_bateman() -> CheckResult:
         ref = np.array([kink(x, 0.5) for x in xs])
         worst = max(worst, float(np.max(np.abs(sol.values[0] - ref))
                                  / np.max(np.abs(ref))))
-    return _result("burgers-bateman", worst, 1e-4, t0)
+    return worst, ""
 
 
-def check_burgers_vs_fd() -> CheckResult:
+@check(8, "burgers-vs-fd", 1e-3)
+def check_burgers_vs_fd():
     """Cole–Hopf IVP route vs the semi-implicit FD oracle (classical + drifted)."""
-    t0 = time.perf_counter()
     v0 = lambda x: 0.4 * math.exp(-x * x)
     t_end = 0.3
     worst = 0.0
@@ -326,12 +340,12 @@ def check_burgers_vs_fd() -> CheckResult:
         sol = bg.solve_burgers_ivp(prob, t_end)
         worst = max(worst, float(np.max(np.abs(sol.values[0]
                                                - fd.values[1][400:1201:stride]))))
-    return _result("burgers-vs-fd", worst, 1e-3, t0)
+    return worst, ""
 
 
-def check_linearization_identity() -> CheckResult:
+@check(8, "cole-hopf-identity", 1e-4)
+def check_linearization_identity():
     """Burgers residual of -2 u_x/u equals -2 d/dx[(u_t - Qu)/u] numerically."""
-    t0 = time.perf_counter()
     coeffs = profile("custom", T=1.0, poly={
         "a": [0.8], "b": [0.05], "c": [0.3], "d": [0.4], "f": [-0.2], "g": [0.1]})
     rng = np.random.default_rng(11)
@@ -353,14 +367,12 @@ def check_linearization_identity() -> CheckResult:
         rhs = -2.0 * d1_uniform4(heat_res.values[0] / u_vals[1], u_field.dx)
         # interior columns: the edge rows compose one-sided stencils differently
         worst = max(worst, float(np.max(np.abs(lhs.values[0] - rhs)[5:-5])))
-    return _result("cole-hopf-identity", worst, 1e-4, t0)
+    return worst, ""
 
 
-# ---------------------------------------------------------------- criterion 9
-
-def check_traveling_wave_residual() -> CheckResult:
+@check(9, "traveling-wave-residual", 1e-6)
+def check_traveling_wave_residual():
     """Constructed waves satisfy the equation with their induced coefficients."""
-    t0 = time.perf_counter()
     worst_ratio = 0.0
     cases = [
         (bg.TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
@@ -382,12 +394,12 @@ def check_traveling_wave_residual() -> CheckResult:
         # skip the edge rows: their one-sided stencils dominate the residual
         interior = float(np.max(np.abs(res.values[0][5:-5])))
         worst_ratio = max(worst_ratio, interior / scale)
-    return _result("traveling-wave-residual", worst_ratio, 1e-6, t0)
+    return worst_ratio, ""
 
 
-def check_separable_profile() -> CheckResult:
+@check(9, "separable-profile", 1e-10)
+def check_separable_profile():
     """The closed separable profile F = -2/(z - z0) is reproduced exactly."""
-    t0 = time.perf_counter()
     spec = bg.TravelingWaveSpec(c0=1.0, c1=-1.0, c2=0.0, c3=0.0, c4=0.0,
                                 beta0_init=1.0, gamma0_init=0.0,
                                 z_window=(0.0, 3.0), F0=1.0)
@@ -395,14 +407,12 @@ def check_separable_profile() -> CheckResult:
     z0 = spec.z_window[0] + 2.0 / spec.F0
     zs = np.linspace(0.0, 1.8, 25)
     worst = max(abs(tw.profile(z) + 2.0 / (z - z0)) for z in zs)
-    return _result("separable-profile", worst, 1e-10, t0)
+    return worst, ""
 
 
-# --------------------------------------------------------------- criterion 10
-
-def check_gamma0_dual() -> CheckResult:
+@check(10, "gamma0-dual-form", 1e-6)
+def check_gamma0_dual():
     """mu1-based gamma0 vs its quadrature form wherever mu0' != 0."""
-    t0 = time.perf_counter()
     worst = 0.0
     cases = [("fokker-planck", (0.3, 0.7, 1.5)), ("ou-drift", (0.3, 0.7, 1.5)),
              ("cable", (0.3, 0.6, 0.9))]   # cable: mu0' > 0 below tau/2 only
@@ -412,12 +422,12 @@ def check_gamma0_dual() -> CheckResult:
         for t in ts:
             q = rc.gamma0_quadrature_form(fund, coeffs, t)
             worst = max(worst, rel_err(q, fund.gamma0(t)))
-    return _result("gamma0-dual-form", worst, 1e-6, t0)
+    return worst, ""
 
 
-def check_sigma_dual() -> CheckResult:
+@check(10, "sigma-dual-form", 1e-12)
+def check_sigma_dual():
     """Regularized sigma vs the form containing d'/d, with d away from zero."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(60):
@@ -433,69 +443,12 @@ def check_sigma_dual() -> CheckResult:
             printed = (a * coeffs.b(t) + coeffs.c(t) * d - d * d
                        + d / 2.0 * (coeffs.da(t) / a - coeffs.dd(t) / d))
             worst = max(worst, rel_err(sig, printed))
-    return _result("sigma-dual-form", worst, 1e-12, t0)
-
-
-# ------------------------------------------------------------------- registry
-
-ALL_CHECKS: list[tuple] = []
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"closed-form/{_name}",
-                       lambda name=_name: check_closed_form(name)))
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"superposition-vs-direct/{_name}",
-                       lambda name=_name: check_superposition(name)))
-ALL_CHECKS.append(("inversion-roundtrip", check_inversion_roundtrip))
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"asymptotic-limits/{_name}",
-                       lambda name=_name: check_asymptotic_limits(name)))
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"kernel-asymptotic-ratio/{_name}",
-                       lambda name=_name: check_kernel_asymptotic(name)))
-ALL_CHECKS.extend([("ou-normalization", check_ou_normalization),
-                   ("ou-mean", check_ou_mean),
-                   ("fp-longtime-limit", check_fp_longtime),
-                   ("fp-normalization-x", check_fp_normalization_x)])
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"chapman-kolmogorov/{_name}",
-                       lambda name=_name: check_chapman_kolmogorov(name)))
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"cauchy-vs-fd/{_name}",
-                       lambda name=_name: check_cauchy_vs_fd(name)))
-for _name in PROFILE_SPECS:
-    ALL_CHECKS.append((f"fd-richardson/{_name}",
-                       lambda name=_name: check_fd_richardson(name)))
-ALL_CHECKS.extend([("burgers-bateman", check_burgers_bateman),
-                   ("burgers-vs-fd", check_burgers_vs_fd),
-                   ("cole-hopf-identity", check_linearization_identity),
-                   ("traveling-wave-residual", check_traveling_wave_residual),
-                   ("separable-profile", check_separable_profile),
-                   ("gamma0-dual-form", check_gamma0_dual),
-                   ("sigma-dual-form", check_sigma_dual)])
-
-CRITERIA = {
-    1: ["closed-form/"],
-    2: ["superposition-vs-direct/"],
-    3: ["inversion-roundtrip"],
-    4: ["asymptotic-limits/", "kernel-asymptotic-ratio/"],
-    5: ["ou-normalization", "ou-mean", "fp-longtime-limit", "fp-normalization-x"],
-    6: ["chapman-kolmogorov/"],
-    7: ["cauchy-vs-fd/", "fd-richardson/"],
-    8: ["burgers-bateman", "burgers-vs-fd", "cole-hopf-identity"],
-    9: ["traveling-wave-residual", "separable-profile"],
-    10: ["gamma0-dual-form", "sigma-dual-form"],
-}
+    return worst, ""
 
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the suite (optionally filtered by a name substring)."""
     return [fn() for name, fn in ALL_CHECKS if only is None or only in name]
-
-
-def run_named(prefixes) -> list[CheckResult]:
-    """Run only the checks whose names start with one of ``prefixes``."""
-    return [fn() for name, fn in ALL_CHECKS
-            if any(name.startswith(p) for p in prefixes)]
 
 
 def format_table(results) -> str:

@@ -35,12 +35,26 @@ class ConfigError(ValueError):
     pass
 
 
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, "
-                                         f"got {text!r}")
-    return tol
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a configuration error (exit code 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog}: configuration error: {message}\n")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -171,11 +185,14 @@ def cmd_wave(args) -> int:
     window = args.window.split(":")
     if len(window) != 2:
         raise ConfigError("--window must be lo:hi")
-    spec = bg.TravelingWaveSpec(c0=args.c0, c1=args.c1, c2=args.c2, c3=args.c3,
-                                c4=args.c4, beta0_init=args.beta0,
-                                gamma0_init=args.gamma0,
-                                z_window=(float(window[0]), float(window[1])),
-                                F0=args.F0)
+    try:
+        spec = bg.TravelingWaveSpec(c0=args.c0, c1=args.c1, c2=args.c2,
+                                    c3=args.c3, c4=args.c4, beta0_init=args.beta0,
+                                    gamma0_init=args.gamma0,
+                                    z_window=(float(window[0]), float(window[1])),
+                                    F0=args.F0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tw = bg.traveling_wave(spec, coeffs.a, coeffs.c, T=max(args.t, 1.0))
     if tw.poles:
         print("profile poles at z = "
@@ -206,10 +223,7 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    only = args.only
-    if args.profile not in (None, "all") and only is None:
-        only = args.profile
-    results = checks.run_checks(only=only)
+    results = checks.run_checks(only=args.only)
     if not results:
         print("no checks matched the filter", file=sys.stderr)
         return 2
@@ -218,7 +232,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heatkern",
         description="Gaussian-form fundamental solutions of 1-D "
                     "variable-coefficient diffusion equations, Cauchy and "
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="profile parameter (repeatable)")
         p.add_argument("--T", type=float, default=2.5,
                        help="coefficient domain end")
-        p.add_argument("--tol", type=_tolerance, default=1e-10,
+        p.add_argument("--tol", type=_positive, default=1e-10,
                        help="ODE integration tolerance")
         p.add_argument("--config", help="JSON file with a 'coefficients' "
                                         "sub-schema (overrides profile flags)")
@@ -251,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", default="-4:4:81")
     p.add_argument("--phi", default="gaussian", help="gaussian | ones")
-    p.add_argument("--phi-width", type=float, default=1.0)
+    p.add_argument("--phi-width", type=_positive, default=1.0)
     p.add_argument("--phi-center", type=float, default=0.0)
-    p.add_argument("--L", type=float, default=None,
+    p.add_argument("--L", type=_positive, default=None,
                    help="truncation half-width for the initial data")
     p.set_defaults(func=cmd_solve)
 
@@ -286,16 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati", help="dump the fundamental coefficients")
     common(p)
-    p.add_argument("--tmin", type=float, default=1e-3)
-    p.add_argument("--tmax", type=float, default=2.0)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--tmin", type=_positive, default=1e-3)
+    p.add_argument("--tmax", type=_positive, default=2.0)
+    p.add_argument("--points", type=_count, default=50)
     p.add_argument("--characteristic", action="store_true",
                    help="dump mu0, mu1, h instead")
     p.set_defaults(func=cmd_riccati)
 
     p = sub.add_parser("validate", help="run the cross-validation suite")
-    p.add_argument("--profile", default="all",
-                   help="restrict profile-specific checks (name substring)")
     p.add_argument("--only", default=None,
                    help="run only checks whose name contains this substring")
     p.set_defaults(func=cmd_validate)

@@ -195,10 +195,7 @@ class GridField:
         if self.values.shape != (len(self.ts), len(self.xs)):
             raise ValueError(f"values shape {self.values.shape} does not match "
                              f"(n_t={len(self.ts)}, n_x={len(self.xs)})")
-        dx = np.diff(self.xs)
-        if len(dx) and (np.any(dx <= 0.0)
-                        or not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0)):
-            raise ValueError("x-grid must be uniform and increasing")
+        uniform_grid(self.xs)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
@@ -220,6 +217,21 @@ class GridField:
 
     def to_csv(self, fh, header=("t", "x", "u")):
         write_csv(fh, header, self.rows())
+
+
+def uniform_grid(xs, min_points: int = 0) -> np.ndarray:
+    """``xs`` as a float array; ValueError unless it is a finite, uniform and
+    increasing 1-D grid of at least ``min_points`` points."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"x-grid must be 1-D, got shape {xs.shape}")
+    if len(xs) < min_points:
+        raise ValueError(f"x-grid needs at least {min_points} points, got {len(xs)}")
+    dx = np.diff(xs)
+    if len(dx) and not (np.all(dx > 0.0) and dx[0] < math.inf
+                        and np.all(np.abs(dx - dx[0]) <= 1e-9 * dx[0])):
+        raise ValueError("x-grid must be finite, uniform and increasing")
+    return xs
 
 
 def write_csv(fh, header, rows):
@@ -273,6 +285,9 @@ class InitialData:
     @classmethod
     def gaussian(cls, width=1.0, center=0.0, amplitude=1.0, L=None):
         w = float(width)
+        if not 0.0 < w < math.inf:
+            raise ValueError(f"Gaussian width must be positive and finite, "
+                             f"got {width!r}")
 
         def phi(y):
             return amplitude * np.exp(-((y - center) / w) ** 2)
@@ -381,8 +396,7 @@ def _exp_guard(log_value):
     return _float_or_array(np.exp(log_value))
 
 
-def make_kernel(coeffs: CoefficientSet, T: float | None = None,
-                tol: float = 1e-10) -> HeatKernel:
+def make_kernel(coeffs: CoefficientSet, tol: float = 1e-10) -> HeatKernel:
     """Characteristic solve + fundamental solution + kernel, in one call.
 
     Raises :class:`DomainError` if a(0) < 0: the equation then diffuses
@@ -392,7 +406,7 @@ def make_kernel(coeffs: CoefficientSet, T: float | None = None,
     if coeffs.a(0.0) < 0.0:
         raise DomainError(f"a(0) = {coeffs.a(0.0):.6g} < 0: backward diffusion "
                           "has no kernel")
-    return HeatKernel(fundamental(solve_characteristic(coeffs, T=T, tol=tol)))
+    return HeatKernel(fundamental(solve_characteristic(coeffs, tol=tol)))
 
 
 class ClosedFormKernel:
@@ -516,11 +530,11 @@ def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,
     """Solve the Cauchy problem by kernel quadrature on the grid ``xs``.
 
     ``t`` may be a scalar or a sequence of times; each requested time must
-    lie in (0, T_valid].  Returns the sampled field u(x, t) with
-    u(x, t) = int K(x, y, t) phi(y) dy.
+    lie in (0, T_valid], and ``xs`` must be uniform and increasing.  Returns
+    the sampled field u(x, t) with u(x, t) = int K(x, y, t) phi(y) dy.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    xs = np.asarray(xs, dtype=float)
+    xs = uniform_grid(xs)
     return GridField(xs, ts, _convolve(K, phi, xs, ts, quad_spec))
 
 
@@ -676,17 +690,12 @@ def diffusion_residual(field: GridField, coeffs: CoefficientSet) -> GridField:
         raise ValueError("need at least 3 time levels for the residual")
     ut = dt_central(field.values, field.ts)
     xs = field.xs
-    res = np.empty_like(ut)
-    for i, t in enumerate(field.ts[1:-1]):
-        u = field.values[i + 1]
-        ux = d1_uniform4(u, field.dx)
-        uxx = d2_uniform4(u, field.dx)
-        a = coeffs.a(t)
-        b = coeffs.b(t)
-        c = coeffs.c(t)
-        d = coeffs.d(t)
-        f = coeffs.f(t)
-        g = coeffs.g(t)
-        res[i] = ut[i] - (a * uxx - (g - c * xs) * ux
-                          + (d + f * xs - b * xs * xs) * u)
-    return GridField(xs, field.ts[1:-1], res)
+    ts = field.ts[1:-1]
+    u = field.values[1:-1]
+    ux = d1_uniform4(u, field.dx)
+    uxx = d2_uniform4(u, field.dx)
+    a, b, c, d, f, g = (np.array([fn(t) for t in ts], dtype=float)[:, None]
+                        for fn in (coeffs.a, coeffs.b, coeffs.c, coeffs.d,
+                                   coeffs.f, coeffs.g))
+    res = ut - (a * uxx - (g - c * xs) * ux + (d + f * xs - b * xs * xs) * u)
+    return GridField(xs, ts, res)

@@ -34,7 +34,8 @@ def _report(criterion, results):
 
 @pytest.mark.parametrize("criterion", sorted(checks.CRITERIA))
 def test_acceptance_criterion(criterion):
-    results = checks.run_named(checks.CRITERIA[criterion])
+    names = checks.CRITERIA[criterion]
+    results = [fn() for name, fn in checks.ALL_CHECKS if name in names]
     assert results, f"no checks registered for criterion {criterion}"
     ok = _report(criterion, results)
     failures = [f"{r.name}: {r.measured:.3e} > {r.tolerance:.1e}"

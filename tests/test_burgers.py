@@ -11,7 +11,7 @@ from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
                       solve_ivp, traveling_wave)
 from heatkern.burgers import _is_classical, _log_inner_integral
 from heatkern.errors import DomainError, IntegrationError, SingularityError
-from heatkern._differences import d1_uniform4
+from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 
 
 # -------------------------------------------------------------------- cole_hopf
@@ -187,6 +187,24 @@ def test_residual_zero_solution():
     assert res.max_abs == 0.0
 
 
+def test_residual_equals_row_by_row_reference():
+    # all levels at once must give the per-level loop's values to the bit
+    co = profile("custom", T=1.0, poly={"a": [0.8, 0.1], "b": [0.05, -0.1],
+                                        "c": [0.3, 0.2], "f": [-0.2, 0.3],
+                                        "g": [0.1, -0.5]})
+    xs = np.linspace(-2.0, 2.0, 81)
+    ts = np.linspace(0.3, 0.34, 6)
+    field = GridField(xs, ts, [0.3 * np.sin(xs + t) + t * xs for t in ts])
+    vt = dt_central(field.values, ts)
+    want = []
+    for i, t in enumerate(ts[1:-1]):
+        w = field.values[i + 1]
+        wx, wxx = d1_uniform4(w, field.dx), d2_uniform4(w, field.dx)
+        want.append(vt[i] + co.a(t) * (w * wx - wxx) + (co.g(t) - co.c(t) * xs) * wx
+                    - co.c(t) * w + 2.0 * (co.f(t) - 2.0 * co.b(t) * xs))
+    assert np.array_equal(burgers_residual(field, co).values, want)
+
+
 def test_residual_needs_three_levels(coeffs_heat):
     xs = np.linspace(-1.0, 1.0, 41)
     field = GridField(xs, [0.1], np.zeros((1, 41)))
@@ -312,6 +330,10 @@ def test_traveling_wave_spec_validation():
         TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
                           beta0_init=1.0, gamma0_init=0.0,
                           z_window=(1.0, 0.0), F0=1.0)
+    with pytest.raises(ValueError):
+        TravelingWaveSpec(c0=math.nan, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
+                          beta0_init=1.0, gamma0_init=0.0,
+                          z_window=(0.0, 1.0), F0=1.0)
 
 
 # ---------------------------------------------------------------- Bateman waves
@@ -361,6 +383,21 @@ def test_bateman_antiderivative_matches_quadrature():
                     epsrel=1e-12)[0]
         assert V0(y) == pytest.approx(want, abs=1e-10)
     assert np.allclose(V0(np.array(ys)), [V0(y) for y in ys], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("xs", [np.array([-1.0, -0.5, 0.0, 0.2, 0.5, 1.0]),
+                                np.linspace(-1.0, 1.0, 4),
+                                np.linspace(1.0, -1.0, 9)])
+def test_burgers_problem_rejects_grid_before_quadrature(coeffs_fp, xs):
+    calls = []
+
+    def v0(y):
+        calls.append(y)
+        return 0.4 * np.exp(-y * y)
+
+    with pytest.raises(ValueError, match="x-grid"):
+        solve_burgers_ivp(BurgersProblem(coeffs_fp, v0, xs), 0.3)
+    assert calls == []
 
 
 def test_bateman_validation():

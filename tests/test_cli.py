@@ -198,6 +198,32 @@ def test_config_error_exit_code():
                  "--t", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["riccati", "--tmin", "0"],
+    ["riccati", "--points", "-1"],
+    ["wave", "--window", "3:1"],
+    ["wave", "--window", "a:b"],
+    ["wave", "--beta0", "0"],
+    ["wave", "--c0", "nan"],
+    ["wave", "--F0", "nan"],
+    ["solve", "--t", "0.5", "--L", "-1"],
+    ["solve", "--t", "0.5", "--phi-width", "0", "--grid=-1:1:5"],
+])
+def test_bad_option_is_configuration_error(capsys, deadline, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    try:
+        with deadline(30):
+            code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:       # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    # main reports an OSError as a configuration error, and the deadline's
+    # TimeoutError is one: a hang must not pass as the expected message
+    assert "configuration error" in err and "still running" not in err
+    assert not out.exists()
+
+
 def test_numerical_error_exit_code(tmp_path):
     config = tmp_path / "osc.json"
     config.write_text(json.dumps({

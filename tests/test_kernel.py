@@ -10,6 +10,7 @@ from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       fundamental, make_kernel, normalization, profile,
                       solve_characteristic, solve_ivp, transform_solve)
 from heatkern.errors import DomainError, QuadratureError
+from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _exp_guard, _quad, write_csv)
 
@@ -310,6 +311,28 @@ def test_scalar_only_callables_match_array_twins(kernel_ou, scalar, twin, L):
     assert np.array_equal(got.values, want.values)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+def test_degenerate_gaussian_rejected(width):
+    with pytest.raises(ValueError, match="width"):
+        InitialData.gaussian(width=width)
+
+
+@pytest.mark.parametrize("xs", [np.array([0.0, 0.5, 0.7]),
+                                np.array([1.0, 0.5, 0.0]),
+                                np.array([0.0, 1.0, np.inf]),
+                                np.zeros((2, 3))])
+def test_solve_ivp_rejects_grid_before_quadrature(kernel_heat, xs):
+    calls = []
+
+    def phi(y):
+        calls.append(y)
+        return np.exp(-y * y)
+
+    with pytest.raises(ValueError, match="x-grid"):
+        solve_ivp(kernel_heat, InitialData.from_callable(phi), xs, 0.5)
+    assert calls == []
+
+
 def test_initial_data_validation():
     with pytest.raises(ValueError):
         InitialData()
@@ -460,6 +483,24 @@ def test_diffusion_residual_small_on_kernel_solution(kernel_fp, coeffs_fp):
     field = solve_ivp(kernel_fp, InitialData.gaussian(), xs, [0.49, 0.5, 0.51])
     res = diffusion_residual(field, coeffs_fp)
     assert res.max_abs < 1e-3 * field.max_abs
+
+
+def test_diffusion_residual_equals_row_by_row_reference():
+    # all levels at once must give the per-level loop's values to the bit
+    co = profile("custom", T=1.0, poly={"a": [0.8, 0.1], "b": [0.05, -0.1],
+                                        "c": [0.3, 0.2], "d": [0.4, 0.1],
+                                        "f": [-0.2, 0.3], "g": [0.1, -0.5]})
+    xs = np.linspace(-2.0, 2.0, 81)
+    ts = np.linspace(0.3, 0.34, 6)
+    field = GridField(xs, ts, [np.exp(0.3 * np.sin(xs + t) + t * xs) for t in ts])
+    ut = dt_central(field.values, ts)
+    want = []
+    for i, t in enumerate(ts[1:-1]):
+        u = field.values[i + 1]
+        ux, uxx = d1_uniform4(u, field.dx), d2_uniform4(u, field.dx)
+        want.append(ut[i] - (co.a(t) * uxx - (co.g(t) - co.c(t) * xs) * ux
+                             + (co.d(t) + co.f(t) * xs - co.b(t) * xs * xs) * u))
+    assert np.array_equal(diffusion_residual(field, co).values, want)
 
 
 def test_diffusion_residual_needs_three_levels(kernel_fp, coeffs_fp):
