@@ -5,8 +5,9 @@ The nonlinear equation
     v_t + a (v v_x - v_xx) + (g - c x) v_x - c v + 2 (f - 2 b x) = 0
 
 linearizes under v = -2 u_x / u into the diffusion-type master equation, so
-its Cauchy problem is solved by one batched kernel quadrature over the grid
-followed by a log-derivative.  The classical v_t + v v_x = a v_xx is the
+its Cauchy problem is solved by one batched kernel quadrature that also
+carries the x-derivative under the integral, so v is exact at any set of
+points.  The classical v_t + v v_x = a v_xx is the
 general equation for w = v / a, so it uses the same kernel, its validity
 interval and its errors, rescaled.  Traveling-wave families are constructed
 from the moving-frame reduction, whose profile ODE is integrated through an
@@ -26,8 +27,8 @@ from scipy.optimize import brentq
 
 from .coefficients import CoefficientSet
 from .errors import DomainError, IntegrationError, QuadratureError, SingularityError
-from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _on_arrays,
-                     make_kernel, uniform_grid)
+from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
+                     _on_arrays, make_kernel, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 _POLE_SCAN_POINTS = 2048
@@ -82,7 +83,7 @@ class _DenseAntiderivative:
 
 @dataclass
 class BurgersProblem:
-    """A Burgers-type Cauchy problem on a uniform x-grid of at least 5 points.
+    """A Burgers-type Cauchy problem at any finite, non-empty 1-D ``xs``.
 
     ``coeffs`` provides a, b, c, f, g (its d is ignored: the linearizing
     substitution leaves v unchanged under any x-independent zeroth-order
@@ -103,7 +104,7 @@ class BurgersProblem:
     _v0_dense: Optional[_DenseAntiderivative] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.xs = uniform_grid(self.xs, min_points=5)   # d1_uniform4's stencil
+        self.xs = x_grid(self.xs)
         self.classical = _is_classical(self.coeffs)
 
     @property
@@ -149,50 +150,41 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
                       quad_spec: QuadSpec = QuadSpec()) -> GridField:
     """Solve the Burgers-type Cauchy problem at time(s) ``t`` on ``prob.xs``.
 
-    Computes u = int K(x, y, t) exp(-s V0(y)) dy per grid point with the
-    kernel of ``prob.kernel()`` and s = 1 / (2 scale), in shifted log space,
-    then applies -2 scale times the fourth-order x-derivative of log u.  A t
-    outside the kernel's validity interval (or NaN) raises DomainError.
+    With w = K(x, y, t) exp(-s V0(y)), K = ``prob.kernel()`` and s = 1 / (2
+    scale), v = -2 scale (2 alpha0 x + delta0 + beta0 E_x[y]), E_x[y] being
+    the mean of y under w: one quadrature over every (t, x) integrates w and
+    (y - mean) w / sigma about the kernel's Gaussian (mean, sigma) in y.  A
+    t outside the kernel's validity interval (or NaN) raises DomainError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     xs = prob.xs
-    values = np.empty((len(ts), len(xs)))
-    for i, ti in enumerate(ts):
-        values[i] = _log_inner_integral(prob, float(ti), quad_spec)
-    v = -2.0 * prob.scale * d1_uniform4(values, xs[1] - xs[0])
-    return GridField(xs, ts, v)
-
-
-def _log_inner_integral(prob, t, quad_spec):
-    """log of the linearized solution u(x, t) on the problem grid."""
-    K = prob.kernel()
-    xs = prob.xs
-    # the exponent of K(x, y, t) is g0 y^2 + q1 y + (terms free of y)
-    lnk, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
-    mean, sigma = K.y_gaussian(t, xs)
-    q1 = b0 * xs + e0
     s = 0.5 / prob.scale
-
     half = float(np.max(np.abs(xs))) + 1.0
-    vb = prob.v0_bound(half + 16.0 * sigma)
-    pad = s * vb * sigma * sigma  # peak shift of the tilted Gaussian
-    width = pad + 12.0 * sigma
+    x, _, a0, b0, g0, d0, e0, _, mean, sigma = _kernel_rows(prob.kernel(), xs, ts)
+    q1 = b0 * x + e0    # the exponent of K in y is g0 y^2 + q1 y + (free of y)
+    vb = np.repeat([prob.v0_bound(half + 16.0 * sd) for sd in sigma[::len(xs)]],
+                   len(xs))
+    width = s * vb * sigma * sigma + 12.0 * sigma   # + the tilted peak's shift
 
     # the antiderivative must cover every quadrature window
-    needed = float(np.max(np.abs(mean))) + width
+    needed = float(np.max(np.abs(mean) + width))
     V0 = _on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
     def exponent(rows, y):
-        return g0 * y * y + q1[rows, None] * y - s * V0(y)
+        return g0[rows, None] * y * y + q1[rows, None] * y - s * V0(y)
 
-    rows = np.arange(len(xs))
-    probe = (mean - width)[:, None] + np.linspace(0.0, 2.0 * width, 33)
-    shift = np.max(exponent(rows, probe), axis=1)
-    val = _gk21(lambda r, y: np.exp(exponent(r, y) - shift[r, None]),
-                mean - width, mean + width, mean, quad_spec)
-    if np.any(val <= 0.0):
+    probe = (mean - width)[:, None] + width[:, None] * np.linspace(0.0, 2.0, 33)
+    shift = np.max(exponent(np.arange(len(x)), probe), axis=1)
+
+    def tilted(r, y):
+        w = np.exp(exponent(r, y) - shift[r, None])
+        return np.stack((w, (y - mean[r, None]) / sigma[r, None] * w))
+
+    m0, m1 = _gk21(tilted, mean - width, mean + width, mean, quad_spec)
+    if np.any(m0 <= 0.0):
         raise QuadratureError("nonpositive inner integral")
-    return lnk + a0 * xs * xs + d0 * xs + k0 + shift + np.log(val)
+    v = -2.0 * prob.scale * (2.0 * a0 * x + d0 + b0 * (mean + sigma * m1 / m0))
+    return GridField(xs, ts, v.reshape(len(ts), len(xs)))
 
 
 def burgers_residual(v: GridField, coeffs: CoefficientSet) -> GridField:
@@ -330,7 +322,10 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
     """
 
     def frame_rhs(t, y):
-        return [c(t) * y[0], spec.c0 * a(t) * y[0] ** 2]
+        dy = [c(t) * y[0], spec.c0 * a(t) * y[0] ** 2]
+        if not math.isfinite(sum(dy)):
+            raise IntegrationError(f"frame equations are not finite at t = {t:.6g}")
+        return dy
 
     frame = _solve_ivp(frame_rhs, (0.0, T), [spec.beta0_init, spec.gamma0_init],
                        method="DOP853", dense_output=True, rtol=tol, atol=1e-14)

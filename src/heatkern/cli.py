@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -72,8 +72,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _coefficients(args) -> "CoefficientSet":
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:    # ValueError: not JSON text
+            raise ConfigError(f"cannot read --config: {exc}") from exc
         sub = cfg.get("coefficients", cfg)
         try:
             return from_config(sub)
@@ -94,13 +97,13 @@ def _coefficients(args) -> "CoefficientSet":
         raise ConfigError(str(exc)) from exc
 
 
-@contextmanager
 def _output(path):
     if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot open --out: {exc}") from exc
 
 
 def _gnuplot(args, columns, mode="lines"):
@@ -344,9 +347,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -87,11 +87,13 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
 
     Row i is the integral over [lo[i], hi[i]] (zero when hi <= lo) of the
     integrand ``f(rows, Y)``, which receives a (panels, 21) array of nodes
-    and the row index of each panel.  Each window starts as four equal
-    panels on either side of ``center[i]``, split further at every knot
-    inside it.  Every pass evaluates all live panels; a panel is accepted
-    when |K21 - G10| <= max(abs_tol, rel_tol |I_row|) times its share of
-    the window, and bisected otherwise.  A row needing more than
+    and the row index of each panel.  It returns a (panels, 21) array or a
+    (components, panels, 21) stack, and the result is (components, rows).
+    Each window starts as four equal panels on either side of ``center[i]``,
+    split further at every knot inside it.  Every pass evaluates all live
+    panels; a panel is accepted when every component's |K21 - G10| <=
+    max(abs_tol, rel_tol |I0_row|) times its share of the window, I0 being
+    the first component, and bisected otherwise.  A row needing more than
     ``spec.limit`` panels raises :class:`QuadratureError`.
     """
     lo = np.asarray(lo, dtype=float)
@@ -111,25 +113,26 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     rows, a, b = rows[keep], a[keep], b[keep]
 
     width = hi - lo
-    total = np.zeros(n)
+    total = np.zeros((1, n))
     count = np.bincount(rows, minlength=n)
     while len(rows):
         if count.max() > spec.limit:
             raise QuadratureError(f"quadrature did not converge within "
                                   f"{spec.limit} panels per point")
-        k21 = np.empty(len(rows))
-        err = np.empty(len(rows))
+        k21, g10 = [], []
         for i in range(0, len(rows), _BLOCK):
             blk = slice(i, i + _BLOCK)
             half = 0.5 * (b[blk] - a[blk])
             mid = 0.5 * (a[blk] + b[blk])
             fx = f(rows[blk], mid[:, None] + half[:, None] * _GK_X)
-            k21[blk] = half * (fx * _K21_W).sum(axis=1)
-            err[blk] = np.abs(k21[blk] - half * (fx * _G10_W).sum(axis=1))
-        estimate = total + np.bincount(rows, k21, minlength=n)
+            k21.append(half * (fx * _K21_W).sum(axis=-1))
+            g10.append(half * (fx * _G10_W).sum(axis=-1))
+        k21 = np.atleast_2d(np.concatenate(k21, axis=-1))
+        err = np.abs(k21 - np.concatenate(g10, axis=-1)).max(axis=0)
+        estimate = total[0] + np.bincount(rows, k21[0], minlength=n)
         scale = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate)) / width
         ok = err <= scale[rows] * (b - a)
-        total += np.bincount(rows[ok], k21[ok], minlength=n)
+        total = total + [np.bincount(rows[ok], k[ok], minlength=n) for k in k21]
         bad = ~ok
         rows, a, b, m = rows[bad], a[bad], b[bad], 0.5 * (a[bad] + b[bad])
         count += np.bincount(rows, minlength=n)
@@ -182,7 +185,8 @@ def _quad(f, lo, hi, spec: QuadSpec, points=None):
 
 @dataclass
 class GridField:
-    """A sampled space-time field on a uniform x-grid."""
+    """A sampled space-time field on a finite 1-D x-grid; stencils read its
+    spacing through :attr:`dx`, which alone requires it to be uniform."""
 
     xs: np.ndarray
     ts: np.ndarray
@@ -195,20 +199,22 @@ class GridField:
         if self.values.shape != (len(self.ts), len(self.xs)):
             raise ValueError(f"values shape {self.values.shape} does not match "
                              f"(n_t={len(self.ts)}, n_x={len(self.xs)})")
-        uniform_grid(self.xs)
+        x_grid(self.xs)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
     @property
     def dx(self) -> float:
-        return float(self.xs[1] - self.xs[0])
+        """The x-spacing; ValueError unless the x-grid is uniform and increasing."""
+        dx = np.diff(self.xs)
+        if not (len(dx) and dx[0] > 0.0
+                and np.all(np.abs(dx - dx[0]) <= 1e-9 * dx[0])):
+            raise ValueError("x-grid must be uniform and increasing")
+        return float(dx[0])
 
     @property
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def level(self, i: int) -> np.ndarray:
-        return self.values[i]
 
     def rows(self):
         for i, t in enumerate(self.ts):
@@ -219,18 +225,11 @@ class GridField:
         write_csv(fh, header, self.rows())
 
 
-def uniform_grid(xs, min_points: int = 0) -> np.ndarray:
-    """``xs`` as a float array; ValueError unless it is a finite, uniform and
-    increasing 1-D grid of at least ``min_points`` points."""
+def x_grid(xs) -> np.ndarray:
+    """``xs`` as a float array; ValueError unless it is finite, non-empty and 1-D."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"x-grid must be 1-D, got shape {xs.shape}")
-    if len(xs) < min_points:
-        raise ValueError(f"x-grid needs at least {min_points} points, got {len(xs)}")
-    dx = np.diff(xs)
-    if len(dx) and not (np.all(dx > 0.0) and dx[0] < math.inf
-                        and np.all(np.abs(dx - dx[0]) <= 1e-9 * dx[0])):
-        raise ValueError("x-grid must be finite, uniform and increasing")
+    if xs.ndim != 1 or not len(xs) or not np.all(np.isfinite(xs)):
+        raise ValueError("x-grid must be a finite, non-empty 1-D array")
     return xs
 
 
@@ -479,6 +478,19 @@ def _tail_fraction(L: float, mean, std):
     return 0.5 * (erfc(z_hi) + erfc(z_lo))
 
 
+def _kernel_rows(K: HeatKernel, xs, ts):
+    """(x, log_norm, alpha0, ..., kappa0, mean, std) with one entry per (t, x);
+    (mean, std) is the kernel's Gaussian in y."""
+    coef, mean, std = [], [], []
+    for t in ts:
+        coef.append(K.exponent_coefficients(t))
+        m, sd = K.y_gaussian(t, xs)
+        mean.append(m)
+        std.append(np.full(len(xs), sd))
+    return (np.tile(xs, len(ts)), *np.repeat(coef, len(xs), axis=0).T,
+            np.concatenate(mean), np.concatenate(std))
+
+
 def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
               spec: QuadSpec) -> np.ndarray:
     """u(x, t) = int K(x, y, t) phi(y) dy on every (t, x), in shifted log space.
@@ -487,19 +499,12 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
     kernel's exponent in y is one quadratic whose linear coefficient
     b0 x + e0 alone depends on x.
     """
-    q2, q1, q0, mean, std = [], [], [], [], []
-    for t in ts:
-        ln, a0, b0, g0, d0, e0, k0 = K.exponent_coefficients(t)
-        m, sd = K.y_gaussian(t, xs)
-        q2.append(np.full(len(xs), g0))
-        q1.append(b0 * xs + e0)
-        q0.append(ln + a0 * xs * xs + d0 * xs + k0)
-        mean.append(m)
-        std.append(np.full(len(xs), sd))
-    q2, q1, q0, mean, std = map(np.concatenate, (q2, q1, q0, mean, std))
-    x = np.tile(xs, len(ts))
+    x, ln, a0, b0, q2, d0, e0, k0, mean, std = _kernel_rows(K, xs, ts)
+    q1 = b0 * x + e0
+    q0 = ln + a0 * x * x + d0 * x + k0
+    lo, hi = mean - 10.0 * std, mean + 10.0 * std
     if phi.L is not None:
-        lo, hi = np.full(len(x), -phi.L), np.full(len(x), phi.L)
+        lo, hi = np.maximum(lo, -phi.L), np.minimum(hi, phi.L)
         frac = _tail_fraction(phi.L, mean, std)
         worst = int(np.argmax(frac))
         if frac[worst] > 1e-8:
@@ -507,8 +512,6 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
             warnings.warn(f"kernel mass up to {frac[worst]:.2e} outside [-L, L] "
                           f"(at x={x[worst]:g}, t={t_worst:g})",
                           TruncationWarning, stacklevel=3)
-    else:
-        lo, hi = mean - 10.0 * std, mean + 10.0 * std
     if phi.support is not None:
         lo = np.maximum(lo, phi.support[0])
         hi = np.minimum(hi, phi.support[1])
@@ -521,7 +524,7 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
         return np.exp(q2[rows, None] * y * y + q1[rows, None] * y
                       - shift[rows, None]) * values(y)
 
-    j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)
+    j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)[0]
     return (np.exp(q0 + shift) * j).reshape(len(ts), len(xs))
 
 
@@ -530,11 +533,12 @@ def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,
     """Solve the Cauchy problem by kernel quadrature on the grid ``xs``.
 
     ``t`` may be a scalar or a sequence of times; each requested time must
-    lie in (0, T_valid], and ``xs`` must be uniform and increasing.  Returns
-    the sampled field u(x, t) with u(x, t) = int K(x, y, t) phi(y) dy.
+    lie in (0, T_valid], and ``xs`` may be any finite, non-empty 1-D array
+    of points.  Returns the sampled field u(x, t) with u(x, t) = int K(x, y,
+    t) phi(y) dy.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    xs = uniform_grid(xs)
+    xs = x_grid(xs)
     return GridField(xs, ts, _convolve(K, phi, xs, ts, quad_spec))
 
 

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
-                      QuadSpec, TravelingWaveSpec, burgers_residual, cole_hopf,
-                      integrate_profile_direct, profile, solve_burgers_ivp,
-                      solve_ivp, traveling_wave)
-from heatkern.burgers import _is_classical, _log_inner_integral
+                      TravelingWaveSpec, burgers_residual, cole_hopf,
+                      diffusion_residual, integrate_profile_direct, profile,
+                      solve_burgers_ivp, solve_ivp, traveling_wave)
+from heatkern.burgers import _is_classical
 from heatkern.errors import DomainError, IntegrationError, SingularityError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 
@@ -44,6 +44,20 @@ def test_cole_hopf_rejects_nonpositive():
         cole_hopf(u)
 
 
+@pytest.mark.parametrize("stencil", [
+    cole_hopf,
+    lambda field: burgers_residual(field, profile("fokker-planck")),
+    lambda field: diffusion_residual(field, profile("fokker-planck")),
+])
+def test_stencils_reject_non_uniform_grid(stencil):
+    # any grid makes a GridField; only a stencil needs uniform spacing
+    xs = np.array([-1.0, -0.6, -0.1, 0.0, 0.3, 0.5, 1.0])
+    ts = np.array([0.3, 0.4, 0.5])
+    field = GridField(xs, ts, np.exp(-xs * xs) + ts[:, None])
+    with pytest.raises(ValueError, match="x-grid"):
+        stencil(field)
+
+
 # ------------------------------------------------------------------- IVP solver
 
 def test_kink_solution_classical(coeffs_heat):
@@ -54,7 +68,7 @@ def test_kink_solution_classical(coeffs_heat):
     assert prob.classical
     sol = solve_burgers_ivp(prob, 0.5)
     ref = np.array([kink(x, 0.5) for x in xs])
-    assert np.max(np.abs(sol.values[0] - ref)) / np.max(np.abs(ref)) < 1e-4
+    assert np.max(np.abs(sol.values[0] - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
 def test_kink_solution_scaled_viscosity():
@@ -64,7 +78,7 @@ def test_kink_solution_scaled_viscosity():
     prob = BurgersProblem(co, kink.initial_profile(), xs)  # numeric V0
     sol = solve_burgers_ivp(prob, 0.5)
     ref = np.array([kink(x, 0.5) for x in xs])
-    assert np.max(np.abs(sol.values[0] - ref)) / np.max(np.abs(ref)) < 1e-4
+    assert np.max(np.abs(sol.values[0] - ref)) / np.max(np.abs(ref)) < 1e-10
 
 
 def test_zero_data_stays_zero(coeffs_heat):
@@ -105,30 +119,49 @@ def test_non_finite_v0_raises(deadline, coeffs_fp):
 
 
 def test_cole_hopf_consistency_general_path(coeffs_fp):
-    # same log-values, two differencing routes: -2 d/dx log(u) versus
-    # -2 (du/dx)/u applied to u = exp(log-values)
-    xs = np.linspace(-1.0, 1.0, 501)
-    v0 = lambda y: 0.3 * math.exp(-y * y)
+    # on the general path a point's v does not depend on the grid around it
+    xs = np.linspace(-1.0, 1.0, 21)
+    v0 = lambda y: 0.3 * np.exp(-y * y)
     prob = BurgersProblem(coeffs_fp, v0, xs)
     assert not prob.classical
-    logs = _log_inner_integral(prob, 0.4, QuadSpec())
-    route_a = -2.0 * d1_uniform4(logs, xs[1] - xs[0])
-    u_field = GridField(xs, [0.4], np.exp(logs)[None, :])
-    route_b = cole_hopf(u_field).values[0]
-    assert np.max(np.abs(route_a - route_b)) < 1e-8
+    full = solve_burgers_ivp(prob, 0.4).values[0]
+    for j in (0, 7, 20):
+        one = solve_burgers_ivp(BurgersProblem(coeffs_fp, v0, xs[j:j + 1]),
+                                0.4)
+        assert one.values.shape == (1, 1)
+        assert abs(one.values[0, 0] - full[j]) < 1e-12
 
 
 def test_inner_integral_matches_kernel_solve(coeffs_fp):
-    # the linearized field equals the kernel quadrature of exp(-V0/2)
-    xs = np.linspace(-1.0, 1.0, 9)
-    v0 = lambda y: 0.3 * math.exp(-y * y)
+    # v = -2 (2 alpha0 x + delta0 + beta0 E_x[y]), with E_x[y] the ratio of
+    # two kernel quadratures: of y exp(-V0/2) and of exp(-V0/2)
+    xs = np.array([-0.9, -0.2, 0.1, 0.75])
+    v0 = lambda y: 0.3 * np.exp(-y * y)
     prob = BurgersProblem(coeffs_fp, v0, xs)
-    logs = _log_inner_integral(prob, 0.4, QuadSpec())
+    got = solve_burgers_ivp(prob, 0.4).values[0]
     V0 = prob.antiderivative(20.0)
-    u0 = InitialData.from_callable(lambda y: math.exp(-0.5 * V0(y)), L=18.0)
-    ref = solve_ivp(prob.kernel(), u0, xs, 0.4)
-    assert np.max(np.abs(np.exp(logs) - ref.values[0])
-                  / np.abs(ref.values[0])) < 1e-9
+    tilt = lambda y: np.exp(-0.5 * V0(y))
+    K = prob.kernel()
+    m0 = solve_ivp(K, InitialData.from_callable(tilt), xs, 0.4).values[0]
+    m1 = solve_ivp(K, InitialData.from_callable(lambda y: y * tilt(y)),
+                   xs, 0.4).values[0]
+    _, a0, b0, _, d0, _, _ = K.exponent_coefficients(0.4)
+    want = -2.0 * (2.0 * a0 * xs + d0 + b0 * m1 / m0)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.parametrize("xs", [np.array([-1.0, -0.5, 0.0, 0.2, 0.5, 1.0]),
+                                np.array([0.3]),
+                                np.linspace(1.0, -1.0, 9)])
+def test_kink_on_any_grid(xs):
+    # the slope is exact at each point, so neither spacing nor order matters
+    co = profile("constant-heat", a=0.7)
+    kink = BatemanWave(A=0.8, V=0.2, a=0.7, c=0.5, sign="-")
+    prob = BurgersProblem(co, kink.initial_profile(), xs)   # numeric V0
+    assert prob.classical
+    sol = solve_burgers_ivp(prob, 0.5)
+    assert sol.values.shape == (1, len(xs))
+    assert np.max(np.abs(sol.values[0] - kink(xs, 0.5))) < 1e-10
 
 
 def test_scalar_only_v0_matches_array_twin(coeffs_fp):
@@ -336,6 +369,16 @@ def test_traveling_wave_spec_validation():
                           z_window=(0.0, 1.0), F0=1.0)
 
 
+@pytest.mark.parametrize("a, c", [(lambda t: math.nan, lambda t: 0.0),
+                                  (lambda t: 1.0, lambda t: math.nan)])
+def test_traveling_wave_non_finite_coefficient_raises(deadline, a, c):
+    spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 4.0), F0=-0.5)
+    with deadline(5), pytest.raises(IntegrationError, match="not finite at t = "):
+        traveling_wave(spec, a, c, T=1.0)
+
+
 # ---------------------------------------------------------------- Bateman waves
 
 def test_bateman_kink_far_field_limits():
@@ -385,9 +428,9 @@ def test_bateman_antiderivative_matches_quadrature():
     assert np.allclose(V0(np.array(ys)), [V0(y) for y in ys], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("xs", [np.array([-1.0, -0.5, 0.0, 0.2, 0.5, 1.0]),
-                                np.linspace(-1.0, 1.0, 4),
-                                np.linspace(1.0, -1.0, 9)])
+@pytest.mark.parametrize("xs", [np.zeros((2, 3)),
+                                np.array([0.0, np.nan, 1.0]),
+                                np.array([])])
 def test_burgers_problem_rejects_grid_before_quadrature(coeffs_fp, xs):
     calls = []
 

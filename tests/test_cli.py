@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heatkern import TravelingWaveSpec, make_kernel, profile, traveling_wave
+from heatkern import kernel as kn
 from heatkern.cli import main, _parse_grid, ConfigError
 
 
@@ -218,8 +219,7 @@ def test_bad_option_is_configuration_error(capsys, deadline, tmp_path, argv):
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
-    # main reports an OSError as a configuration error, and the deadline's
-    # TimeoutError is one: a hang must not pass as the expected message
+    # a hang must not pass as the expected message
     assert "configuration error" in err and "still running" not in err
     assert not out.exists()
 
@@ -251,6 +251,30 @@ def test_config_file_listing_coefficients(tmp_path):
 
 def test_missing_config_file_exit_code():
     assert main(["kernel", "--config", "/nonexistent.json", "--t", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("text", ["{bad", "\udcff", "[1, 2"])
+def test_unreadable_config_file_exit_code(tmp_path, capsys, text):
+    config = tmp_path / "bad.json"
+    config.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert main(["kernel", "--config", str(config), "--t", "1.0"]) == 2
+    assert "configuration error: cannot read --config" in capsys.readouterr().err
+
+
+def test_out_directory_exit_code(tmp_path, capsys):
+    assert main(["kernel", "--t", "1.0", "--grid=-1:1:3",
+                 "--out", str(tmp_path)]) == 2
+    assert "configuration error: cannot open --out" in capsys.readouterr().err
+
+
+def test_other_os_errors_propagate(monkeypatch):
+    # only reading --config and opening --out map to exit code 2
+    def stalled(*args, **kwargs):
+        raise TimeoutError("stalled")
+
+    monkeypatch.setattr(kn, "make_kernel", stalled)
+    with pytest.raises(TimeoutError, match="stalled"):
+        main(["kernel", "--t", "1.0", "--grid=-1:1:3"])
 
 
 def test_gnuplot_script_emitted(tmp_path):

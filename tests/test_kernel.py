@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
 from heatkern.errors import DomainError, QuadratureError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
-                             TruncationWarning, _exp_guard, _quad, write_csv)
+                             TruncationWarning, _exp_guard, _gk21, _quad,
+                             write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -317,9 +319,9 @@ def test_degenerate_gaussian_rejected(width):
         InitialData.gaussian(width=width)
 
 
-@pytest.mark.parametrize("xs", [np.array([0.0, 0.5, 0.7]),
-                                np.array([1.0, 0.5, 0.0]),
-                                np.array([0.0, 1.0, np.inf]),
+@pytest.mark.parametrize("xs", [np.array([0.0, 1.0, np.inf]),
+                                np.array([np.nan, 0.5, 1.0]),
+                                np.array([]),
                                 np.zeros((2, 3))])
 def test_solve_ivp_rejects_grid_before_quadrature(kernel_heat, xs):
     calls = []
@@ -331,6 +333,39 @@ def test_solve_ivp_rejects_grid_before_quadrature(kernel_heat, xs):
     with pytest.raises(ValueError, match="x-grid"):
         solve_ivp(kernel_heat, InitialData.from_callable(phi), xs, 0.5)
     assert calls == []
+
+
+def test_solve_ivp_single_point_equals_grid_run(kernel_fp):
+    phi = InitialData.gaussian(width=0.8, center=0.2)
+    xs = np.linspace(-1.0, 1.0, 21)
+    full = solve_ivp(kernel_fp, phi, xs, [0.3, 0.6]).values
+    for j in (0, 7, 20):
+        one = solve_ivp(kernel_fp, phi, xs[j:j + 1], [0.3, 0.6]).values
+        assert np.max(np.abs(one[:, 0] - full[:, j])) < 1e-12
+
+
+@pytest.mark.parametrize("L", [1e5, 1e8, 1e300])
+def test_wide_truncation_keeps_the_kernel_window(kernel_heat, L):
+    # the window is mean +- 10 sigma clipped to [-L, L], however wide L is
+    ones = InitialData.from_callable(np.ones_like, L=L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = solve_ivp(kernel_heat, ones, np.linspace(-1.0, 1.0, 5), 0.5)
+    assert np.max(np.abs(u.values - 1.0)) < 1e-12
+
+
+def test_gk21_stack_matches_single_components():
+    f1 = lambda r, y: np.exp(-y * y) * np.cos(3.0 * y)
+    f2 = lambda r, y: y * np.exp(-(y - 0.3) ** 2)
+    lo, hi = np.array([-5.0, -3.0, 0.0]), np.array([5.0, 4.0, 6.0])
+    center = np.array([0.0, 0.5, 1.0])
+    both = _gk21(lambda r, y: np.stack((f1(r, y), f2(r, y))), lo, hi, center,
+                 QuadSpec())
+    assert both.shape == (2, 3)
+    for got, f in zip(both, (f1, f2)):
+        one = _gk21(f, lo, hi, center, QuadSpec())
+        assert one.shape == (1, 3)
+        assert np.max(np.abs(got - one[0])) < 1e-14
 
 
 def test_initial_data_validation():
@@ -458,8 +493,9 @@ def test_gridfield_validation():
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError):
         GridField(xs, [0.0], np.ones((1, 4)))
-    with pytest.raises(ValueError):
-        GridField(np.array([0.0, 0.5, 0.7]), [0.0], np.ones((1, 3)))
+    scattered = GridField(np.array([0.0, 0.5, 0.7]), [0.0], np.ones((1, 3)))
+    with pytest.raises(ValueError, match="x-grid"):
+        scattered.dx
     with pytest.raises(ValueError):
         GridField(xs, [0.0], np.full((1, 5), np.nan))
     field = GridField(xs, [0.0], np.arange(5.0)[None, :])
