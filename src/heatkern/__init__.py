@@ -2,9 +2,8 @@
 diffusion-type equations, Cauchy solving by kernel quadrature, and the
 associated Burgers-type equation via Cole–Hopf linearization."""
 
-from .coefficients import (CoefficientProfile, CoefficientSet, ValidationReport,
-                           expand_profile, from_config, profile, tau_sigma,
-                           validate)
+from .coefficients import (CoefficientSet, expand_profile, from_config, profile,
+                           tau_sigma)
 from .characteristic import (CharacteristicSolution, solve_characteristic,
                              wronskian_residual)
 from .riccati import (FundamentalRiccati, FundamentalValues, RiccatiState,

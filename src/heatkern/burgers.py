@@ -18,7 +18,7 @@ zeros of its solution rather than as blow-up mid-integration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,7 +115,7 @@ class BurgersProblem:
     def kernel(self) -> HeatKernel:
         if self._kernel is None:
             zero = lambda t: 0.0
-            self._kernel = make_kernel(self.coeffs.replace_d(zero, zero),
+            self._kernel = make_kernel(replace(self.coeffs, d=zero, dd=zero),
                                        tol=self.tol)
         return self._kernel
 
@@ -298,12 +298,14 @@ class TravelingWave:
         return 0.5 * self.a(t) * b ** 3 * (2.0 * self.spec.c2 * self.gamma(t)
                                            + self.spec.c3)
 
-    def induced_coefficients(self, da=None) -> CoefficientSet:
-        """Coefficient set (with d = 0) for which the wave is an exact solution."""
+    def induced_coefficients(self) -> CoefficientSet:
+        """Coefficient set (with d = 0) for which the wave is an exact solution.
+
+        The wave knows a only as a callable, so the set has no a'.
+        """
         zero = lambda t: 0.0
         return CoefficientSet(self.a, self.induced_b, self.c, zero,
-                              self.induced_f, self.induced_g,
-                              da if da is not None else zero, zero, self.T)
+                              self.induced_f, self.induced_g, self.T, dd=zero)
 
 
 def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],

@@ -65,8 +65,10 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
-    if n < 2 or hi <= lo:
-        raise ConfigError(f"grid needs hi > lo and n >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1
+            and (hi == lo if n == 1 else hi > lo)):
+        raise ConfigError(f"grid needs finite lo < hi with n >= 2, or lo = hi "
+                          f"with n = 1, got {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -77,10 +79,12 @@ def _coefficients(args) -> "CoefficientSet":
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:    # ValueError: not JSON text
             raise ConfigError(f"cannot read --config: {exc}") from exc
-        sub = cfg.get("coefficients", cfg)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"--config must hold a JSON object, "
+                              f"got {type(cfg).__name__}")
         try:
-            return from_config(sub)
-        except ValueError as exc:
+            return from_config(cfg.get("coefficients", cfg))
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
     params = {}
     for item in args.param or []:

@@ -4,11 +4,17 @@ The master equation handled by this package is
 
     u_t = a(t) u_xx - (g(t) - c(t) x) u_x + (d(t) + f(t) x - b(t) x^2) u
 
-on the whole line.  A :class:`CoefficientSet` bundles the six coefficient
-functions together with the analytic derivatives a', d' that enter the
-reduction to the linear second-order characteristic equation
+on the whole line.  A :class:`CoefficientSet` holds its six coefficient
+functions, which are all the kernel, Cauchy and Burgers paths read.  The
+derivatives a', d' are optional: they enter only the reduction to the linear
+second-order characteristic equation
 
-    mu'' - tau(t) mu' - 4 sigma(t) mu = 0.
+    mu'' - tau(t) mu' - 4 sigma(t) mu = 0,
+
+which the package keeps as an oracle (:func:`tau_sigma`,
+:func:`heatkern.riccati.asymptotics`,
+:func:`heatkern.riccati.gamma0_quadrature_form`).  Every set built by
+:func:`profile` or :func:`from_config` carries them exactly.
 
 Built-in profiles reproduce, in this sign convention, the classical constant
 heat equation, the cylindrical cable equation, the Fokker–Planck equation
@@ -19,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Optional
 
 from .errors import DomainError
 
@@ -29,37 +33,37 @@ PROFILE_KINDS = ("constant-heat", "cable", "fokker-planck", "ou-drift", "custom"
 
 _COEFF_NAMES = ("a", "b", "c", "d", "f", "g")
 
+Coefficient = Callable[[float], float]
 
-def _const(value: float) -> Callable[[float], float]:
+
+def _const(value: float) -> Coefficient:
     value = float(value)
     return lambda t: value
 
 
-def _zero(t: float) -> float:
-    return 0.0
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The six time coefficients of the master equation plus a', d'.
+    """The six time coefficients of the master equation, optionally with a', d'.
 
     All callables take a scalar time and return a scalar.  The kernel needs
     a(0) > 0 and exists only up to the first sign change of ``a``; the
-    characteristic solve finds that zero and ends the validity interval
-    there (:mod:`heatkern.characteristic`).  :func:`validate` samples the
-    set for zeros of ``a`` and other defects beforehand; nothing is checked
-    at construction.
+    characteristic solve finds that zero as an event, ends the validity
+    interval there and raises ``IntegrationError`` where a coefficient is not
+    finite (:mod:`heatkern.characteristic`).  Nothing is checked at
+    construction.  The kernel, Cauchy and Burgers paths read only a…g; the
+    derivatives ``da`` and ``dd`` are read only by the reduction's oracles,
+    which raise ``ValueError`` naming a missing one (:meth:`derivative`).
     """
 
-    a: Callable[[float], float]
-    b: Callable[[float], float]
-    c: Callable[[float], float]
-    d: Callable[[float], float]
-    f: Callable[[float], float]
-    g: Callable[[float], float]
-    da: Callable[[float], float]
-    dd: Callable[[float], float]
+    a: Coefficient
+    b: Coefficient
+    c: Coefficient
+    d: Coefficient
+    f: Coefficient
+    g: Coefficient
     domain_end: float
+    da: Optional[Coefficient] = field(default=None, kw_only=True)
+    dd: Optional[Coefficient] = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if not 0.0 < self.domain_end < math.inf:
@@ -71,25 +75,14 @@ class CoefficientSet:
             raise DomainError(f"t={t} outside [0, {self.domain_end}]")
         return t
 
-    def replace_d(self, d: Callable[[float], float],
-                  dd: Callable[[float], float]) -> "CoefficientSet":
-        """Same equation with the zeroth-order coefficient d swapped out."""
-        return CoefficientSet(self.a, self.b, self.c, d, self.f, self.g,
-                              self.da, dd, self.domain_end)
-
-
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """A named coefficient family: one of ``PROFILE_KINDS`` plus its parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    domain_end: float = 2.0
-
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}; "
-                             f"expected one of {PROFILE_KINDS}")
+    def derivative(self, name: str) -> Coefficient:
+        """``da`` or ``dd``; raises ``ValueError`` naming a' or d' if unset."""
+        fn = getattr(self, name)
+        if fn is None:
+            raise ValueError(f"{name[1]}' ({name}) is not set on this coefficient "
+                             "set; the reduction to mu'' - tau mu' - 4 sigma mu "
+                             "= 0 needs it")
+        return fn
 
 
 def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
@@ -108,6 +101,8 @@ def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
         If ``t`` lies outside [0, domain_end].
     ZeroDivisionError
         If a(t) = 0.
+    ValueError
+        If the set has no a' or d'.
     """
     t = coeffs.check_time(t)
     a = coeffs.a(t)
@@ -116,14 +111,14 @@ def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
     b = coeffs.b(t)
     c = coeffs.c(t)
     d = coeffs.d(t)
-    da = coeffs.da(t)
-    dd = coeffs.dd(t)
+    da = coeffs.derivative("da")(t)
+    dd = coeffs.derivative("dd")(t)
     tau = da / a + 2.0 * c - 4.0 * d
     sigma = a * b + c * d - d * d + d * da / (2.0 * a) - dd / 2.0
     return tau, sigma
 
 
-def _poly_callable(coeffs_ascending) -> Callable[[float], float]:
+def _poly_callable(coeffs_ascending) -> Coefficient:
     cs = [float(v) for v in coeffs_ascending]
     if not cs:
         cs = [0.0]
@@ -141,16 +136,22 @@ def _poly_derivative(coeffs_ascending):
     return [k * float(v) for k, v in enumerate(coeffs_ascending)][1:] or [0.0]
 
 
-def expand_profile(profile: CoefficientProfile) -> CoefficientSet:
-    """Instantiate a named profile as a concrete :class:`CoefficientSet`.
+def _constant_set(T, a, b=0.0, c=0.0, d=0.0, f=0.0, g=0.0) -> CoefficientSet:
+    """Constant coefficients, whose a' and d' are exactly zero."""
+    zero = _const(0.0)
+    return CoefficientSet(*map(_const, (a, b, c, d, f, g)), T, da=zero, dd=zero)
+
+
+def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
+    """Instantiate the profile ``kind`` (one of ``PROFILE_KINDS``) with its
+    parameters on [0, T], as a :class:`CoefficientSet` with exact a', d'.
 
     The built-in kinds map onto the master equation's sign convention, whose
     drift term is -(g - c x) u_x: equations written with a +(g0 - k x) u_x
     drift therefore expand with g = -g0 and c = -k.
     """
-    kind = profile.kind
-    params = dict(profile.params)
-    T = float(profile.domain_end)
+    params = dict(params)
+    T = float(T)
 
     def take(name, default=None):
         if name in params:
@@ -162,31 +163,26 @@ def expand_profile(profile: CoefficientProfile) -> CoefficientSet:
             raise ValueError(f"profile {kind!r} requires parameter {name!r}")
         return float(default)
 
-    zero = _zero
     if kind == "constant-heat":
         a0 = take("a", 1.0)
         if a0 == 0.0:
             raise ValueError("constant-heat requires a != 0")
-        made = CoefficientSet(_const(a0), zero, zero, zero, zero, zero,
-                              zero, zero, T)
+        made = _constant_set(T, a0)
     elif kind == "cable":
         lam = take("lam", 1.0)
         tau_m = take("tau", 2.0)
         if lam == 0.0 or tau_m <= 0.0:
             raise ValueError("cable requires lam != 0 and tau > 0")
-        made = CoefficientSet(_const(lam * lam / tau_m), zero, zero,
-                              _const(1.0 / tau_m), zero, zero, zero, zero, T)
+        made = _constant_set(T, lam * lam / tau_m, d=1.0 / tau_m)
     elif kind == "fokker-planck":
-        made = CoefficientSet(_const(1.0), zero, _const(1.0), _const(1.0),
-                              zero, zero, zero, zero, T)
+        made = _constant_set(T, 1.0, c=1.0, d=1.0)
     elif kind == "ou-drift":
         a0 = take("a", 1.0)
         k = take("k")
         g0 = take("g", 0.0)
         if a0 == 0.0:
             raise ValueError("ou-drift requires a != 0")
-        made = CoefficientSet(_const(a0), zero, _const(-k), zero, zero,
-                              _const(-g0), zero, zero, T)
+        made = _constant_set(T, a0, c=-k, g=-g0)
     elif kind == "custom":
         poly = params.pop("poly", None)
         if not isinstance(poly, dict):
@@ -196,19 +192,19 @@ def expand_profile(profile: CoefficientProfile) -> CoefficientSet:
         if unknown:
             raise ValueError(f"unknown coefficient names in poly table: {sorted(unknown)}")
         for name, entries in poly.items():
-            if not all(math.isfinite(float(v)) for v in entries):
-                raise ValueError(f"poly entries of {name!r} must be finite")
-        funcs = {}
-        for name in _COEFF_NAMES:
-            funcs[name] = _poly_callable(poly.get(name, [0.0]))
+            # a string would iterate as digits: "12" must not become 1 + 2t
+            if isinstance(entries, str) or not all(math.isfinite(float(v))
+                                                   for v in entries):
+                raise ValueError(f"poly entries of {name!r} must be finite numbers")
         made = CoefficientSet(
-            funcs["a"], funcs["b"], funcs["c"], funcs["d"], funcs["f"], funcs["g"],
-            _poly_callable(_poly_derivative(poly.get("a", [0.0]))),
-            _poly_callable(_poly_derivative(poly.get("d", [0.0]))),
-            T,
+            **{name: _poly_callable(poly.get(name, [0.0])) for name in _COEFF_NAMES},
+            domain_end=T,
+            da=_poly_callable(_poly_derivative(poly.get("a", [0.0]))),
+            dd=_poly_callable(_poly_derivative(poly.get("d", [0.0]))),
         )
-    else:  # pragma: no cover - guarded by CoefficientProfile
-        raise ValueError(f"unknown profile kind {kind!r}")
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}; "
+                         f"expected one of {PROFILE_KINDS}")
 
     if params:
         raise ValueError(f"unexpected parameters for {kind!r}: {sorted(params)}")
@@ -227,86 +223,16 @@ def from_config(config: dict) -> CoefficientSet:
     """
     if not isinstance(config, dict):
         raise ValueError("coefficient config must be a JSON object")
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("config 'params' must be a JSON object")
+    params = dict(params)
     kind = config.get("profile")
-    if kind not in PROFILE_KINDS:
-        raise ValueError(f"config 'profile' must be one of {PROFILE_KINDS}, got {kind!r}")
-    T = float(config.get("T", 2.0))
-    params = dict(config.get("params", {}))
     if kind == "custom":
-        params["poly"] = config.get("poly", config.get("params", {}).get("poly"))
-    return expand_profile(CoefficientProfile(kind, params, T))
+        params["poly"] = config.get("poly", params.get("poly"))
+    return expand_profile(kind, params, config.get("T", 2.0))
 
 
 def profile(kind: str, T: float = 2.0, **params) -> CoefficientSet:
     """Shorthand: ``profile("ou-drift", k=1.0, g=0.5)``."""
-    return expand_profile(CoefficientProfile(kind, params, T))
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of sampling-based coefficient validation."""
-
-    ok: bool
-    issues: list
-    max_da_rel_err: float
-    max_dd_rel_err: float
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate(coeffs: CoefficientSet, samples: int = 100) -> ValidationReport:
-    """Sample the coefficient functions on [0, domain_end] and sanity-check them.
-
-    Checks for non-finite values, sign changes (or zeros) of a, and the
-    consistency of the supplied derivatives da, dd against five-point central
-    finite differences of a and d (relative tolerance 1e-4).  Failures are
-    collected in the report; nothing raises.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    ts = np.linspace(0.0, coeffs.domain_end, samples)
-    funcs = {name: getattr(coeffs, name) for name in _COEFF_NAMES}
-    funcs["da"] = coeffs.da
-    funcs["dd"] = coeffs.dd
-
-    issues = []
-    values = {}
-    for name, fn in funcs.items():
-        vals = np.array([fn(t) for t in ts], dtype=float)
-        values[name] = vals
-        if not np.all(np.isfinite(vals)):
-            bad = ts[~np.isfinite(vals)][0]
-            issues.append(f"{name}(t) is non-finite near t={bad:.6g}")
-
-    a_vals = values["a"]
-    if np.all(np.isfinite(a_vals)):
-        if np.any(a_vals == 0.0) or np.any(np.sign(a_vals[:-1]) != np.sign(a_vals[1:])):
-            k = int(np.argmax((a_vals[:-1] * a_vals[1:]) <= 0.0))
-            issues.append(f"a(t) vanishes or changes sign between "
-                          f"t={ts[k]:.6g} and t={ts[k + 1]:.6g}")
-
-    max_da = _derivative_mismatch(ts, values["a"], values["da"], issues, "da")
-    max_dd = _derivative_mismatch(ts, values["d"], values["dd"], issues, "dd")
-    return ValidationReport(not issues, issues, max_da, max_dd)
-
-
-def _derivative_mismatch(ts, vals, dvals, issues, label, rel_tol=1e-4):
-    """Max relative error of supplied derivatives against 5-point central FD."""
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-        return float("nan")
-    h = ts[1] - ts[0]
-    idx = np.arange(2, len(ts) - 2)
-    if len(idx) == 0:
-        return 0.0
-    fd = (vals[idx - 2] - 8.0 * vals[idx - 1]
-          + 8.0 * vals[idx + 1] - vals[idx + 2]) / (12.0 * h)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    denom = np.maximum(np.maximum(np.abs(fd), np.abs(dvals[idx])), 1e-6 * scale)
-    rel = np.abs(fd - dvals[idx]) / denom
-    worst = float(np.max(rel))
-    if worst > rel_tol:
-        k = idx[int(np.argmax(rel))]
-        issues.append(f"{label} inconsistent with its function near t={ts[k]:.6g} "
-                      f"(max relative error {worst:.3e})")
-    return worst
+    return expand_profile(kind, params, T)

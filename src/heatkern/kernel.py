@@ -445,7 +445,7 @@ class ClosedFormKernel:
                    - 0.5 * math.log(4.0 * math.pi * lam * lam * t)
                    - tau * (r * r) / (4.0 * lam * lam * t))
         elif self.kind == "fokker-planck":
-            s = 1.0 - math.exp(-2.0 * t)
+            s = -math.expm1(-2.0 * t)
             r = x - math.exp(-t) * y
             val = -0.5 * math.log(2.0 * math.pi * s) - r * r / (2.0 * s)
         else:  # ou-drift

@@ -299,12 +299,13 @@ def asymptotics(coeffs: CoefficientSet, t: float) -> RiccatiAsymptotics:
     """Truncated t -> 0+ expansions (constant terms kept, O(t) dropped).
 
     Intended for small t (<= 1e-2); the caller is responsible for the range.
+    Raises ``ValueError`` if the set has no a'.
     """
     t = float(t)
     a0 = coeffs.a(0.0)
     c0 = coeffs.c(0.0)
     g0 = coeffs.g(0.0)
-    da0 = coeffs.da(0.0)
+    da0 = coeffs.derivative("da")(0.0)
     curv = da0 / (8.0 * a0 ** 2)
     return RiccatiAsymptotics(
         alpha0=-1.0 / (4.0 * a0 * t) - c0 / (4.0 * a0) + curv,

@@ -6,9 +6,10 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
-                      TravelingWaveSpec, burgers_residual, cole_hopf,
-                      diffusion_residual, integrate_profile_direct, profile,
-                      solve_burgers_ivp, solve_ivp, traveling_wave)
+                      TravelingWaveSpec, asymptotics, burgers_residual,
+                      cole_hopf, diffusion_residual, integrate_profile_direct,
+                      profile, solve_burgers_ivp, solve_ivp, tau_sigma,
+                      traveling_wave)
 from heatkern.burgers import _is_classical
 from heatkern.errors import DomainError, IntegrationError, SingularityError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
@@ -338,6 +339,21 @@ def test_traveling_wave_residual_with_induced_coefficients():
     res = burgers_residual(field, co)
     scale = field.max_abs
     assert np.max(np.abs(res.values[0][5:-5])) < 1e-6 * scale
+
+
+def test_induced_coefficients_have_no_derivative_of_a():
+    # a = 1 + 0.1 t: the true tau(0.5) = a'/a + 2c = 0.295, so a set that
+    # knows a only as a callable must refuse rather than assume a' = 0
+    spec = TravelingWaveSpec(c0=0.3, c1=0.2, c2=0.1, c3=-0.2, c4=0.1,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 1.0), F0=-0.3)
+    tw = traveling_wave(spec, a=lambda t: 1.0 + 0.1 * t, c=lambda t: 0.1, T=1.0)
+    co = tw.induced_coefficients()
+    assert co.da is None and co.d(0.5) == co.dd(0.5) == 0.0
+    with pytest.raises(ValueError, match="a' \\(da\\)"):
+        tau_sigma(co, 0.5)
+    with pytest.raises(ValueError, match="a' \\(da\\)"):
+        asymptotics(co, 1e-3)
 
 
 def test_induced_coefficient_formulas():

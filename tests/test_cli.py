@@ -23,9 +23,31 @@ def _read_csv(path):
 def test_parse_grid():
     grid = _parse_grid("-3:3:7")
     assert grid[0] == -3.0 and grid[-1] == 3.0 and len(grid) == 7
-    for bad in ("1:2", "a:b:c", "3:1:5", "0:1:1"):
+    assert _parse_grid("0.5:0.5:1").tolist() == [0.5]
+    for bad in ("1:2", "a:b:c", "3:1:5", "0:1:1", "1:1:2", "0:0:0",
+                "nan:1:3", "0:inf:3", "nan:nan:1"):
         with pytest.raises(ConfigError):
             _parse_grid(bad)
+
+
+@pytest.mark.parametrize("command, flags, column", [
+    ("kernel", ["--profile", "fokker-planck"], "K"),
+    ("solve", ["--profile", "ou-drift", "--param", "k=1"], "u"),
+    ("burgers", ["--profile", "constant-heat"], "v"),
+])
+def test_single_point_grid(tmp_path, command, flags, column):
+    # x:x:1 gives the value the same x has inside a wider grid
+    one, three = tmp_path / "one.csv", tmp_path / "three.csv"
+    args = [command, *flags, "--t", "0.5"]
+    assert main(args + ["--grid=0.25:0.25:1", "--out", str(one)]) == 0
+    assert main(args + ["--grid=-0.5:1:3", "--out", str(three)]) == 0
+    header, rows1 = _read_csv(one)
+    _, rows3 = _read_csv(three)
+    k = header.index(column)
+    assert len(rows1) == 1
+    middle = [row for row in rows3 if row[header.index("x")] == 0.25
+              and ("y" not in header or row[header.index("y")] == 0.25)]
+    assert rows1[0, k] == pytest.approx(middle[0][k], rel=1e-12)
 
 
 def test_kernel_command(tmp_path):
@@ -247,6 +269,21 @@ def test_config_file_listing_coefficients(tmp_path):
     want = 1.0 / math.sqrt(2.0 * math.pi * (1.0 - math.exp(-2.0)))
     center = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0, 3]
     assert center == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2], "text", 3.5, {"coefficients": [1]},
+    {"profile": "ou-drift", "params": 5},
+    {"profile": "ou-drift", "params": {"k": [1.0]}},
+    {"profile": "custom", "poly": {"a": 1.0}},
+    {"profile": "custom", "poly": {"a": "12"}},
+], ids=["list", "string", "number", "sub-list", "params-number",
+        "param-list", "poly-number", "poly-string"])
+def test_config_of_wrong_type_exit_code(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["kernel", "--t", "1", "--grid=-1:1:3", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_missing_config_file_exit_code():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatkern import (CoefficientProfile, CoefficientSet, from_config,
-                      profile, tau_sigma, validate)
+from heatkern import CoefficientSet, asymptotics, from_config, profile, tau_sigma
 from heatkern.errors import DomainError
 
 
@@ -94,7 +94,7 @@ def test_profile_parameter_errors():
     with pytest.raises(ValueError):
         profile("custom", poly={"z": [1.0]})
     with pytest.raises(ValueError):
-        CoefficientProfile("not-a-kind")
+        profile("not-a-kind")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             profile("ou-drift", k=bad)
@@ -117,47 +117,12 @@ def test_from_config_profile_and_custom():
         from_config({"profile": "nope"})
     with pytest.raises(ValueError):
         from_config([1, 2, 3])
+    with pytest.raises(ValueError, match="'params' must be a JSON object"):
+        from_config({"profile": "ou-drift", "params": [["k", 1.0]]})
     with pytest.raises(ValueError):
         from_config({"profile": "custom", "poly": {"a": [1.0], "c": [math.nan]}})
     with pytest.raises(ValueError):
         from_config({"profile": "fokker-planck", "T": math.inf})
-
-
-def test_validate_clean_profile():
-    rep = validate(profile("constant-heat", a=1.0), samples=100)
-    assert rep.ok and not rep.issues
-
-
-def test_validate_flags_vanishing_a():
-    rep = validate(profile("custom", T=2.0, poly={"a": [1.0, -1.0]}), samples=100)
-    assert not rep.ok
-    assert any("vanishes or changes sign" in msg for msg in rep.issues)
-
-
-def test_validate_flags_inconsistent_derivative():
-    zero = lambda t: 0.0
-    co = CoefficientSet(a=lambda t: t + 2.0, b=zero, c=zero, d=zero, f=zero,
-                        g=zero, da=zero, dd=zero, domain_end=2.0)
-    rep = validate(co, samples=100)
-    assert not rep.ok
-    assert any("da inconsistent" in msg for msg in rep.issues)
-    assert rep.max_da_rel_err > 0.5
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_validate_flags_nonfinite():
-    zero = lambda t: 0.0
-    co = CoefficientSet(a=lambda t: 1.0 / (t - 1.0), b=zero, c=zero, d=zero,
-                        f=zero, g=zero, da=lambda t: -1.0 / (t - 1.0) ** 2,
-                        dd=zero, domain_end=2.0)
-    rep = validate(co, samples=101)  # sample grid hits t = 1 exactly
-    assert not rep.ok
-    assert any("non-finite" in msg for msg in rep.issues)
-
-
-def test_validate_requires_two_samples():
-    with pytest.raises(ValueError):
-        validate(profile("constant-heat", a=1.0), samples=1)
 
 
 def test_builtin_constants_match_hand_values():
@@ -203,6 +168,34 @@ def test_sigma_regularized_equals_printed_form(poly, t):
 
 def test_replace_d():
     co = profile("fokker-planck")
-    swapped = co.replace_d(lambda t: 0.0, lambda t: 0.0)
+    swapped = dataclasses.replace(co, d=lambda t: 0.0, dd=lambda t: 0.0)
     assert swapped.d(0.3) == 0.0
-    assert swapped.c(0.3) == co.c(0.3)
+    assert swapped.c(0.3) == co.c(0.3) and swapped.da is co.da
+
+
+def _linear_a(**derivatives):
+    zero = lambda t: 0.0
+    return CoefficientSet(a=lambda t: 1.0 + 0.1 * t, b=zero, c=lambda t: 0.1,
+                          d=zero, f=zero, g=zero, domain_end=1.0, **derivatives)
+
+
+def test_derivatives_are_optional_but_never_guessed():
+    zero = lambda t: 0.0
+    co = _linear_a()
+    assert co.da is None and co.dd is None
+    with pytest.raises(ValueError, match=r"a' \(da\) is not set"):
+        tau_sigma(co, 0.5)
+    with pytest.raises(ValueError, match=r"a' \(da\) is not set"):
+        asymptotics(co, 1e-3)
+    with pytest.raises(ValueError, match=r"d' \(dd\) is not set"):
+        tau_sigma(_linear_a(da=lambda t: 0.1), 0.5)
+    tau, _ = tau_sigma(_linear_a(da=lambda t: 0.1, dd=zero), 0.5)
+    assert tau == pytest.approx(0.1 / 1.05 + 0.2, rel=1e-15)   # 0.295...
+
+
+def test_old_positional_order_fails_loudly():
+    # (a, ..., g, da, dd, domain_end) no longer fits: da and dd are keywords
+    zero = lambda t: 0.0
+    with pytest.raises(TypeError):
+        CoefficientSet(zero, zero, zero, zero, zero, zero, zero, zero, 1.0)
+

@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ def test_closed_form_fp_longtime_limit():
     want = np.exp(-xs ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
     got = K.evaluate(xs, np.zeros_like(xs), 10.0)
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-12, 1e-20])
+def test_closed_form_fp_small_time(t):
+    # exact log K = -log(2 pi s)/2 - (x - e^-t y)^2/(2 s), s = 1 - e^-2t,
+    # evaluated in 60-digit decimal arithmetic
+    K = closed_form("fokker-planck")
+    for x, y in ((0.0, 0.0), (0.5, 0.5), (1e-6, -1e-6)):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            dt = Decimal(t)
+            s = 1 - (-2 * dt).exp()
+            r = Decimal(x) - (-dt).exp() * Decimal(y)
+            want = float(-(2 * Decimal(math.pi) * s).ln() / 2 - r * r / (2 * s))
+        assert K.log_evaluate(x, y, t) == pytest.approx(want, rel=1e-14, abs=1e-13)
 
 
 def test_strongly_contracting_drift():
