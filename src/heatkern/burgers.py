@@ -23,15 +23,12 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp as _solve_ivp
-from scipy.optimize import brentq
 
 from .coefficients import CoefficientSet
 from .errors import DomainError, IntegrationError, QuadratureError, SingularityError
 from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
                      _on_arrays, make_kernel, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
-
-_POLE_SCAN_POINTS = 2048
 
 
 def _is_classical(coeffs: CoefficientSet) -> bool:
@@ -319,8 +316,8 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
         mu'' = (c0 + c1) mu' - (c2 z^2 + c3 z + c4) mu / 2
 
     over the z-window with mu(z0) = 1, mu'(z0) = -F0/2, so that
-    F = -2 mu'/mu matches the anchor; zeros of mu are located by sign scan
-    plus bisection and reported as the profile's poles.
+    F = -2 mu'/mu matches the anchor; the zeros of mu, found as events of
+    that integration, are reported as the profile's poles.
     """
 
     def frame_rhs(t, y):
@@ -341,19 +338,15 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
         pot = 0.5 * (spec.c2 * z * z + spec.c3 * z + spec.c4)
         return [y[1], lam * y[1] - pot * y[0]]
 
+    def pole(z, y):
+        return y[0]
+
     mu = _solve_ivp(mu_rhs, (z0, z1), [1.0, -spec.F0 / 2.0], method="DOP853",
-                    dense_output=True, rtol=tol, atol=1e-14)
+                    dense_output=True, rtol=tol, atol=1e-14, events=pole)
     if not mu.success:
         raise IntegrationError(f"profile integration failed: {mu.message}")
-
-    zs = np.linspace(z0, z1, _POLE_SCAN_POINTS + 1)
-    vals = mu.sol(zs)[0]
-    poles = []
-    for k in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        poles.append(brentq(lambda z: float(mu.sol(z)[0]), zs[k], zs[k + 1],
-                            xtol=1e-12))
-
-    return TravelingWave(spec, a, c, T, frame.sol, mu.sol, poles)
+    return TravelingWave(spec, a, c, T, frame.sol, mu.sol,
+                         mu.t_events[0].tolist())
 
 
 def integrate_profile_direct(spec: TravelingWaveSpec,

@@ -118,6 +118,13 @@ def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
     return tau, sigma
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a finite float; a bool (JSON true/false) is not 1 or 0."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _poly_callable(coeffs_ascending) -> Coefficient:
     cs = [float(v) for v in coeffs_ascending]
     if not cs:
@@ -151,14 +158,11 @@ def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
     drift therefore expand with g = -g0 and c = -k.
     """
     params = dict(params)
-    T = float(T)
+    T = _number(T, "T")
 
     def take(name, default=None):
         if name in params:
-            value = float(params.pop(name))
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {name!r} must be finite, got {value}")
-            return value
+            return _number(params.pop(name), f"parameter {name!r}")
         if default is None:
             raise ValueError(f"profile {kind!r} requires parameter {name!r}")
         return float(default)
@@ -193,9 +197,10 @@ def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
             raise ValueError(f"unknown coefficient names in poly table: {sorted(unknown)}")
         for name, entries in poly.items():
             # a string would iterate as digits: "12" must not become 1 + 2t
-            if isinstance(entries, str) or not all(math.isfinite(float(v))
-                                                   for v in entries):
+            if isinstance(entries, str):
                 raise ValueError(f"poly entries of {name!r} must be finite numbers")
+            for v in entries:
+                _number(v, f"poly entry of {name!r}")
         made = CoefficientSet(
             **{name: _poly_callable(poly.get(name, [0.0])) for name in _COEFF_NAMES},
             domain_end=T,

@@ -31,7 +31,6 @@ from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 LOG_OVERFLOW = 700.0
-CLOSED_FORM_KINDS = ("heat", "cable", "fokker-planck", "ou-drift")
 
 
 class TruncationWarning(UserWarning):
@@ -112,7 +111,7 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     keep = b > a
     rows, a, b = rows[keep], a[keep], b[keep]
 
-    width = hi - lo
+    width = np.where(hi > lo, hi - lo, 1.0)    # an empty window has no panels
     total = np.zeros((1, n))
     count = np.bincount(rows, minlength=n)
     while len(rows):
@@ -408,56 +407,59 @@ def make_kernel(coeffs: CoefficientSet, tol: float = 1e-10) -> HeatKernel:
     return HeatKernel(fundamental(solve_characteristic(coeffs, tol=tol)))
 
 
+# kind -> (textbook parameters with their defaults, their map to the constant
+# (a, c, d, g) of u_t = a u_xx - (g - c x) u_x + d u)
+_CLOSED_FORMS = {
+    "heat": ({"a": 1.0}, lambda a: (a, 0.0, 0.0, 0.0)),
+    "cable": ({"lam": 1.0, "tau": 2.0},
+              lambda lam, tau: (lam * lam / tau, 0.0, 1.0 / tau, 0.0)),
+    "fokker-planck": ({}, lambda: (1.0, 1.0, 1.0, 0.0)),
+    "ou-drift": ({"a": 1.0, "k": 1.0, "g": 0.0}, lambda a, k, g: (a, -k, 0.0, -g)),
+}
+CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
+
+
 class ClosedFormKernel:
-    """One of the four elementary kernels, evaluated from its closed form."""
+    """One of the four elementary kernels, evaluated from its closed form
+
+        log K = d t - log(2 pi s^2)/2 - r^2/(2 s^2),
+        r = y - x - x (e^{ct} - 1) + g (e^{ct} - 1)/c,   s^2 = a (e^{2ct} - 1)/c
+
+    (r = y - x + g t, s^2 = 2 a t at c = 0).  For c > 0 it is written in x:
+    K in y solves the same equation with -c, -g, d - c for c, g, d, so
+    e^{|c| t} never appears and any finite c is exact.
+    """
 
     def __init__(self, kind: str, **params):
         if kind not in CLOSED_FORM_KINDS:
             raise ValueError(f"unknown closed form {kind!r}; "
                              f"expected one of {CLOSED_FORM_KINDS}")
+        defaults, equation = _CLOSED_FORMS[kind]
+        if not set(params) <= set(defaults):
+            raise ValueError(f"unexpected parameters for the {kind!r} closed form: "
+                             f"{sorted(set(params) - set(defaults))}")
         self.kind = kind
-        self.params = {k: float(v) for k, v in params.items()}
-        p = self.params
-        if kind == "heat" and not p.get("a", 1.0) > 0.0:
-            raise ValueError("heat closed form requires a > 0")
-        if kind == "cable":
-            if not (p.get("lam", 1.0) != 0.0 and p.get("tau", 2.0) > 0.0):
-                raise ValueError("cable closed form requires lam != 0, tau > 0")
-        if kind == "ou-drift":
-            if not (p.get("a", 1.0) > 0.0 and p.get("k", 1.0) > 0.0):
-                raise ValueError("ou-drift closed form requires a > 0, k > 0")
+        self.params = {**defaults, **{k: float(v) for k, v in params.items()}}
+        if self.params.get("tau") == 0.0:
+            raise ValueError("cable closed form requires tau != 0")
+        self.coefficients = equation(**self.params)
+        if not (self.coefficients[0] > 0.0
+                and all(map(math.isfinite, self.coefficients))):
+            raise ValueError(f"{kind} closed form requires finite parameters "
+                             f"with diffusion a > 0, got {self.params}")
 
     def log_evaluate(self, x, y, t: float):
         t = float(t)
-        if t <= 0.0:
+        if not t > 0.0:
             raise DomainError("closed-form kernels are defined for t > 0")
         x, y = _operands(x, y)
-        p = self.params
-        if self.kind == "heat":
-            a = p.get("a", 1.0)
-            r = x - y
-            val = -0.5 * math.log(4.0 * math.pi * a * t) - r * r / (4.0 * a * t)
-        elif self.kind == "cable":
-            lam = p.get("lam", 1.0)
-            tau = p.get("tau", 2.0)
-            r = x - y
-            val = (0.5 * math.log(tau) + t / tau
-                   - 0.5 * math.log(4.0 * math.pi * lam * lam * t)
-                   - tau * (r * r) / (4.0 * lam * lam * t))
-        elif self.kind == "fokker-planck":
-            s = -math.expm1(-2.0 * t)
-            r = x - math.exp(-t) * y
-            val = -0.5 * math.log(2.0 * math.pi * s) - r * r / (2.0 * s)
-        else:  # ou-drift
-            a = p.get("a", 1.0)
-            k = p.get("k", 1.0)
-            g = p.get("g", 0.0)
-            sh = math.sinh(k * t)
-            core = (k * (x * math.exp(-k * t / 2.0) - y * math.exp(k * t / 2.0))
-                    + 2.0 * g * math.sinh(k * t / 2.0))
-            val = (0.5 * math.log(k) + k * t / 2.0
-                   - 0.5 * math.log(4.0 * math.pi * a * sh)
-                   - core * core / (4.0 * a * k * sh))
+        a, c, d, g = self.coefficients
+        if c > 0.0:
+            x, y, c, d, g = y, x, -c, d - c, -g
+        em = math.expm1(c * t)
+        s2 = a * (math.expm1(2.0 * c * t) / c if c else 2.0 * t)
+        r = y - x - x * em + g * (em / c if c else t)
+        val = d * t - 0.5 * math.log(2.0 * math.pi * s2) - r * r / (2.0 * s2)
         return _float_or_array(val)
 
     def evaluate(self, x, y, t: float):
@@ -611,17 +613,14 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
     if mu_i <= 0.0 or beta_i == 0.0:
         raise ValueError("transform requires mu(0) > 0 and beta(0) != 0")
 
-    # gamma must advance strictly; sample the path once up front
-    probe = np.linspace(t / 64.0, t, 64)
-    gammas = np.array([superpose(fund, init, s).gamma for s in probe])
-    if np.any(np.diff(gammas) <= 0.0) or gammas[0] <= gamma_i:
-        raise SingularityError("gamma(t) is not strictly increasing on (0, t]")
-
+    # gamma0' = a beta0^2 >= 0 and gamma0 -> -inf as s -> 0+, so alpha(0) +
+    # gamma0(s) has a zero in (0, t] iff it is >= 0 at t, which is iff
+    # gamma(t) <= gamma(0) (and then mu(t) <= 0 as well)
     state = superpose(fund, init, t)
-    if state.mu <= 0.0:
-        raise SingularityError(f"mu({t}) = {state.mu:.3e} <= 0 under this "
-                               "transform")
     dtau = state.gamma - gamma_i
+    if dtau <= 0.0:
+        raise SingularityError(f"alpha(0) + gamma0(s) vanishes for some s in "
+                               f"(0, {t}]; the transform is singular there")
     sqrt_mu_i = math.sqrt(mu_i)
 
     def v0(eta):
@@ -641,6 +640,8 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
         eta_bounds = (max(eta_bounds[0], pts[0]), min(eta_bounds[1], pts[1])) \
             if eta_bounds else pts
 
+    # the kinks of piecewise-linear data, in eta
+    kinks = () if phi.xs is None else (beta_i * phi.xs + eps_i).tolist()
     values = np.empty(len(xs))
     for j, x in enumerate(xs):
         xi = state.beta * x + state.eps
@@ -654,7 +655,7 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
         def integrand(eta, xi=xi):
             return math.exp(ln_norm - (xi - eta) ** 2 / (4.0 * dtau)) * v0(eta)
 
-        v = _quad(integrand, lo, hi, quad_spec, points=(xi,))
+        v = _quad(integrand, lo, hi, quad_spec, points=(xi, *kinks))
         pre = math.exp(state.alpha * x * x + state.delta * x + state.kappa)
         values[j] = pre / math.sqrt(state.mu) * v
     return GridField(xs, [t], values[None, :])

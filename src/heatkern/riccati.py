@@ -75,10 +75,6 @@ class RiccatiState:
     kappa: float
     init: tuple
 
-    def as_array(self):
-        return np.array([self.mu, self.alpha, self.beta, self.gamma,
-                         self.delta, self.eps, self.kappa])
-
 
 class FundamentalRiccati:
     """Dense evaluators for alpha0 ... kappa0 on (0, T_valid].

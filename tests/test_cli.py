@@ -161,6 +161,17 @@ def test_wave_command(tmp_path):
     assert header == ["t", "x", "v"]
 
 
+def test_wave_command_reports_poles(tmp_path, capsys):
+    # mu = 1 - 2 (e^{z + 3} - 1) vanishes at z = -3 + log 1.5
+    out = tmp_path / "wave.csv"
+    assert main(["wave", "--c0", "1", "--F0", "4", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("profile poles at z = ") and err.count(",") == 0
+    assert float(err.split("=")[1]) == pytest.approx(-3.0 + math.log(1.5),
+                                                     abs=1e-11)
+    assert np.all(np.isfinite(_read_csv(out)[1]))
+
+
 def test_wave_command_deterministic(tmp_path):
     out = tmp_path / "wave.csv"
     rc = main(["wave", "--c0", "0.3", "--c1", "0.2", "--c2", "0.1",
@@ -286,6 +297,23 @@ def test_config_of_wrong_type_exit_code(tmp_path, capsys, config):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("config, what", [
+    # true once ran an OU kernel with k = 1 on T = 1, and built a = 1
+    ({"profile": "ou-drift", "params": {"k": True}}, "parameter 'k'"),
+    ({"profile": "ou-drift", "params": {"k": 1.0}, "T": True}, "T"),
+    ({"profile": "custom", "poly": {"a": [True]}}, "poly entry of 'a'"),
+], ids=["param", "T", "poly"])
+def test_config_boolean_is_not_a_number(tmp_path, capsys, config, what):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--t", "1", "--grid=-1:1:3", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {what} must be "
+                                       "a finite number, got True\n")
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code():
     assert main(["kernel", "--config", "/nonexistent.json", "--t", "1.0"]) == 2
 
@@ -312,6 +340,45 @@ def test_other_os_errors_propagate(monkeypatch):
     monkeypatch.setattr(kn, "make_kernel", stalled)
     with pytest.raises(TimeoutError, match="stalled"):
         main(["kernel", "--t", "1.0", "--grid=-1:1:3"])
+
+
+def test_dash_value_given_as_separate_token(tmp_path):
+    # "--grid -1:1:3" reads like an option; it means the same as "--grid=-1:1:3"
+    joined, split = tmp_path / "joined.csv", tmp_path / "split.csv"
+    args = ["kernel", "--profile", "fokker-planck", "--t", "1"]
+    assert main(args + ["--grid=-1:1:3", "--out", str(joined)]) == 0
+    assert main(args + ["--grid", "-1:1:3", "--out", str(split)]) == 0
+    assert split.read_text() == joined.read_text()
+    assert _read_csv(split)[1].shape == (9, 4)
+
+
+def test_solve_ones_truncates_at_default_L(tmp_path):
+    # phi = 1 on [-30, 30]: u = (erf((30 - x)/sqrt(4t)) + erf((30 + x)/sqrt(4t)))/2
+    out = tmp_path / "u.csv"
+    with pytest.warns(kn.TruncationWarning, match="at x=30"):
+        assert main(["solve", "--profile", "constant-heat", "--phi", "ones",
+                     "--t", "2", "--grid", "26:30:3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    want = [0.5 * (math.erf((30.0 - x) / math.sqrt(8.0))
+                   + math.erf((30.0 + x) / math.sqrt(8.0))) for x in rows[:, 1]]
+    assert rows[:, 2] == pytest.approx(want, rel=1e-8)
+
+
+def test_gnuplot_surface_script_for_kernel(tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--t", "1", "--grid=-1:1:3", "--out", str(out),
+                 "--gnuplot"]) == 0
+    script = (tmp_path / "k.csv.gp").read_text()
+    assert f"splot '{out}' every ::1 using 1:2:4 with pm3d" in script
+
+
+def test_gnuplot_without_out_is_skipped(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernel", "--t", "1", "--grid=-1:1:3", "--gnuplot"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("x,y,t,K\n")
+    assert captured.err == "--gnuplot requires --out\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gnuplot_script_emitted(tmp_path):

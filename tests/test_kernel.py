@@ -11,7 +11,7 @@ from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
                       closed_form, diffusion_residual, expectation,
                       fundamental, make_kernel, normalization, profile,
                       solve_characteristic, solve_ivp, transform_solve)
-from heatkern.errors import DomainError, QuadratureError
+from heatkern.errors import DomainError, QuadratureError, SingularityError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _exp_guard, _gk21, _quad,
@@ -177,6 +177,45 @@ def test_closed_form_fp_small_time(t):
         assert K.log_evaluate(x, y, t) == pytest.approx(want, rel=1e-14, abs=1e-13)
 
 
+def _textbook_log_kernel(kind, p, x, y, t):
+    """log K from each kind's textbook formula in 60-digit decimal arithmetic;
+    OU in its sinh form, which overflows in floats once k t > 710."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        x, y, t = Decimal(x), Decimal(y), Decimal(t)
+        if kind == "heat":
+            a = Decimal(p["a"])
+            return float(-(4 * pi * a * t).ln() / 2 - (x - y) ** 2 / (4 * a * t))
+        if kind == "cable":
+            D = Decimal(p["lam"]) ** 2 / Decimal(p["tau"])
+            return float(t / Decimal(p["tau"]) - (4 * pi * D * t).ln() / 2
+                         - (x - y) ** 2 / (4 * D * t))
+        if kind == "fokker-planck":
+            s = 1 - (-2 * t).exp()
+            return float(-(2 * pi * s).ln() / 2 - (x - (-t).exp() * y) ** 2 / (2 * s))
+        a, k, g = (Decimal(p[n]) for n in ("a", "k", "g"))
+        e = (k * t / 2).exp()
+        sh = (e * e - 1 / (e * e)) / 2
+        core = k * (x / e - y * e) + g * (e - 1 / e)
+        return float((k / (4 * pi * a * sh)).ln() / 2 + k * t / 2
+                     - core * core / (4 * a * k * sh))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("heat", {"a": 0.7}), ("cable", {"lam": 1.3, "tau": 2.0}),
+    ("fokker-planck", {}),
+    *[("ou-drift", {"a": 1.0, "k": k, "g": 0.5}) for k in (1.0, 1e3, 1e4)]])
+def test_closed_form_matches_decimal_reference(kind, params):
+    K = closed_form(kind, **params)
+    for t in (1e-20, 1e-10, 1e-3, 0.5, 2.5, 10.0):
+        for x, y in ((0.0, 0.0), (0.5, 0.5), (1e-6, -1e-6), (0.3, 0.1),
+                     (-1.2, 0.7), (2.0, -1.5)):
+            want = _textbook_log_kernel(kind, params, x, y, t)
+            got = K.log_evaluate(x, y, t)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (t, x, y)
+
+
 def test_strongly_contracting_drift():
     # k = 1000: h = exp(-k t) underflows to 0 and the density is stationary;
     # k = 40 with g != 0: the source quadratures grow like exp(k t)
@@ -208,9 +247,26 @@ def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form("heat", a=-1.0)
     with pytest.raises(ValueError):
-        closed_form("ou-drift", a=1.0, k=0.0)
+        closed_form("ou-drift", a=0.0)
+    with pytest.raises(ValueError, match="tau != 0"):
+        closed_form("cable", tau=0.0)
+    with pytest.raises(ValueError, match="a > 0"):
+        closed_form("cable", tau=-2.0)
+    with pytest.raises(ValueError, match="finite"):
+        closed_form("ou-drift", k=math.inf)
+    with pytest.raises(ValueError, match=r"unexpected parameters.*\['k'\]"):
+        closed_form("heat", k=1.0)
     with pytest.raises(DomainError):
         closed_form("cable", lam=1.0, tau=2.0).evaluate(0.0, 0.0, 0.0)
+
+
+def test_closed_form_ou_without_drift_is_heat():
+    # k = 0 is the heat equation, not a special case
+    xs = np.linspace(-3.0, 3.0, 13)
+    for t in (1e-3, 0.5, 2.0):
+        assert np.array_equal(
+            closed_form("ou-drift", k=0).log_evaluate(xs[:, None], xs, t),
+            closed_form("heat").log_evaluate(xs[:, None], xs, t))
 
 
 # ---------------------------------------------------------------- Cauchy solve
@@ -481,6 +537,57 @@ def test_transform_solve_cable_vs_closed_form(kernel_cable):
                  -12.0, 12.0, TIGHT) for x in xs]
     mapped = transform_solve(kernel_cable.fund, phi, xs, t)
     assert np.max(np.abs(mapped.values[0] - ref)) < 1e-5
+
+
+@pytest.mark.parametrize("fixture", ["kernel_heat", "kernel_fp"])
+def test_transform_solve_sampled_data(request, fixture):
+    # the interpolant's knots are breakpoints; without them QUADPACK
+    # reported roundoff here
+    K = request.getfixturevalue(fixture)
+    ys = np.linspace(-3.0, 3.0, 61)
+    phi = InitialData.from_samples(ys, np.exp(-ys * ys))
+    xs = np.linspace(-2.0, 2.0, 9)
+    direct = solve_ivp(K, phi, xs, 0.5)
+    mapped = transform_solve(K.fund, phi, xs, 0.5)
+    assert np.max(np.abs(direct.values - mapped.values)) < 1e-12
+
+
+def test_transform_solve_truncated_data(kernel_heat):
+    # phi = 1 on [-L, L]: u = (erf((L - x)/sqrt(4t)) + erf((L + x)/sqrt(4t)))/2;
+    # at x = 30 the whole window lies beyond L and u is 0 without a quadrature
+    L, t = 2.0, 0.5
+    xs = np.array([-2.5, -1.0, 0.0, 0.7, 2.0, 30.0])
+    want = [0.5 * (math.erf((L - x) / math.sqrt(4.0 * t))
+                   + math.erf((L + x) / math.sqrt(4.0 * t))) for x in xs]
+    mapped = transform_solve(kernel_heat.fund, InitialData.from_callable(
+        lambda y: 1.0, L=L), xs, t, quad_spec=TIGHT)
+    assert np.max(np.abs(mapped.values[0] - want)) < 1e-12
+    assert mapped.values[0, -1] == 0.0
+    # sampled data and L together: the window is the narrower of the two
+    ys = np.linspace(-3.0, 3.0, 61)
+    phi = InitialData.from_samples(ys, np.exp(-ys * ys), L=L)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        direct = solve_ivp(kernel_heat, phi, xs, t)
+    # x = 30 has an empty window, which once raised a divide-by-zero warning
+    assert [w.category for w in caught] == [TruncationWarning]
+    mapped = transform_solve(kernel_heat.fund, phi, xs, t)
+    assert np.max(np.abs(direct.values - mapped.values)) < 1e-12
+
+
+def test_transform_solve_singular_map(kernel_heat):
+    # alpha(0) + gamma0(s) = 1 - 1/(4s) vanishes at s = 0.25
+    init = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    phi = InitialData.gaussian()
+    xs = np.linspace(-2.0, 2.0, 9)
+    for t in (0.3, 0.51):
+        with pytest.raises(SingularityError, match="vanishes"):
+            transform_solve(kernel_heat.fund, phi, xs, t, init=init)
+    t = 0.2
+    mapped = transform_solve(kernel_heat.fund, phi, xs, t, init=init,
+                             quad_spec=TIGHT)
+    want = np.exp(-xs * xs / (1.0 + 4.0 * t)) / math.sqrt(1.0 + 4.0 * t)
+    assert np.max(np.abs(mapped.values[0] - want)) < 1e-10
 
 
 def test_transform_solve_rejects_bad_init(kernel_heat):
