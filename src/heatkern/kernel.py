@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -239,6 +239,11 @@ def write_csv(fh, header, rows):
              + "".join(row_format % tuple(row) for row in rows))
 
 
+def _check_half_width(L):
+    if L is not None and not L > 0.0:
+        raise ValueError("truncation half-width L must be positive")
+
+
 @dataclass
 class InitialData:
     """Initial data for the Cauchy problem: a callable or sampled pairs.
@@ -265,12 +270,11 @@ class InitialData:
             self.ys = np.asarray(self.ys, dtype=float)
             if self.xs.ndim != 1 or self.xs.shape != self.ys.shape:
                 raise ValueError("sample arrays must be 1-D and equally long")
+            if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+                raise ValueError("sample x-values and values must be finite")
             if np.any(np.diff(self.xs) <= 0.0):
                 raise ValueError("sample x-values must be increasing")
-            if not np.all(np.isfinite(self.ys)):
-                raise ValueError("sample values must be finite")
-        if self.L is not None and not self.L > 0.0:
-            raise ValueError("truncation half-width L must be positive")
+        _check_half_width(self.L)
 
     @classmethod
     def from_callable(cls, func, L=None):
@@ -551,14 +555,14 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
     Warns when the coefficient set has nonzero d, b or f, in which case the
     kernel is a Green function but not a probability transition density.
     """
+    xs = x_grid([float(x)])
     coeffs = K.coeffs
     ts_probe = np.linspace(0.0, min(t, coeffs.domain_end), 7)
     if any(abs(coeffs.d(s)) > 1e-14 or abs(coeffs.b(s)) > 1e-14
            or abs(coeffs.f(s)) > 1e-14 for s in ts_probe):
         warnings.warn("kernel has nonzero d, b or f; expectation is not "
                       "probabilistic", NonconservativeWarning, stacklevel=2)
-    return float(_convolve(K, phi, np.array([float(x)]), [float(t)],
-                           quad_spec)[0, 0])
+    return float(_convolve(K, phi, xs, [float(t)], quad_spec)[0, 0])
 
 
 def normalization(K, t: float, variable: str = "y", L: float | None = None,
@@ -566,6 +570,7 @@ def normalization(K, t: float, variable: str = "y", L: float | None = None,
     """Integrate the kernel over one variable with the other fixed at 0."""
     if variable not in ("x", "y"):
         raise ValueError("variable must be 'x' or 'y'")
+    _check_half_width(L)
     ev = K.evaluate if hasattr(K, "evaluate") else K
     if variable == "y":
         f = lambda y: ev(0.0, y, t)
@@ -648,32 +653,32 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
         lo, hi = xi - 12.0 * sigma_g, xi + 12.0 * sigma_g
         if eta_bounds is not None:
             lo, hi = max(lo, eta_bounds[0]), min(hi, eta_bounds[1])
-        if hi <= lo:
+        pre = (math.exp(state.alpha * x * x + state.delta * x + state.kappa)
+               / math.sqrt(state.mu))
+        if hi <= lo or pre == 0.0:
             values[j] = 0.0
             continue
 
         def integrand(eta, xi=xi):
             return math.exp(ln_norm - (xi - eta) ** 2 / (4.0 * dtau)) * v0(eta)
 
-        v = _quad(integrand, lo, hi, quad_spec, points=(xi, *kinks))
-        pre = math.exp(state.alpha * x * x + state.delta * x + state.kappa)
-        values[j] = pre / math.sqrt(state.mu) * v
+        # u = pre * v meets abs_tol when v meets abs_tol / pre
+        spec = replace(quad_spec, abs_tol=quad_spec.abs_tol / pre)
+        values[j] = pre * _quad(integrand, lo, hi, spec, points=(xi, *kinks))
     return GridField(xs, [t], values[None, :])
 
 
 def asymptotic_kernel(coeffs: CoefficientSet):
     """Small-time approximation of the kernel; for t -> 0+ checks only.
 
-    The Gaussian form with mu0 = 2 a(0) t and the truncated expansions of
-    :func:`heatkern.riccati.asymptotics` as exponent coefficients.
+    The Gaussian form with the truncated expansions of
+    :func:`heatkern.riccati.asymptotics`.
     """
-    a0 = coeffs.a(0.0)
-
     def log_K(x, y, t):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = asymptotics(coeffs, t)
-        val = (-0.5 * math.log(4.0 * math.pi * a0 * t)
+        val = (-0.5 * math.log(2.0 * math.pi * r.mu0)
                + r.alpha0 * x * x + r.beta0 * x * y + r.gamma0 * y * y
                + r.delta0 * x + r.eps0 * y + r.kappa0)
         return float(val) if val.ndim == 0 else val

@@ -50,17 +50,6 @@ class FundamentalValues(NamedTuple):
     kappa0: float
 
 
-class RiccatiAsymptotics(NamedTuple):
-    """Truncated small-time expansions of the fundamental coefficients."""
-
-    alpha0: float
-    beta0: float
-    gamma0: float
-    delta0: float
-    eps0: float
-    kappa0: float
-
-
 @dataclass
 class RiccatiState:
     """A full seven-tuple at time ``t`` together with its initial data."""
@@ -291,8 +280,9 @@ def invert(state: RiccatiState) -> FundamentalValues:
     )
 
 
-def asymptotics(coeffs: CoefficientSet, t: float) -> RiccatiAsymptotics:
-    """Truncated t -> 0+ expansions (constant terms kept, O(t) dropped).
+def asymptotics(coeffs: CoefficientSet, t: float) -> FundamentalValues:
+    """Truncated t -> 0+ expansions (constant terms kept, O(t) dropped), with
+    mu0 = 2 a(0) t to the same order.
 
     Intended for small t (<= 1e-2); the caller is responsible for the range.
     Raises ``ValueError`` if the set has no a'.
@@ -303,7 +293,8 @@ def asymptotics(coeffs: CoefficientSet, t: float) -> RiccatiAsymptotics:
     g0 = coeffs.g(0.0)
     da0 = coeffs.derivative("da")(0.0)
     curv = da0 / (8.0 * a0 ** 2)
-    return RiccatiAsymptotics(
+    return FundamentalValues(
+        mu0=2.0 * a0 * t,
         alpha0=-1.0 / (4.0 * a0 * t) - c0 / (4.0 * a0) + curv,
         beta0=1.0 / (2.0 * a0 * t) - da0 / (4.0 * a0 ** 2),
         gamma0=-1.0 / (4.0 * a0 * t) + c0 / (4.0 * a0) + curv,

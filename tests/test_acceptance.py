@@ -6,6 +6,7 @@ line with the measured error so the gate doubles as a report
 import pytest
 
 from heatkern import checks
+from heatkern import oracle
 
 DESCRIPTIONS = {
     1: "closed-form kernel reproduction, rel err <= 1e-8, runtime < 10 s",
@@ -14,7 +15,8 @@ DESCRIPTIONS = {
     4: "small-time asymptotics (limits to 1e-4, kernel ratio to 1e-2)",
     5: "probabilistic checks (normalizations, OU mean, FP long-time limit)",
     6: "Chapman-Kolmogorov composition, rel err <= 1e-6",
-    7: "Cauchy solver vs FD oracle <= 1e-3; FD Richardson ratio in [3, 5]",
+    7: "Cauchy solver vs Richardson-combined FD oracle at t = 0.25 <= 1e-3; "
+       "FD Richardson ratio in [3, 5]; three shared FD runs per profile",
     8: "Burgers: Bateman <= 1e-4, FD oracle <= 1e-3, identity <= 1e-4",
     9: "traveling waves: residual <= 1e-6*scale, separable profile to 1e-10",
     10: "dual formulas: gamma0 <= 1e-6, sigma <= 1e-12",
@@ -54,3 +56,30 @@ def test_suite_is_complete():
         assert any(n.startswith(prefix) for n in names), prefix
     # the validate table must stay a real suite, not a stub
     assert len(names) >= 12
+
+
+def test_fd_checks_share_three_runs_per_profile(monkeypatch):
+    calls = []
+    real = oracle.fd_diffusion
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "fd_diffusion", counted)
+    checks._fd_errors.cache_clear()
+    fns = dict(checks.ALL_CHECKS)
+    try:
+        for name in ("cauchy-vs-fd/heat", "fd-richardson/heat"):
+            assert fns[name]().passed
+    finally:
+        checks._fd_errors.cache_clear()
+    assert sorted(spec.n for spec in calls) == [201, 401, 801]
+
+
+@pytest.mark.parametrize("profile", sorted(checks.PROFILE_SPECS))
+def test_cauchy_vs_fd_measures_the_kernel_not_the_oracle(profile):
+    # the Richardson combination cancels the oracle's O(h^2) error (about
+    # 1e-5 for a single n = 801 run), so the check sees the kernel's error
+    result = dict(checks.ALL_CHECKS)[f"cauchy-vs-fd/{profile}"]()
+    assert result.measured <= 1e-7

@@ -449,6 +449,11 @@ def test_initial_data_validation():
         InitialData.from_samples(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         InitialData.gaussian(L=-1.0)
+    for bad_x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            InitialData.from_samples([0.0, bad_x, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            InitialData.from_samples([0.0, 1.0, bad_x], [1.0, 1.0, 1.0])
     data = InitialData.from_samples(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
     assert data(0.5) == pytest.approx(2.5)
     assert data(5.0) == 0.0
@@ -478,6 +483,13 @@ def test_expectation_second_moment_heat(kernel_heat):
         assert got == pytest.approx(x * x + 2.0 * t, rel=1e-8)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_expectation_rejects_non_finite_x(kernel_ou_plain, x):
+    ones = InitialData.from_callable(lambda y: 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        expectation(kernel_ou_plain, ones, x, 0.5)
+
+
 def test_expectation_warns_on_nonconservative(kernel_fp):
     ones = InitialData.from_callable(lambda y: 1.0)
     with pytest.warns(NonconservativeWarning):
@@ -500,6 +512,12 @@ def test_normalization_cable_gains_mass(kernel_cable):
     assert got == pytest.approx(math.exp(0.5), rel=1e-8)
     explicit = normalization(kernel_cable, 1.0, "y", L=30.0)
     assert explicit == pytest.approx(math.exp(0.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("L", [-5.0, 0.0, math.nan])
+def test_normalization_rejects_bad_half_width(kernel_ou, L):
+    with pytest.raises(ValueError, match="half-width L must be positive"):
+        normalization(kernel_ou, 0.7, "y", L=L)
 
 
 def test_normalization_closed_form_evaluator():
@@ -588,6 +606,10 @@ def test_transform_solve_singular_map(kernel_heat):
                              quad_spec=TIGHT)
     want = np.exp(-xs * xs / (1.0 + 4.0 * t)) / math.sqrt(1.0 + 4.0 * t)
     assert np.max(np.abs(mapped.values[0] - want)) < 1e-10
+    # the prefactor reaches e^20 at x = ±2; the default spec must still hold
+    # for u, not just for the inner integral
+    mapped = transform_solve(kernel_heat.fund, phi, xs, t, init=init)
+    assert np.max(np.abs(mapped.values[0] - want) / want) < 1e-9
 
 
 def test_transform_solve_rejects_bad_init(kernel_heat):
