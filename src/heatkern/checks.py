@@ -330,19 +330,20 @@ def check_burgers_bateman():
 
 @check(8, "burgers-vs-fd", 1e-3)
 def check_burgers_vs_fd():
-    """Cole–Hopf IVP route vs the semi-implicit FD oracle (classical + drifted)."""
+    """Cole–Hopf IVP route vs the Richardson combination 2v_h - v_2h of two
+    runs of the first-order FD oracle, (n, dt) = (801, 2 dt0) and
+    (401, 4 dt0), on |x| <= 4 (classical heat and drifted Fokker–Planck)."""
     v0 = lambda x: 0.4 * math.exp(-x * x)
     t_end = 0.3
     worst = 0.0
-    for name, dt in (("heat", 1e-3), ("fokker-planck", 4e-4)):
+    for name, dt0 in (("heat", 1e-3), ("fokker-planck", 4e-4)):
         coeffs = builtin_profile(name)
-        fd = oc.fd_burgers(coeffs, v0, oc.FDSpec(L=8.0, n=1601, dt=dt), t_end)
-        stride = 8
-        xs = fd.xs[400:1201:stride]          # |x| <= 4
-        prob = bg.BurgersProblem(coeffs, v0, xs)
-        sol = bg.solve_burgers_ivp(prob, t_end)
-        worst = max(worst, float(np.max(np.abs(sol.values[0]
-                                               - fd.values[1][400:1201:stride]))))
+        v_h, v_2h = (oc.fd_burgers(coeffs, v0, oc.FDSpec(L=8.0, n=n, dt=k * dt0),
+                                   t_end) for n, k in ((801, 2), (401, 4)))
+        xs = v_h.xs[200:601:4]               # |x| <= 4, spacing 0.08
+        ref = 2.0 * v_h.values[1][200:601:4] - v_2h.values[1][100:301:2]
+        sol = bg.solve_burgers_ivp(bg.BurgersProblem(coeffs, v0, xs), t_end)
+        worst = max(worst, float(np.max(np.abs(sol.values[0] - ref))))
     return worst, ""
 
 
@@ -420,10 +421,9 @@ def check_gamma0_dual():
     cases = [("fokker-planck", (0.3, 0.7, 1.5)), ("ou-drift", (0.3, 0.7, 1.5)),
              ("cable", (0.3, 0.6, 0.9))]   # cable: mu0' > 0 below tau/2 only
     for name, ts in cases:
-        coeffs = builtin_profile(name)
         fund = pipeline_kernel(name).fund
         for t in ts:
-            q = rc.gamma0_quadrature_form(fund, coeffs, t)
+            q = rc.gamma0_quadrature_form(fund, t)
             worst = max(worst, rel_err(q, fund.gamma0(t)))
     return worst, ""
 

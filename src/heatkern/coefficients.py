@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import DomainError
+from .errors import check_range
 
 PROFILE_KINDS = ("constant-heat", "cable", "fokker-planck", "ou-drift", "custom")
 
@@ -70,10 +70,7 @@ class CoefficientSet:
             raise ValueError("domain_end must be positive and finite")
 
     def check_time(self, t: float) -> float:
-        t = float(t)
-        if t < 0.0 or t > self.domain_end * (1.0 + 1e-12):
-            raise DomainError(f"t={t} outside [0, {self.domain_end}]")
-        return t
+        return check_range("t", float(t), 0.0, self.domain_end)
 
     def derivative(self, name: str) -> Coefficient:
         """``da`` or ``dd``; raises ``ValueError`` naming a' or d' if unset."""

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range guard."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -30,3 +32,26 @@ class QuadratureError(RuntimeError):
 
 class StabilityError(RuntimeError):
     """A finite-difference run violated its stability constraint or diverged."""
+
+
+def check_range(name: str, value, lo: float, hi: float):
+    """``value`` (a float or an array) clipped to [lo, hi].
+
+    Values within s = 1e-12 max(1, |lo|, |hi|) of the interval are accepted
+    and clipped; any other value, NaN included, raises :class:`DomainError`
+    naming the first offender.  A scalar comes back as a float.
+    """
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    if isinstance(value, (float, int)):     # Python floats: no array overhead
+        v = float(value)
+        if lo - slack <= v <= hi + slack:
+            return min(max(v, lo), hi)
+        bad = v
+    else:
+        v = np.asarray(value, dtype=float)
+        inside = (v >= lo - slack) & (v <= hi + slack)
+        if inside.all():
+            v = np.clip(v, lo, hi)
+            return float(v) if v.ndim == 0 else v
+        bad = float(v[~inside].flat[0])
+    raise DomainError(f"{name}={bad} outside [{lo}, {hi}]")

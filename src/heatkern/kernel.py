@@ -15,9 +15,11 @@ quadratic form is assembled once per evaluation time and reused across
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -249,9 +251,9 @@ class InitialData:
     """Initial data for the Cauchy problem: a callable or sampled pairs.
 
     Sampled data is interpolated piecewise-linearly and treated as zero
-    outside its sample range.  ``L`` is the truncation half-width for the
-    quadrature window; when omitted, the window is derived per evaluation
-    point from the kernel's own Gaussian decay.  The quadrature calls
+    outside its sample range.  ``L`` is the truncation half-width; the data
+    is integrated over :attr:`window`, intersected per evaluation point with
+    the kernel's own Gaussian decay.  The quadrature calls
     ``func`` on ndarrays of nodes; a callable that only takes floats (it
     raises TypeError or ValueError on an array, or returns another shape)
     is evaluated per element instead.
@@ -297,10 +299,13 @@ class InitialData:
         return cls(func=phi, L=L)
 
     @property
-    def support(self):
-        if self.xs is None:
-            return None
-        return float(self.xs[0]), float(self.xs[-1])
+    def window(self) -> tuple[float, float]:
+        """[-L, L] intersected with the sample range, with -inf and inf where
+        either is absent; empty (lo > hi) when they do not meet."""
+        lo, hi = (-math.inf, math.inf) if self.L is None else (-self.L, self.L)
+        if self.xs is not None:
+            lo, hi = max(lo, float(self.xs[0])), min(hi, float(self.xs[-1]))
+        return lo, hi
 
     def __call__(self, y):
         if self.func is not None:
@@ -310,7 +315,12 @@ class InitialData:
 
 
 class HeatKernel:
-    """Evaluator for the Gaussian-form fundamental solution."""
+    """Evaluator for the Gaussian-form fundamental solution.
+
+    ``fund`` supplies ``coeffs``, ``T_valid`` and ``values(t)``, the seven
+    functions at ``t`` (a :class:`FundamentalRiccati`, or the small-time
+    expansions in :func:`asymptotic_kernel`).
+    """
 
     def __init__(self, fund: FundamentalRiccati):
         self.fund = fund
@@ -508,9 +518,10 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
     x, ln, a0, b0, q2, d0, e0, k0, mean, std = _kernel_rows(K, xs, ts)
     q1 = b0 * x + e0
     q0 = ln + a0 * x * x + d0 * x + k0
-    lo, hi = mean - 10.0 * std, mean + 10.0 * std
+    w_lo, w_hi = phi.window
+    lo = np.maximum(mean - 10.0 * std, w_lo)
+    hi = np.minimum(mean + 10.0 * std, w_hi)
     if phi.L is not None:
-        lo, hi = np.maximum(lo, -phi.L), np.minimum(hi, phi.L)
         frac = _tail_fraction(phi.L, mean, std)
         worst = int(np.argmax(frac))
         if frac[worst] > 1e-8:
@@ -518,9 +529,6 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
             warnings.warn(f"kernel mass up to {frac[worst]:.2e} outside [-L, L] "
                           f"(at x={x[worst]:g}, t={t_worst:g})",
                           TruncationWarning, stacklevel=3)
-    if phi.support is not None:
-        lo = np.maximum(lo, phi.support[0])
-        hi = np.minimum(hi, phi.support[1])
 
     peak = np.minimum(np.maximum(mean, lo), hi)
     shift = q2 * peak * peak + q1 * peak
@@ -565,39 +573,28 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
     return float(_convolve(K, phi, xs, [float(t)], quad_spec)[0, 0])
 
 
-def normalization(K, t: float, variable: str = "y", L: float | None = None,
+def normalization(K: HeatKernel, t: float, variable: str = "y",
+                  L: float | None = None,
                   quad_spec: QuadSpec = QuadSpec()) -> float:
-    """Integrate the kernel over one variable with the other fixed at 0."""
+    """Integrate the kernel over one variable with the other fixed at 0.
+
+    One :func:`_gk21` pass over the kernel's own Gaussian in that variable,
+    mean +- 12 std, or over [-L, L] when ``L`` is given.
+    """
+    if not isinstance(K, HeatKernel):
+        raise TypeError(f"normalization needs a HeatKernel, got {type(K).__name__}")
     if variable not in ("x", "y"):
         raise ValueError("variable must be 'x' or 'y'")
     _check_half_width(L)
-    ev = K.evaluate if hasattr(K, "evaluate") else K
     if variable == "y":
-        f = lambda y: ev(0.0, y, t)
+        mean, std = K.y_gaussian(t, 0.0)
+        f = lambda rows, y: K.evaluate(0.0, y, t)
     else:
-        f = lambda x: ev(x, 0.0, t)
-    if L is None:
-        if isinstance(K, HeatKernel):
-            mean, std = (K.y_gaussian(t, 0.0) if variable == "y"
-                         else K.x_gaussian(t, 0.0))
-            lo, hi = mean - 12.0 * std, mean + 12.0 * std
-        else:
-            lo, hi = _auto_window(f)
-    else:
-        lo, hi = -float(L), float(L)
-    return _quad(f, lo, hi, quad_spec)
-
-
-def _auto_window(f, start=8.0, cap=4096.0):
-    """Grow a symmetric window until the integrand's edges are negligible."""
-    w = start
-    center = abs(f(0.0))
-    while w < cap:
-        edge = max(abs(f(-w)), abs(f(w)))
-        if edge <= 1e-18 * max(center, 1e-300):
-            return -w, w
-        w *= 2.0
-    return -w, w
+        mean, std = K.x_gaussian(t, 0.0)
+        f = lambda rows, x: K.evaluate(x, 0.0, t)
+    lo, hi = ((mean - 12.0 * std, mean + 12.0 * std) if L is None
+              else (-float(L), float(L)))
+    return float(_gk21(f, [lo], [hi], np.array([mean]), quad_spec)[0, 0])
 
 
 def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
@@ -635,24 +632,20 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
 
     sigma_g = math.sqrt(2.0 * dtau)
     ln_norm = -0.5 * math.log(4.0 * math.pi * dtau)
-    support = phi.support
-    eta_bounds = None
-    if phi.L is not None:
-        pts = sorted((beta_i * -phi.L + eps_i, beta_i * phi.L + eps_i))
-        eta_bounds = pts
-    if support is not None:
-        pts = sorted((beta_i * support[0] + eps_i, beta_i * support[1] + eps_i))
-        eta_bounds = (max(eta_bounds[0], pts[0]), min(eta_bounds[1], pts[1])) \
-            if eta_bounds else pts
+    # the data's window in eta; beta(0) < 0 swaps its ends, so that an empty
+    # window stays empty
+    w_lo, w_hi = phi.window
+    if beta_i < 0.0:
+        w_lo, w_hi = w_hi, w_lo
+    eta_lo, eta_hi = beta_i * w_lo + eps_i, beta_i * w_hi + eps_i
 
     # the kinks of piecewise-linear data, in eta
     kinks = () if phi.xs is None else (beta_i * phi.xs + eps_i).tolist()
     values = np.empty(len(xs))
     for j, x in enumerate(xs):
         xi = state.beta * x + state.eps
-        lo, hi = xi - 12.0 * sigma_g, xi + 12.0 * sigma_g
-        if eta_bounds is not None:
-            lo, hi = max(lo, eta_bounds[0]), min(hi, eta_bounds[1])
+        lo = max(xi - 12.0 * sigma_g, eta_lo)
+        hi = min(xi + 12.0 * sigma_g, eta_hi)
         pre = (math.exp(state.alpha * x * x + state.delta * x + state.kappa)
                / math.sqrt(state.mu))
         if hi <= lo or pre == 0.0:
@@ -668,26 +661,15 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
     return GridField(xs, [t], values[None, :])
 
 
-def asymptotic_kernel(coeffs: CoefficientSet):
+def asymptotic_kernel(coeffs: CoefficientSet) -> HeatKernel:
     """Small-time approximation of the kernel; for t -> 0+ checks only.
 
-    The Gaussian form with the truncated expansions of
-    :func:`heatkern.riccati.asymptotics`.
+    A :class:`HeatKernel` whose fundamental solution is the truncated
+    expansions of :func:`heatkern.riccati.asymptotics`, at any t > 0.
     """
-    def log_K(x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        r = asymptotics(coeffs, t)
-        val = (-0.5 * math.log(2.0 * math.pi * r.mu0)
-               + r.alpha0 * x * x + r.beta0 * x * y + r.gamma0 * y * y
-               + r.delta0 * x + r.eps0 * y + r.kappa0)
-        return float(val) if val.ndim == 0 else val
-
-    def K(x, y, t):
-        return _exp_guard(log_K(x, y, t))
-
-    K.log_evaluate = log_K
-    return K
+    return HeatKernel(SimpleNamespace(
+        coeffs=coeffs, T_valid=math.inf,
+        values=functools.partial(asymptotics, coeffs)))
 
 
 def diffusion_residual(field: GridField, coeffs: CoefficientSet) -> GridField:

@@ -31,7 +31,8 @@ from scipy.integrate import quad, solve_ivp
 
 from .characteristic import CharacteristicSolution
 from .coefficients import CoefficientSet
-from .errors import BlowUpError, DomainError, IntegrationError, SingularityError
+from .errors import (BlowUpError, IntegrationError, SingularityError,
+                     check_range)
 
 BLOWUP_THRESHOLD = 1e12
 SUPERPOSE_SINGULAR_ATOL = 1e-14
@@ -191,10 +192,8 @@ class RiccatiTrajectory:
         self._dense = dense
 
     def state(self, t: float) -> RiccatiState:
-        t = float(t)
-        if t < 0.0 or t > self.T * (1.0 + 1e-12):
-            raise DomainError(f"t={t} outside [0, {self.T}]")
-        y = self._dense(min(t, self.T))
+        t = check_range("t", float(t), 0.0, self.T)
+        y = self._dense(t)
         return RiccatiState(t, *map(float, y), init=self.init)
 
     @property
@@ -304,8 +303,8 @@ def asymptotics(coeffs: CoefficientSet, t: float) -> FundamentalValues:
     )
 
 
-def gamma0_quadrature_form(fund: FundamentalRiccati, coeffs: CoefficientSet,
-                           t: float, quad_tol: float = 1e-11) -> float:
+def gamma0_quadrature_form(fund: FundamentalRiccati, t: float,
+                           quad_tol: float = 1e-11) -> float:
     """gamma0 via its quadrature representation (divides by mu0').
 
     gamma0 = d(0)/(2a(0)) - a h^2/(mu0 mu0') - 4 int_0^t a sigma h^2/(mu0')^2,
@@ -316,7 +315,7 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, coeffs: CoefficientSet,
     """
     from .coefficients import tau_sigma
 
-    chs = fund.chs
+    chs, coeffs = fund.chs, fund.coeffs
 
     def integrand(s):
         a = coeffs.a(s)

@@ -5,14 +5,6 @@ import pytest
 
 from heatkern import make_kernel, profile
 
-BUILTINS = {
-    "heat": ("constant-heat", {"a": 1.0}),
-    "cable": ("cable", {"lam": 1.0, "tau": 2.0}),
-    "fokker-planck": ("fokker-planck", {}),
-    "ou-drift": ("ou-drift", {"a": 1.0, "k": 1.0, "g": 0.5}),
-}
-
-
 @pytest.fixture(scope="session")
 def coeffs_heat():
     return profile("constant-heat", T=2.5, a=1.0)

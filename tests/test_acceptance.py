@@ -17,7 +17,8 @@ DESCRIPTIONS = {
     6: "Chapman-Kolmogorov composition, rel err <= 1e-6",
     7: "Cauchy solver vs Richardson-combined FD oracle at t = 0.25 <= 1e-3; "
        "FD Richardson ratio in [3, 5]; three shared FD runs per profile",
-    8: "Burgers: Bateman <= 1e-4, FD oracle <= 1e-3, identity <= 1e-4",
+    8: "Burgers: Bateman <= 1e-4, Richardson-combined FD oracle <= 1e-3, "
+       "identity <= 1e-4",
     9: "traveling waves: residual <= 1e-6*scale, separable profile to 1e-10",
     10: "dual formulas: gamma0 <= 1e-6, sigma <= 1e-12",
 }

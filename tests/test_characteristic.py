@@ -63,28 +63,28 @@ def test_specific_values_fokker_planck():
 def test_wronskian_residual_heat_machine_precision():
     co = profile("constant-heat", a=1.0)
     chs = solve_characteristic(co, T=1.0, tol=1e-10)
-    assert wronskian_residual(chs, co, [0.25, 0.5, 1.0]) < 1e-12
+    assert wronskian_residual(chs, [0.25, 0.5, 1.0]) < 1e-12
 
 
 def test_wronskian_residual_fokker_planck():
     # analytic W(t) = -2 e^{-2t}
     co = profile("fokker-planck")
     chs = solve_characteristic(co, T=2.0, tol=1e-10)
-    assert wronskian_residual(chs, co, [0.5, 1.0, 2.0]) < 1e-6
+    assert wronskian_residual(chs, [0.5, 1.0, 2.0]) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
 def test_wronskian_residual_all_profiles(name):
     co = _analytic(name)[0]
     chs = solve_characteristic(co, T=2.0, tol=1e-10)
-    assert wronskian_residual(chs, co, np.linspace(0.1, 2.0, 12)) < 1e-6
+    assert wronskian_residual(chs, np.linspace(0.1, 2.0, 12)) < 1e-6
 
 
 def test_wronskian_grid_outside_domain():
     co = profile("constant-heat", a=1.0)
     chs = solve_characteristic(co, T=1.0, tol=1e-10)
     with pytest.raises(DomainError):
-        wronskian_residual(chs, co, [1.5])
+        wronskian_residual(chs, [1.5])
 
 
 def test_first_zero_of_mu0_oscillatory():

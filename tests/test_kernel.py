@@ -520,11 +520,11 @@ def test_normalization_rejects_bad_half_width(kernel_ou, L):
         normalization(kernel_ou, 0.7, "y", L=L)
 
 
-def test_normalization_closed_form_evaluator():
-    K = closed_form("ou-drift", a=1.0, k=1.0, g=0.5)
-    assert normalization(K, 0.7, "y") == pytest.approx(1.0, abs=1e-8)
+def test_normalization_takes_a_heat_kernel(kernel_ou):
     with pytest.raises(ValueError):
-        normalization(K, 0.7, "z")
+        normalization(kernel_ou, 0.7, "z")
+    with pytest.raises(TypeError, match="HeatKernel"):
+        normalization(closed_form("ou-drift", a=1.0, k=1.0, g=0.5), 0.7, "y")
 
 
 # --------------------------------------------------------------- transform path
@@ -590,6 +590,27 @@ def test_transform_solve_truncated_data(kernel_heat):
     # x = 30 has an empty window, which once raised a divide-by-zero warning
     assert [w.category for w in caught] == [TruncationWarning]
     mapped = transform_solve(kernel_heat.fund, phi, xs, t)
+    assert np.max(np.abs(direct.values - mapped.values)) < 1e-12
+
+
+def test_sampled_data_outside_half_width_gives_zeros(kernel_heat):
+    # samples on [3, 5] with L = 2: the data's window [-L, L] ∩ [3, 5] is empty
+    ys = np.linspace(3.0, 5.0, 21)
+    phi = InitialData.from_samples(ys, np.ones_like(ys), L=2.0)
+    assert phi.window == (3.0, 2.0)
+    xs = np.linspace(-4.0, 6.0, 11)
+    with pytest.warns(TruncationWarning):
+        direct = solve_ivp(kernel_heat, phi, xs, 0.5)
+    assert not direct.values.any()
+    flip = (1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0)    # beta(0) < 0 reverses eta
+    mapped = transform_solve(kernel_heat.fund, phi, xs, 0.5, init=flip)
+    assert not mapped.values.any()
+    # the reversed map still integrates data whose window is not empty
+    inside = InitialData.from_samples(ys - 4.0, np.exp(-(ys - 4.0) ** 2), L=2.0)
+    mapped = transform_solve(kernel_heat.fund, inside, xs, 0.5, init=flip)
+    with pytest.warns(TruncationWarning):
+        direct = solve_ivp(kernel_heat, inside, xs, 0.5)
+    assert np.max(np.abs(direct.values)) > 0.1
     assert np.max(np.abs(direct.values - mapped.values)) < 1e-12
 
 
