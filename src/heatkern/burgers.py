@@ -387,6 +387,8 @@ class BatemanWave:
     """
 
     def __init__(self, A: float, V: float, a: float, c: float, sign: str):
+        if not all(map(math.isfinite, (A, V, a, c))):
+            raise ValueError(f"A, V, a and c must be finite, got {(A, V, a, c)}")
         if not A > 0.0:
             raise ValueError("A must be positive")
         if not a > 0.0:

@@ -115,8 +115,9 @@ def mixed_err(a, b, switch=1e-6):
 @check(1, "closed-form", 1e-8, per_profile=True)
 def check_closed_form(name: str):
     """Pipeline kernel vs the closed form on {|x|,|y| <= 3} x {0.1,0.5,1,2}."""
+    kind, params = PROFILE_SPECS[name]
     K = pipeline_kernel(name)
-    ref = kn.closed_form(name, **PROFILE_SPECS[name][1])
+    ref = kn.closed_form(kind, **params)
     xs = np.linspace(-3.0, 3.0, 13)
     X, Y = np.meshgrid(xs, xs)
     worst = 0.0

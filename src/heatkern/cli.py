@@ -42,6 +42,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -55,6 +62,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(2, f"{self.prog}: configuration error: {message}\n")
+
+
+def _configured(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError or TypeError is a
+    configuration error."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -82,10 +98,7 @@ def _coefficients(args) -> "CoefficientSet":
         if not isinstance(cfg, dict):
             raise ConfigError(f"--config must hold a JSON object, "
                               f"got {type(cfg).__name__}")
-        try:
-            return from_config(cfg.get("coefficients", cfg))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return _configured(from_config, cfg.get("coefficients", cfg))
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -95,10 +108,7 @@ def _coefficients(args) -> "CoefficientSet":
             params[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"--param {item!r}: {exc}") from exc
-    try:
-        return profile(args.profile, T=args.T, **params)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _configured(profile, args.profile, T=args.T, **params)
 
 
 def _output(path):
@@ -154,7 +164,7 @@ def cmd_kernel(args) -> int:
 def cmd_solve(args) -> int:
     coeffs = _coefficients(args)
     K = kn.make_kernel(coeffs, tol=args.tol)
-    phi = _phi_from_args(args)
+    phi = _configured(_phi_from_args, args)
     field = kn.solve_ivp(K, phi, _parse_grid(args.grid), args.t)
     with _output(args.out) as fh:
         field.to_csv(fh, header=("t", "x", "u"))
@@ -166,11 +176,8 @@ def cmd_burgers(args) -> int:
     coeffs = _coefficients(args)
     xs = _parse_grid(args.grid)
     if args.v0 == "bateman":
-        try:
-            wave = bg.BatemanWave(A=args.A, V=args.V, a=coeffs.a(0.0), c=args.c,
-                                  sign=args.sign)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        wave = _configured(bg.BatemanWave, A=args.A, V=args.V, a=coeffs.a(0.0),
+                           c=args.c, sign=args.sign)
         anti = (wave.initial_antiderivative() if args.sign == "-" else None)
         prob = bg.BurgersProblem(coeffs, wave.initial_profile(), xs,
                                  v0_antiderivative=anti, tol=args.tol)
@@ -200,7 +207,7 @@ def cmd_wave(args) -> int:
                                     F0=args.F0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tw = bg.traveling_wave(spec, coeffs.a, coeffs.c, T=max(args.t, 1.0))
+    tw = bg.traveling_wave(spec, coeffs.a, coeffs.c, T=coeffs.domain_end)
     if tw.poles:
         print("profile poles at z = "
               + ", ".join(f"{p:.12g}" for p in tw.poles), file=sys.stderr)
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="-4:4:81")
     p.add_argument("--phi", default="gaussian", help="gaussian | ones")
     p.add_argument("--phi-width", type=_positive, default=1.0)
-    p.add_argument("--phi-center", type=float, default=0.0)
+    p.add_argument("--phi-center", type=_finite, default=0.0)
     p.add_argument("--L", type=_positive, default=None,
                    help="truncation half-width for the initial data")
     p.set_defaults(func=cmd_solve)
@@ -283,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", default="-4:4:161")
     p.add_argument("--v0", default="bateman", help="bateman | gaussian")
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--V", type=float, default=0.0)
-    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--A", type=_finite, default=1.0)
+    p.add_argument("--V", type=_finite, default=0.0)
+    p.add_argument("--c", type=_finite, default=0.0)
     p.add_argument("--sign", choices=["+", "-"], default="-")
-    p.add_argument("--v0-amplitude", type=float, default=0.5)
+    p.add_argument("--v0-amplitude", type=_finite, default=0.5)
     p.set_defaults(func=cmd_burgers)
 
     p = sub.add_parser("wave", help="construct a traveling-wave solution")

@@ -29,16 +29,9 @@ from typing import Callable, Optional
 
 from .errors import check_range
 
-PROFILE_KINDS = ("constant-heat", "cable", "fokker-planck", "ou-drift", "custom")
-
 _COEFF_NAMES = ("a", "b", "c", "d", "f", "g")
 
 Coefficient = Callable[[float], float]
-
-
-def _const(value: float) -> Coefficient:
-    value = float(value)
-    return lambda t: value
 
 
 @dataclass(frozen=True)
@@ -123,9 +116,11 @@ def _number(value, what: str) -> float:
 
 
 def _poly_callable(coeffs_ascending) -> Coefficient:
-    cs = [float(v) for v in coeffs_ascending]
-    if not cs:
-        cs = [0.0]
+    cs = [float(v) for v in coeffs_ascending] or [0.0]
+    if len(cs) == 1:
+        # a constant keeps its sign: Horner's 0 t + (-0.0) would give +0.0
+        value = cs[0]
+        return lambda t: value
 
     def p(t: float) -> float:
         acc = 0.0
@@ -140,52 +135,60 @@ def _poly_derivative(coeffs_ascending):
     return [k * float(v) for k, v in enumerate(coeffs_ascending)][1:] or [0.0]
 
 
-def _constant_set(T, a, b=0.0, c=0.0, d=0.0, f=0.0, g=0.0) -> CoefficientSet:
-    """Constant coefficients, whose a' and d' are exactly zero."""
-    zero = _const(0.0)
-    return CoefficientSet(*map(_const, (a, b, c, d, f, g)), T, da=zero, dd=zero)
+def _cable(lam, tau):
+    if lam == 0.0 or tau <= 0.0:
+        raise ValueError("cable requires lam != 0 and tau > 0")
+    return {"a": lam * lam / tau, "d": 1.0 / tau}
+
+
+# kind -> (parameters with their defaults, None where required; their map to
+# the constant a, c, d, g of u_t = a u_xx - (g - c x) u_x + d u, b = f = 0).
+# Equations written with a +(g0 - k x) u_x drift map to g = -g0 and c = -k.
+BUILTIN_EQUATIONS = {
+    "constant-heat": ({"a": 1.0}, lambda a: {"a": a}),
+    "cable": ({"lam": 1.0, "tau": 2.0}, _cable),
+    "fokker-planck": ({}, lambda: {"a": 1.0, "c": 1.0, "d": 1.0}),
+    "ou-drift": ({"a": 1.0, "k": None, "g": 0.0},
+                 lambda a, k, g: {"a": a, "c": -k, "g": -g}),
+}
+PROFILE_KINDS = (*BUILTIN_EQUATIONS, "custom")
+
+
+def builtin_equation(kind: str, params: dict) -> dict:
+    """The constant coefficients {name: value} of the built-in ``kind`` with
+    ``params``; ValueError for an unknown kind, an unexpected, missing or
+    non-finite parameter, or a value outside the kind's rules."""
+    if not (isinstance(kind, str) and kind in BUILTIN_EQUATIONS):
+        raise ValueError(f"unknown built-in profile {kind!r}; "
+                         f"expected one of {tuple(BUILTIN_EQUATIONS)}")
+    defaults, equation = BUILTIN_EQUATIONS[kind]
+    values = {}
+    for name, default in defaults.items():
+        if name in params:
+            values[name] = _number(params[name], f"parameter {name!r}")
+        elif default is None:
+            raise ValueError(f"profile {kind!r} requires parameter {name!r}")
+        else:
+            values[name] = default
+    unexpected = set(params) - set(defaults)
+    if unexpected:
+        raise ValueError(f"unexpected parameters for {kind!r}: {sorted(unexpected)}")
+    return equation(**values)
 
 
 def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
     """Instantiate the profile ``kind`` (one of ``PROFILE_KINDS``) with its
     parameters on [0, T], as a :class:`CoefficientSet` with exact a', d'.
 
-    The built-in kinds map onto the master equation's sign convention, whose
-    drift term is -(g - c x) u_x: equations written with a +(g0 - k x) u_x
-    drift therefore expand with g = -g0 and c = -k.
+    A built-in kind is the polynomial table of its constant coefficients,
+    so every set is built by the ``custom`` path below.
     """
     params = dict(params)
     T = _number(T, "T")
-
-    def take(name, default=None):
-        if name in params:
-            return _number(params.pop(name), f"parameter {name!r}")
-        if default is None:
-            raise ValueError(f"profile {kind!r} requires parameter {name!r}")
-        return float(default)
-
-    if kind == "constant-heat":
-        a0 = take("a", 1.0)
-        if a0 == 0.0:
-            raise ValueError("constant-heat requires a != 0")
-        made = _constant_set(T, a0)
-    elif kind == "cable":
-        lam = take("lam", 1.0)
-        tau_m = take("tau", 2.0)
-        if lam == 0.0 or tau_m <= 0.0:
-            raise ValueError("cable requires lam != 0 and tau > 0")
-        made = _constant_set(T, lam * lam / tau_m, d=1.0 / tau_m)
-    elif kind == "fokker-planck":
-        made = _constant_set(T, 1.0, c=1.0, d=1.0)
-    elif kind == "ou-drift":
-        a0 = take("a", 1.0)
-        k = take("k")
-        g0 = take("g", 0.0)
-        if a0 == 0.0:
-            raise ValueError("ou-drift requires a != 0")
-        made = _constant_set(T, a0, c=-k, g=-g0)
-    elif kind == "custom":
+    if kind == "custom":
         poly = params.pop("poly", None)
+        if params:
+            raise ValueError(f"unexpected parameters for 'custom': {sorted(params)}")
         if not isinstance(poly, dict):
             raise ValueError("custom profile requires a 'poly' table "
                              "{name: [c0, c1, ...]}")
@@ -198,18 +201,16 @@ def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
                 raise ValueError(f"poly entries of {name!r} must be finite numbers")
             for v in entries:
                 _number(v, f"poly entry of {name!r}")
-        made = CoefficientSet(
-            **{name: _poly_callable(poly.get(name, [0.0])) for name in _COEFF_NAMES},
-            domain_end=T,
-            da=_poly_callable(_poly_derivative(poly.get("a", [0.0]))),
-            dd=_poly_callable(_poly_derivative(poly.get("d", [0.0]))),
-        )
     else:
-        raise ValueError(f"unknown profile kind {kind!r}; "
-                         f"expected one of {PROFILE_KINDS}")
+        poly = {name: [value]
+                for name, value in builtin_equation(kind, params).items()}
 
-    if params:
-        raise ValueError(f"unexpected parameters for {kind!r}: {sorted(params)}")
+    made = CoefficientSet(
+        **{name: _poly_callable(poly.get(name, [0.0])) for name in _COEFF_NAMES},
+        domain_end=T,
+        da=_poly_callable(_poly_derivative(poly.get("a", [0.0]))),
+        dd=_poly_callable(_poly_derivative(poly.get("d", [0.0]))),
+    )
     if made.a(0.0) == 0.0:
         raise ValueError("a(0) must be nonzero")
     return made

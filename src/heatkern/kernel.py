@@ -24,10 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc
 
 from .characteristic import solve_characteristic
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, builtin_equation
 from .errors import DomainError, QuadratureError, SingularityError
 from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
 from ._differences import d1_uniform4, d2_uniform4, dt_central
@@ -95,7 +94,8 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     panels; a panel is accepted when every component's |K21 - G10| <=
     max(abs_tol, rel_tol |I0_row|) times its share of the window, I0 being
     the first component, and bisected otherwise.  A row needing more than
-    ``spec.limit`` panels raises :class:`QuadratureError`.
+    ``spec.limit`` panels, or an integrand value that is not finite, raises
+    :class:`QuadratureError`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(np.asarray(hi, dtype=float), lo)
@@ -126,6 +126,8 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
             half = 0.5 * (b[blk] - a[blk])
             mid = 0.5 * (a[blk] + b[blk])
             fx = f(rows[blk], mid[:, None] + half[:, None] * _GK_X)
+            if not np.isfinite(fx).all():   # no bisection could meet a tolerance
+                raise QuadratureError("integrand is not finite at a quadrature node")
             k21.append(half * (fx * _K21_W).sum(axis=-1))
             g10.append(half * (fx * _G10_W).sum(axis=-1))
         k21 = np.atleast_2d(np.concatenate(k21, axis=-1))
@@ -289,9 +291,11 @@ class InitialData:
     @classmethod
     def gaussian(cls, width=1.0, center=0.0, amplitude=1.0, L=None):
         w = float(width)
-        if not 0.0 < w < math.inf:
-            raise ValueError(f"Gaussian width must be positive and finite, "
-                             f"got {width!r}")
+        if not (0.0 < w < math.inf and math.isfinite(center)
+                and math.isfinite(amplitude)):
+            raise ValueError(f"Gaussian width must be positive and finite, and "
+                             f"center and amplitude finite, got {width!r}, "
+                             f"{center!r} and {amplitude!r}")
 
         def phi(y):
             return amplitude * np.exp(-((y - center) / w) ** 2)
@@ -421,20 +425,9 @@ def make_kernel(coeffs: CoefficientSet, tol: float = 1e-10) -> HeatKernel:
     return HeatKernel(fundamental(solve_characteristic(coeffs, tol=tol)))
 
 
-# kind -> (textbook parameters with their defaults, their map to the constant
-# (a, c, d, g) of u_t = a u_xx - (g - c x) u_x + d u)
-_CLOSED_FORMS = {
-    "heat": ({"a": 1.0}, lambda a: (a, 0.0, 0.0, 0.0)),
-    "cable": ({"lam": 1.0, "tau": 2.0},
-              lambda lam, tau: (lam * lam / tau, 0.0, 1.0 / tau, 0.0)),
-    "fokker-planck": ({}, lambda: (1.0, 1.0, 1.0, 0.0)),
-    "ou-drift": ({"a": 1.0, "k": 1.0, "g": 0.0}, lambda a, k, g: (a, -k, 0.0, -g)),
-}
-CLOSED_FORM_KINDS = tuple(_CLOSED_FORMS)
-
-
 class ClosedFormKernel:
-    """One of the four elementary kernels, evaluated from its closed form
+    """The kernel of u_t = a u_xx - (g - c x) u_x + d u with constant a > 0,
+    c, d, g, evaluated from its closed form
 
         log K = d t - log(2 pi s^2)/2 - r^2/(2 s^2),
         r = y - x - x (e^{ct} - 1) + g (e^{ct} - 1)/c,   s^2 = a (e^{2ct} - 1)/c
@@ -444,23 +437,12 @@ class ClosedFormKernel:
     e^{|c| t} never appears and any finite c is exact.
     """
 
-    def __init__(self, kind: str, **params):
-        if kind not in CLOSED_FORM_KINDS:
-            raise ValueError(f"unknown closed form {kind!r}; "
-                             f"expected one of {CLOSED_FORM_KINDS}")
-        defaults, equation = _CLOSED_FORMS[kind]
-        if not set(params) <= set(defaults):
-            raise ValueError(f"unexpected parameters for the {kind!r} closed form: "
-                             f"{sorted(set(params) - set(defaults))}")
-        self.kind = kind
-        self.params = {**defaults, **{k: float(v) for k, v in params.items()}}
-        if self.params.get("tau") == 0.0:
-            raise ValueError("cable closed form requires tau != 0")
-        self.coefficients = equation(**self.params)
+    def __init__(self, a: float, c: float = 0.0, d: float = 0.0, g: float = 0.0):
+        self.coefficients = (float(a), float(c), float(d), float(g))
         if not (self.coefficients[0] > 0.0
                 and all(map(math.isfinite, self.coefficients))):
-            raise ValueError(f"{kind} closed form requires finite parameters "
-                             f"with diffusion a > 0, got {self.params}")
+            raise ValueError(f"a closed form needs finite (a, c, d, g) with "
+                             f"diffusion a > 0, got {self.coefficients}")
 
     def log_evaluate(self, x, y, t: float):
         t = float(t)
@@ -482,16 +464,19 @@ class ClosedFormKernel:
     __call__ = evaluate
 
 
-def closed_form(example: str, **params) -> ClosedFormKernel:
-    """Closed-form kernel for one of heat, cable, fokker-planck, ou-drift."""
-    return ClosedFormKernel(example, **params)
+def closed_form(kind: str, **params) -> ClosedFormKernel:
+    """The closed-form kernel of the built-in profile ``kind`` with ``params``."""
+    if kind == "heat":      # kept as a second name of constant-heat
+        kind = "constant-heat"
+    return ClosedFormKernel(**builtin_equation(kind, params))
 
 
 def _tail_fraction(L: float, mean, std):
     """Kernel mass outside [-L, L] of the Gaussians (mean, std) in y."""
     z_hi = (L - mean) / (math.sqrt(2.0) * std)
     z_lo = (L + mean) / (math.sqrt(2.0) * std)
-    return 0.5 * (erfc(z_hi) + erfc(z_lo))
+    return np.array([0.5 * (math.erfc(hi) + math.erfc(lo))
+                     for hi, lo in zip(z_hi.tolist(), z_lo.tolist())])
 
 
 def _kernel_rows(K: HeatKernel, xs, ts):

@@ -41,8 +41,16 @@ def test_coefficient_set_builds_from_traced_fields(tracing):
     fn = lambda t: 1.0
     co = CoefficientSet(domain_end=2.0, **{name: fn for name in tracing.COEFF_FIELDS})
     assert all(getattr(co, name) is fn for name in tracing.COEFF_FIELDS)
-    # the tracer's rebuild keeps every value of a profile's set
-    ou = profile("ou-drift", k=2.0, g=0.5)
-    counted = tracing.Tracer()._counted_coefficients(ou)
-    assert [getattr(counted, n)(0.3) for n in tracing.COEFF_FIELDS] \
-        == [getattr(ou, n)(0.3) for n in tracing.COEFF_FIELDS]
+    # the tracer's rebuild keeps every value of every built-in and a custom
+    # set to the bit; repr keeps signed zeros apart (ou-drift's default g is -0.0)
+    for kind, params in [
+            ("constant-heat", {}), ("cable", {"lam": 1.3, "tau": 3.0}),
+            ("fokker-planck", {}), ("ou-drift", {"k": 2.0}),
+            ("ou-drift", {"k": 2.0, "g": 0.5}),
+            ("custom", {"poly": {"a": [1.0, -0.2], "c": [-0.0],
+                                 "f": [0.0, 0.5, -0.1]}})]:
+        co = profile(kind, **params)
+        counted = tracing.Tracer()._counted_coefficients(co)
+        for t in (0.0, 0.3, 1.7):
+            assert [repr(getattr(counted, n)(t)) for n in tracing.COEFF_FIELDS] \
+                == [repr(getattr(co, n)(t)) for n in tracing.COEFF_FIELDS]

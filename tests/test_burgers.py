@@ -412,6 +412,16 @@ def test_bateman_tan_pole_guard():
     assert math.isfinite(tanw(x_pole - 0.1, 0.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("A", math.inf), ("a", math.inf), ("V", math.inf), ("V", math.nan),
+    ("c", -math.inf), ("c", math.nan)])
+def test_bateman_rejects_nonfinite_constants(field, value):
+    kw = dict(A=1.0, V=0.3, a=1.0, c=0.0, sign="-")
+    kw[field] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        BatemanWave(**kw)
+
+
 def test_bateman_sharpens_as_viscosity_vanishes():
     errs = []
     for a in (0.1, 0.05):

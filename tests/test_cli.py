@@ -242,6 +242,16 @@ def test_config_error_exit_code():
     ["wave", "--F0", "nan"],
     ["solve", "--t", "0.5", "--L", "-1"],
     ["solve", "--t", "0.5", "--phi-width", "0", "--grid=-1:1:5"],
+    ["solve", "--t", "0.5", "--phi-center", "inf", "--grid=-1:1:5"],
+    ["solve", "--t", "0.5", "--phi-center", "nan", "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--A", "inf", "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--V", "inf", "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--c", "inf", "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--c", "nan", "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--v0", "gaussian", "--v0-amplitude", "nan",
+     "--grid=-1:1:5"],
+    ["burgers", "--t", "0.5", "--v0", "gaussian", "--v0-amplitude", "inf",
+     "--grid=-1:1:5"],
 ])
 def test_bad_option_is_configuration_error(capsys, deadline, tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -255,6 +265,22 @@ def test_bad_option_is_configuration_error(capsys, deadline, tmp_path, argv):
     # a hang must not pass as the expected message
     assert "configuration error" in err and "still running" not in err
     assert not out.exists()
+
+
+def test_wave_past_domain_end_exit_code(tmp_path, capsys):
+    # a(t) = 1 - t and c(t) = t are given on [0, 0.5] only; the wave's frame
+    # must not read them past it, as the kernel does not
+    config = tmp_path / "cw.json"
+    config.write_text(json.dumps({"profile": "custom", "T": 0.5,
+                                  "poly": {"a": [1.0, -1.0], "c": [0.0, 1.0]}}))
+    out = tmp_path / "w.csv"
+    argv = ["--grid=-1:1:3", "--config", str(config), "--out", str(out)]
+    for command in ("wave", "kernel"):
+        assert main([command, "--t", "0.9", *argv]) == 3
+        assert "DomainError" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["wave", "--t", "0.5", *argv]) == 0
+    assert np.all(np.isfinite(_read_csv(out)[1]))
 
 
 def test_numerical_error_exit_code(tmp_path):

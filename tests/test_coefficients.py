@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatkern import CoefficientSet, asymptotics, from_config, profile, tau_sigma
+from heatkern import (CoefficientSet, asymptotics, closed_form, from_config,
+                      profile, tau_sigma)
 from heatkern.errors import DomainError
 
 
@@ -39,6 +40,44 @@ def test_tau_sigma_domain_and_division_errors():
     vanishing = profile("custom", T=2.0, poly={"a": [1.0, -1.0]})
     with pytest.raises(ZeroDivisionError):
         tau_sigma(vanishing, 1.0)
+
+
+BUILTIN_PARAMETERS = {"constant-heat": ["a"], "cable": ["lam", "tau"],
+                      "fokker-planck": [], "ou-drift": ["a", "k", "g"]}
+
+
+def _parameter_sets(kind):
+    """(params, accepted) cases for the built-in ``kind``."""
+    base = {"k": 1.5} if kind == "ou-drift" else {}
+    names = BUILTIN_PARAMETERS[kind]
+    cases = [(base, True), ({**base, "zz": 1.0}, False)]
+    cases += [({**base, n: v}, False) for n in names
+              for v in (math.nan, math.inf, -math.inf, True)]
+    cases += [({**base, n: 0.7}, True) for n in names]
+    if kind == "ou-drift":
+        cases += [({}, False), ({"k": 0.0, "g": -0.4}, True)]
+    if "a" in names:
+        cases.append(({**base, "a": 0.0}, False))
+    if kind == "cable":
+        cases += [({"lam": 0.0}, False), ({"tau": 0.0}, False),
+                  ({"tau": -2.0}, False), ({"lam": -1.3, "tau": 3.0}, True)]
+    return cases
+
+
+@pytest.mark.parametrize("kind, params, accepted", [
+    (kind, params, accepted) for kind in BUILTIN_PARAMETERS
+    for params, accepted in _parameter_sets(kind)])
+def test_profile_and_closed_form_read_one_table(kind, params, accepted):
+    if not accepted:
+        for build in (profile, closed_form):
+            with pytest.raises(ValueError):
+                build(kind, **params)
+        return
+    co, K = profile(kind, **params), closed_form(kind, **params)
+    # repr tells -0.0 (ou-drift's default g) from 0.0
+    assert [repr(getattr(co, n)(0.0)) for n in "acdg"] \
+        == [repr(v) for v in K.coefficients]
+    assert repr(co.b(0.0)) == repr(co.f(0.0)) == "0.0"
 
 
 def test_expand_fokker_planck_matches_master_signs():

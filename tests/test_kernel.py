@@ -80,7 +80,7 @@ def test_exp_guard_overflow():
 KERNELS_BY_NAME = {
     "pipeline-ou": lambda request: request.getfixturevalue("kernel_ou"),
     "pipeline-cable": lambda request: request.getfixturevalue("kernel_cable"),
-    "closed-heat": lambda request: closed_form("heat", a=0.7),
+    "closed-heat": lambda request: closed_form("constant-heat", a=0.7),
     "closed-cable": lambda request: closed_form("cable", lam=1.0, tau=2.0),
     "closed-fokker-planck": lambda request: closed_form("fokker-planck"),
     "closed-ou": lambda request: closed_form("ou-drift", a=1.0, k=1.0, g=0.5),
@@ -147,7 +147,7 @@ def test_y_gaussian_moments_heat(kernel_heat):
 # ---------------------------------------------------------------- closed forms
 
 def test_closed_form_heat_formula():
-    K = closed_form("heat", a=2.0)
+    K = closed_form("constant-heat", a=2.0)
     x, y, t = 0.7, -0.3, 0.4
     want = math.exp(-(x - y) ** 2 / (4.0 * 2.0 * t)) \
         / math.sqrt(4.0 * math.pi * 2.0 * t)
@@ -184,7 +184,7 @@ def _textbook_log_kernel(kind, p, x, y, t):
         ctx.prec = 60
         pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
         x, y, t = Decimal(x), Decimal(y), Decimal(t)
-        if kind == "heat":
+        if kind == "constant-heat":
             a = Decimal(p["a"])
             return float(-(4 * pi * a * t).ln() / 2 - (x - y) ** 2 / (4 * a * t))
         if kind == "cable":
@@ -203,7 +203,7 @@ def _textbook_log_kernel(kind, p, x, y, t):
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("heat", {"a": 0.7}), ("cable", {"lam": 1.3, "tau": 2.0}),
+    ("constant-heat", {"a": 0.7}), ("cable", {"lam": 1.3, "tau": 2.0}),
     ("fokker-planck", {}),
     *[("ou-drift", {"a": 1.0, "k": k, "g": 0.5}) for k in (1.0, 1e3, 1e4)]])
 def test_closed_form_matches_decimal_reference(kind, params):
@@ -232,7 +232,7 @@ def test_strongly_contracting_drift():
 
 def test_closed_form_ou_small_k_approaches_heat():
     K_ou = closed_form("ou-drift", a=1.0, k=1e-4, g=0.0)
-    K_heat = closed_form("heat", a=1.0)
+    K_heat = closed_form("constant-heat", a=1.0)
     pts = np.linspace(-2.0, 2.0, 9)
     worst = 0.0
     for x in pts:
@@ -245,17 +245,17 @@ def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form("bogus")
     with pytest.raises(ValueError):
-        closed_form("heat", a=-1.0)
+        closed_form("constant-heat", a=-1.0)
     with pytest.raises(ValueError):
-        closed_form("ou-drift", a=0.0)
-    with pytest.raises(ValueError, match="tau != 0"):
+        closed_form("ou-drift", a=0.0, k=1.0)
+    with pytest.raises(ValueError, match="tau > 0"):
         closed_form("cable", tau=0.0)
-    with pytest.raises(ValueError, match="a > 0"):
+    with pytest.raises(ValueError, match="tau > 0"):
         closed_form("cable", tau=-2.0)
     with pytest.raises(ValueError, match="finite"):
         closed_form("ou-drift", k=math.inf)
     with pytest.raises(ValueError, match=r"unexpected parameters.*\['k'\]"):
-        closed_form("heat", k=1.0)
+        closed_form("constant-heat", k=1.0)
     with pytest.raises(DomainError):
         closed_form("cable", lam=1.0, tau=2.0).evaluate(0.0, 0.0, 0.0)
 
@@ -266,7 +266,7 @@ def test_closed_form_ou_without_drift_is_heat():
     for t in (1e-3, 0.5, 2.0):
         assert np.array_equal(
             closed_form("ou-drift", k=0).log_evaluate(xs[:, None], xs, t),
-            closed_form("heat").log_evaluate(xs[:, None], xs, t))
+            closed_form("constant-heat").log_evaluate(xs[:, None], xs, t))
 
 
 # ---------------------------------------------------------------- Cauchy solve
@@ -389,6 +389,30 @@ def test_scalar_only_callables_match_array_twins(kernel_ou, scalar, twin, L):
 def test_degenerate_gaussian_rejected(width):
     with pytest.raises(ValueError, match="width"):
         InitialData.gaussian(width=width)
+
+
+@pytest.mark.parametrize("name", ["center", "amplitude"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_nonfinite_gaussian_center_or_amplitude_rejected(name, value):
+    with pytest.raises(ValueError, match="center and amplitude finite"):
+        InitialData.gaussian(**{name: value})
+
+
+@pytest.mark.parametrize("phi", [
+    lambda y: np.full(np.shape(y), np.nan),
+    lambda y: np.where(y > 3.0, np.inf, 1.0)], ids=["nan", "inf"])
+def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi):
+    calls = []
+
+    def counted(y):
+        calls.append(np.size(y))
+        return phi(y)
+
+    xs = np.linspace(-4.0, 4.0, 161)
+    with deadline(10), pytest.raises(QuadratureError, match="not finite"):
+        solve_ivp(kernel_heat, InitialData.from_callable(counted), xs, 0.5)
+    # one call holds the first pass: 8 panels of 21 nodes on each of 161 rows
+    assert calls == [161 * 8 * 21]
 
 
 @pytest.mark.parametrize("xs", [np.array([0.0, 1.0, np.inf]),
