@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp as _solve_ivp
 
+from . import _dop853
 from .coefficients import CoefficientSet
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
@@ -61,12 +61,9 @@ class _DenseAntiderivative:
     def extend(self, half_width: float):
         if half_width <= self.half_width:
             return
-        sol = _solve_ivp(lambda s, V: [self.v(s), -self.v(-s)],
-                         (0.0, half_width), [0.0, 0.0], method="DOP853",
-                         dense_output=True, rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise IntegrationError("antiderivative integration failed")
-        self._sol = sol.sol
+        self._sol = _dop853.solve(lambda s, V: [self.v(s), -self.v(-s)],
+                                  0.0, half_width, [0.0, 0.0], 1e-12, 1e-14,
+                                  what="antiderivative").sol
         self.half_width = half_width
 
     def __call__(self, y):
@@ -317,10 +314,9 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
             raise IntegrationError(f"frame equations are not finite at t = {t:.6g}")
         return dy
 
-    frame = _solve_ivp(frame_rhs, (0.0, T), [spec.beta0_init, spec.gamma0_init],
-                       method="DOP853", dense_output=True, rtol=tol, atol=1e-14)
-    if not frame.success:
-        raise IntegrationError(f"frame integration failed: {frame.message}")
+    frame = _dop853.solve(frame_rhs, 0.0, T,
+                          [spec.beta0_init, spec.gamma0_init], tol, 1e-14,
+                          what="frame")
 
     lam = spec.c0 + spec.c1
     z0, z1 = spec.z_window
@@ -332,12 +328,9 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
     def pole(z, y):
         return y[0]
 
-    mu = _solve_ivp(mu_rhs, (z0, z1), [1.0, -spec.F0 / 2.0], method="DOP853",
-                    dense_output=True, rtol=tol, atol=1e-14, events=pole)
-    if not mu.success:
-        raise IntegrationError(f"profile integration failed: {mu.message}")
-    return TravelingWave(spec, a, c, T, frame.sol, mu.sol,
-                         mu.t_events[0].tolist())
+    mu = _dop853.solve(mu_rhs, z0, z1, [1.0, -spec.F0 / 2.0], tol, 1e-14,
+                       events=[(pole, 0.0, False)], what="profile")
+    return TravelingWave(spec, a, c, T, frame.sol, mu.sol, mu.t_events[0])
 
 
 def integrate_profile_direct(spec: TravelingWaveSpec,
@@ -359,8 +352,9 @@ def integrate_profile_direct(spec: TravelingWaveSpec,
         return abs(y[0]) - 1e10
 
     escape.terminal = True
-    sol = _solve_ivp(rhs, (z0, z1), [spec.F0], method="DOP853",
-                     dense_output=True, rtol=tol, atol=1e-14, events=escape)
+    from scipy.integrate import solve_ivp   # the oracle's own integrator
+    sol = solve_ivp(rhs, (z0, z1), [spec.F0], method="DOP853",
+                    dense_output=True, rtol=tol, atol=1e-14, events=escape)
     if not sol.success and sol.status != 1:
         raise IntegrationError(f"direct profile integration failed: {sol.message}")
     z_end = sol.t[-1]

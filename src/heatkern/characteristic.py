@@ -18,13 +18,14 @@ with C, D and three quadratures of the source coefficients f, g:
     P' = f Y^0 e^{-C} - 2g X^0 e^{C},   Q' = f Y^1 e^{-C} - 2g X^1 e^{C},
     R' = P Q',                          P(0) = Q(0) = R(0) = 0.
 
-The nine states form one first-order system with shared error control
-(DOP853).  No right-hand side divides by a coefficient or a state, and a'
-and d' are never read; where b or f is 0 its term is exactly 0, so a
-strong drift (e^{-C} overflowing) does not matter unless b or f needs it.
-Dense output comes from the integrator's continuous extension, so the
-kernel coefficients built from these states can be sampled at arbitrary
-times.
+The nine states form one first-order system with shared error control,
+integrated by the package's own DOP853 (:mod:`heatkern._dop853`, a port of
+scipy's that takes the same steps to the last bit).  No right-hand side
+divides by a coefficient or a state, and a' and d' are never read; where b
+or f is 0 its term is exactly 0, so a strong drift (e^{-C} overflowing)
+does not matter unless b or f needs it.  Dense output comes from the
+integrator's continuous extension, so the kernel coefficients built from
+these states can be sampled at arbitrary times.
 
 The standard solutions of the characteristic equation
 mu'' - tau(t) mu' - 4 sigma(t) mu = 0, with mu0(0) = 0, mu0'(0) = 2a(0),
@@ -57,15 +58,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .coefficients import CoefficientSet
 from .errors import DomainError, IntegrationError
 
 ZERO_MARGIN = 1e-6
 # Every kernel value is read from the continuous extension, whose error runs
-# 10-50 times the step error DOP853 controls; the run asks for tol/16 so that
-# the dense states meet about tol.
+# 10-50 times the step error that _dop853 controls; the run asks for tol/16 so
+# that the dense states meet about tol.
 DENSE_TOL_FACTOR = 16.0
 
 # why the validity interval ends, by CharacteristicSolution.end_cause
@@ -97,12 +98,17 @@ class CharacteristicSolution:
     end_cause: str
     steps: int
     nfev: int
-    _sol: object
+    _sol: _dop853.DenseSolution
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
-        t_arr = np.asarray(t, dtype=float)
         end = self._sol.t_max
+        if np.ndim(t) == 0:   # a float: one segment, no array machinery
+            t = float(t)
+            if not -1e-15 <= t <= end * (1.0 + 1e-12):
+                raise DomainError(f"t outside [0, {end}]")
+            return self._sol(t)
+        t_arr = np.asarray(t, dtype=float)
         if not ((t_arr >= -1e-15) & (t_arr <= end * (1.0 + 1e-12))).all():
             raise DomainError(f"t outside [0, {end}]")
         return self._sol(t_arr)
@@ -188,9 +194,10 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
         Integration horizon, default ``coeffs.domain_end``.
     tol:
         Relative error tolerance of the dense states, in (0, inf).  The
-        adaptive embedded Runge–Kutta integrator (DOP853) runs at
-        ``rtol = tol / DENSE_TOL_FACTOR`` (at least 100 machine epsilons)
-        and ``atol = 1e-3 * rtol``.
+        adaptive embedded Runge–Kutta pair DOP853
+        (:func:`heatkern._dop853.solve`) runs at ``rtol = tol /
+        DENSE_TOL_FACTOR`` (at least 100 machine epsilons) and ``atol = 1e-3
+        * rtol``.
 
     The first zero of mu0 and the first sign change of a(t) are solver
     events located on the dense output; the run stops at the latter.  Either
@@ -243,37 +250,32 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
     def mu0_zero(t, y):
         return y[1]
 
-    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0), so its first
-    # zero after t = 0 is crossed with that sign; the direction also skips
-    # the start, where Y^0 = 0
-    mu0_zero.direction = math.copysign(1.0, a0)
-
     def a_zero(t, y):  # the sign, so that a multiple zero is bisected too
         return np.sign(a_(min(t, end)))
 
-    a_zero.terminal = True
-
+    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0), so its first
+    # zero after t = 0 is crossed with that sign; the direction also skips
+    # the start, where Y^0 = 0.  A sign change of a ends the run.
+    events = ((mu0_zero, math.copysign(1.0, a0), False), (a_zero, 0.0, True))
     y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     rtol = max(tol / DENSE_TOL_FACTOR, 100.0 * np.finfo(float).eps)
     # a step that overflows makes numpy warn before rhs's finiteness check
     # turns the overflowed stage into IntegrationError
     with np.errstate(over="ignore"):
-        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", dense_output=True,
-                        rtol=rtol, atol=rtol * 1e-3,
-                        events=(mu0_zero, a_zero))
-    if not sol.success:
-        raise IntegrationError(f"characteristic integration failed: {sol.message}")
+        run = _dop853.solve(rhs, 0.0, T, y0, rtol, rtol * 1e-3, events,
+                            what="characteristic")
 
-    mu0_zeros, a_zeros = sol.t_events
-    if len(mu0_zeros):
+    mu0_zeros, a_zeros = run.t_events
+    if mu0_zeros:
         T_valid, end_cause = float(mu0_zeros[0]), "mu0-zero"
-    elif len(a_zeros):
+    elif a_zeros:
         T_valid, end_cause = float(a_zeros[0]), "a-zero"
     else:
         T_valid, end_cause = T, "horizon"
     return CharacteristicSolution(coeffs=coeffs, T=T, tol=tol, T_valid=T_valid,
-                                  end_cause=end_cause, steps=len(sol.t) - 1,
-                                  nfev=int(sol.nfev), _sol=sol.sol)
+                                  end_cause=end_cause,
+                                  steps=len(run.sol.ts) - 1, nfev=run.nfev,
+                                  _sol=run.sol)
 
 
 def wronskian_residual(chs: CharacteristicSolution, grid) -> float:

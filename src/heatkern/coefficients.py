@@ -24,6 +24,7 @@ with linear drift, and the Ornstein–Uhlenbeck generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -109,8 +110,11 @@ def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a finite float; a bool (JSON true/false) is not 1 or 0."""
-    if isinstance(value, bool) or not math.isfinite(float(value)):
+    """``value`` as a finite float.  Only a real number (numpy's included)
+    qualifies: a bool (JSON true/false) is not 1 or 0, and a numeric string
+    is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -196,10 +200,7 @@ def expand_profile(kind: str, params: dict, T: float) -> CoefficientSet:
         if unknown:
             raise ValueError(f"unknown coefficient names in poly table: {sorted(unknown)}")
         for name, entries in poly.items():
-            # a string would iterate as digits: "12" must not become 1 + 2t
-            if isinstance(entries, str):
-                raise ValueError(f"poly entries of {name!r} must be finite numbers")
-            for v in entries:
+            for v in entries:   # a string's characters are strings: rejected
                 _number(v, f"poly entry of {name!r}")
     else:
         poly = {name: [value]

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .characteristic import solve_characteristic
 from .coefficients import CoefficientSet, builtin_equation
@@ -170,6 +169,8 @@ def _on_arrays(fn):
 
 
 def _quad(f, lo, hi, spec: QuadSpec, points=None):
+    from scipy.integrate import quad   # QUADPACK serves the oracles only
+
     pts = None
     if points is not None:
         pts = [p for p in points if lo < p < hi]

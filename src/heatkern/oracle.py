@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import CoefficientSet
 from .errors import DomainError, StabilityError
@@ -91,8 +90,9 @@ def _require_finite(values, what: str, t: float):
         raise StabilityError(f"{what} not finite at t={t:.6g}")
 
 
-def _factor(lower, diag, upper, t: float):
-    """LU factors of the tridiagonal matrix with these three diagonals."""
+def _factor(dgttrf, lower, diag, upper, t: float):
+    """LU factors (LAPACK ``dgttrf``) of the tridiagonal matrix with these
+    three diagonals."""
     *factors, info = dgttrf(lower, diag, upper)
     if info > 0:
         raise StabilityError(f"finite-difference step matrix is singular "
@@ -117,6 +117,8 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
     are evaluated at the midpoint of every step; the tridiagonal step matrix
     is refactored only when those six values change.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     xs = spec.xs
     dx = spec.dx
     u = np.array([phi(x) for x in xs], dtype=float)
@@ -143,8 +145,9 @@ def fd_diffusion(coeffs: CoefficientSet, phi: Callable[[float], float],
             lower = a / dx ** 2 + drift
             upper = a / dx ** 2 - drift
             diag = -2.0 * a / dx ** 2 + (d + f * xi - b * xi * xi)
-            factors = _factor(-0.5 * dt * lower[1:], 1.0 - 0.5 * dt * diag,
-                              -0.5 * dt * upper[:-1], t_mid)
+            factors = _factor(dgttrf, -0.5 * dt * lower[1:],
+                              1.0 - 0.5 * dt * diag, -0.5 * dt * upper[:-1],
+                              t_mid)
             edge[0] = dt * lower[0] * bc_l
             edge[-1] = dt * upper[-1] * bc_r
             key = values
@@ -168,6 +171,8 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
     the diffusion term is Crank–Nicolson, so it imposes no step limit.  Its
     matrix is refactored only when a at the step midpoint changes.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     xs = spec.xs
     dx = spec.dx
     v = np.array([v0(x) for x in xs], dtype=float)
@@ -206,8 +211,9 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
         rhs[-1] += 0.5 * dt * a_mid / dx ** 2 * bc_r
         if a_mid != key:
             r = 0.5 * dt * a_mid / dx ** 2
-            factors = _factor(np.full(m - 1, -r), np.full(m, 1.0 + 2.0 * r),
-                              np.full(m - 1, -r), t_mid)
+            factors = _factor(dgttrf, np.full(m - 1, -r),
+                              np.full(m, 1.0 + 2.0 * r), np.full(m - 1, -r),
+                              t_mid)
             key = a_mid
         v[1:-1], _ = dgttrs(*factors, rhs)
 

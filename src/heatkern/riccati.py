@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .characteristic import CharacteristicSolution
 from .coefficients import CoefficientSet
@@ -243,6 +242,7 @@ def integrate_direct(coeffs: CoefficientSet, init, T: float,
     escape.terminal = True
     escape.direction = 1.0
 
+    from scipy.integrate import solve_ivp   # the oracle's own integrator
     sol = solve_ivp(rhs, (0.0, float(T)), init, method="DOP853",
                     dense_output=True, rtol=tol, atol=tol * 1e-3,
                     events=escape)
@@ -313,6 +313,8 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, t: float,
     Valid only where mu0' does not vanish on (0, t]; retained as an
     independent cross-check of gamma0 = Y^1/Y^0.
     """
+    from scipy.integrate import quad
+
     from .coefficients import tau_sigma
 
     chs, coeffs = fund.chs, fund.coeffs

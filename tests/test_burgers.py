@@ -395,6 +395,29 @@ def test_traveling_wave_non_finite_coefficient_raises(deadline, a, c):
         traveling_wave(spec, a, c, T=1.0)
 
 
+@pytest.mark.parametrize("a, message", [
+    (lambda t: math.nan, "frame equations are not finite at t = 0"),
+    (lambda t: 1.0 if t < 0.6 else math.nan,
+     "frame equations are not finite at t = 0.790422"),
+], ids=["nan", "nan-after-0.6"])
+def test_traveling_wave_nan_a_is_the_same_typed_error(deadline, a, message):
+    spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 4.0), F0=-0.5)
+    with deadline(5), pytest.raises(IntegrationError) as err:
+        traveling_wave(spec, a, lambda t: 0.0, T=1.0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_traveling_wave_needs_a_positive_horizon(T):
+    spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=(-2.0, 4.0), F0=-0.5)
+    with pytest.raises(ValueError, match="frame integration needs t1 > t0"):
+        traveling_wave(spec, lambda t: 1.0, lambda t: 0.0, T=T)
+
+
 # ---------------------------------------------------------------- Bateman waves
 
 def test_bateman_kink_far_field_limits():

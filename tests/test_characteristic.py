@@ -155,6 +155,30 @@ def test_non_finite_coefficient_raises(deadline, t_bad):
         make_kernel(co)
 
 
+_HEAT = profile("constant-heat", T=1.0)
+
+
+# each failure ends in the error, message and place the solve has always
+# reported, in bounded time and without a leaked RuntimeWarning
+@pytest.mark.parametrize("co, tol, message", [
+    # b e^{-2C} overflows after ~0.5 s of ever shorter steps
+    (profile("custom", T=2.0, poly={"a": [1.0], "b": [1.0], "c": [-400.0]}),
+     1e-12, "characteristic system is not finite at t = 0.88258"),
+    # a jump of 1e30 in d cannot be resolved by any step
+    (dataclasses.replace(_HEAT, d=lambda t: 0.0 if t < 0.5 else 1e30), 1e-10,
+     "characteristic integration failed: Required step size is less than "
+     "spacing between numbers."),
+    (dataclasses.replace(_HEAT, c=lambda t: math.nan if t >= 0.4 else 0.0),
+     1e-10, "characteristic system is not finite at t = 0.451685"),
+    (dataclasses.replace(_HEAT, a=lambda t: 1.0 if t < 0.3 else math.nan),
+     1e-10, "characteristic system is not finite at t = 0.302987"),
+], ids=["hyperbolic-corner", "step-underflow", "nan-c", "nan-a"])
+def test_failed_solve_is_the_same_typed_error(deadline, co, tol, message):
+    with deadline(10), pytest.raises(IntegrationError) as err:
+        solve_characteristic(co, tol=tol)
+    assert str(err.value) == message
+
+
 # a(t) turns negative at t = 1; the triple zero is too flat for a root finder
 # on a(t) itself
 @pytest.mark.parametrize("co", [

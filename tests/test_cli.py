@@ -340,6 +340,24 @@ def test_config_boolean_is_not_a_number(tmp_path, capsys, config, what):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, what, got", [
+    ({"profile": "ou-drift", "params": {"k": "1"}, "T": 2.0},
+     "parameter 'k'", "'1'"),
+    ({"profile": "ou-drift", "params": {"k": 1.0}, "T": "2"}, "T", "'2'"),
+    ({"profile": "custom", "poly": {"a": ["1"]}}, "poly entry of 'a'", "'1'"),
+], ids=["param", "T", "poly"])
+def test_config_numeric_string_is_not_a_number(tmp_path, capsys, config, what,
+                                               got):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--t", "1", "--grid=-1:1:3", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {what} must be "
+                                       f"a finite number, got {got}\n")
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_code():
     assert main(["kernel", "--config", "/nonexistent.json", "--t", "1.0"]) == 2
 
@@ -478,6 +496,32 @@ def test_burgers_bateman_parameter_exit_code(deadline, tmp_path, flags):
                    "--grid=-1:1:21", "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+_SCIPY_FREE = """
+import sys
+import heatkern, heatkern.cli, heatkern.checks
+from heatkern.cli import main
+for argv in (["kernel", "--profile", "ou-drift", "--param", "k=1", "--t", "0.5",
+              "--grid=-1:1:5"],
+             ["solve", "--profile", "fokker-planck", "--phi", "gaussian",
+              "--t", "0.25", "--grid=-1:1:5"],
+             ["burgers", "--profile", "constant-heat", "--v0", "gaussian",
+              "--t", "0.5", "--grid=-1:1:5"],
+             ["riccati", "--profile", "cable", "--points", "5"]):
+    assert main([*argv, "--out", "-"]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_main_path_loads_no_scipy(tmp_path):
+    # only the oracles (and so validate) import scipy, inside the functions
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point(tmp_path):

@@ -164,6 +164,26 @@ def test_from_config_profile_and_custom():
         from_config({"profile": "fokker-planck", "T": math.inf})
 
 
+@pytest.mark.parametrize("config, what", [
+    ({"profile": "ou-drift", "params": {"k": "1"}}, "parameter 'k'"),
+    ({"profile": "ou-drift", "params": {"k": 1.0}, "T": "2"}, "T"),
+    ({"profile": "custom", "poly": {"a": ["1"]}}, "poly entry of 'a'"),
+    ({"profile": "custom", "poly": {"a": "12"}}, "poly entry of 'a'"),
+    ({"profile": "ou-drift", "params": {"k": None}}, "parameter 'k'"),
+], ids=["param", "T", "poly-entry", "poly-string", "null"])
+def test_numeric_strings_are_not_numbers(config, what):
+    with pytest.raises(ValueError, match=f"{what} must be a finite number"):
+        from_config(config)
+
+
+def test_numpy_scalars_are_numbers():
+    co = profile("ou-drift", T=np.int64(3), k=np.float64(2.0),
+                 a=np.float32(0.5))
+    assert co.domain_end == 3.0 and type(co.domain_end) is float
+    assert co.c(0.1) == profile("ou-drift", T=3.0, k=2.0, a=0.5).c(0.1)
+    assert profile("custom", poly={"a": [np.float64(1.5), np.int32(2)]}).a(0.5) == 2.5
+
+
 def test_builtin_constants_match_hand_values():
     # tau, sigma stay at the hand-derived constants across the domain
     cases = {

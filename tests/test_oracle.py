@@ -77,10 +77,10 @@ def count_factorizations(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return dgttrf(*args)
+        return factor(*args)
 
-    dgttrf = oracle.dgttrf
-    monkeypatch.setattr(oracle, "dgttrf", counted)
+    factor = oracle._factor   # one LAPACK dgttrf per call
+    monkeypatch.setattr(oracle, "_factor", counted)
     return calls
 
 
