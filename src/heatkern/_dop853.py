@@ -64,6 +64,10 @@ MIN_FACTOR = 0.2      # the most a rejected step shrinks
 MAX_FACTOR = 10       # the most an accepted step grows
 ERROR_EXPONENT = -1 / 8   # the error estimate is of order 7
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# Step attempts (accepted and rejected) one run may take, so that a run
+# crawling towards a singularity fails in bounded time.  SciPy has no cap; a
+# run below it is unchanged.
+MAX_STEPS = 10_000
 
 # The tableau: nodes C; stage weights A, whose row 12 is B and whose rows
 # 13..15 are the extra stages of the dense output; error weights E5 and E3;
@@ -410,7 +414,8 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
     recorded where g changes sign upward (direction > 0), downward (< 0) or
     either way (0), and the first root of a terminal event ends the run
     there.  Raises :class:`IntegrationError` naming ``what`` when the step
-    size underflows; an exception raised by ``fun`` propagates.
+    size underflows or a step past ``MAX_STEPS`` attempts is needed; an
+    exception raised by ``fun`` propagates.
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -432,6 +437,7 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
     g = [ev(t0, y) for ev, _, _ in events]
     t_events = [[] for _ in events]
     done = False
+    attempts = 0
     while not done:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -440,6 +446,12 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
             if h_abs < min_step:
                 raise IntegrationError(f"{what} integration failed: "
                                        f"{TOO_SMALL_STEP}")
+            attempts += 1
+            if attempts > MAX_STEPS:
+                raise IntegrationError(f"{what} integration failed: more than "
+                                       f"{MAX_STEPS} step attempts before "
+                                       f"t1 = {t1:.10g} (stopped at t = "
+                                       f"{t:.10g})")
             t_new = t + h_abs
             if t_new - t1 > 0:
                 t_new = t1

@@ -24,25 +24,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _dop853
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, structure
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
 from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
                      _on_arrays, make_kernel, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
-
-
-def _is_classical(coeffs: CoefficientSet) -> bool:
-    """True when b = c = f = g = 0 and a is constant on [0, domain_end]."""
-    ts = np.linspace(0.0, coeffs.domain_end, 9)
-    a0 = coeffs.a(0.0)
-    for t in ts:
-        for fn in (coeffs.b, coeffs.c, coeffs.f, coeffs.g):
-            if abs(fn(t)) > 1e-14:
-                return False
-        if abs(coeffs.a(t) - a0) > 1e-12 * max(1.0, abs(a0)):
-            return False
-    return True
 
 
 class _DenseAntiderivative:
@@ -81,7 +68,8 @@ class BurgersProblem:
     ``coeffs`` provides a, b, c, f, g (its d is ignored: the linearizing
     substitution leaves v unchanged under any x-independent zeroth-order
     term, so the kernel is built with d = 0).  ``classical`` (b = c = f = g
-    = 0 and constant a, detected from the coefficients) marks the classical
+    = 0 and constant a, as :func:`~heatkern.coefficients.structure` samples
+    them on [0, domain_end]) marks the classical
     v_t + v v_x = a v_xx, solved on the same kernel for w = v / a.
     ``v0_antiderivative`` may supply an analytic int_0^y v0; otherwise a
     dense numerical one is built on demand.
@@ -98,7 +86,8 @@ class BurgersProblem:
 
     def __post_init__(self):
         self.xs = x_grid(self.xs)
-        self.classical = _is_classical(self.coeffs)
+        zero, constant = structure(self.coeffs, self.coeffs.domain_end)
+        self.classical = {"b", "c", "f", "g"} <= zero and "a" in constant
 
     @property
     def scale(self) -> float:

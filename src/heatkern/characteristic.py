@@ -43,7 +43,8 @@ identity :func:`wronskian_residual` checks.
 This module alone decides where the kernel coefficients exist.  The kernel
 divides by mu0, which vanishes with Y^0, and it is defined for forward
 diffusion only, so the validity interval ends at T_valid: the first zero of
-Y^0, the first sign change of a(t) or the horizon T, whichever comes first.
+Y^0, the first sign change of a(t) or the horizon ``coeffs.domain_end``,
+whichever comes first.
 Both zeros are events of the one integration: the run continues past a zero
 of Y^0 and stops at a sign change of a.  A zero of a that does not change
 sign needs nothing, since nothing divides by a.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -84,16 +84,14 @@ class CharacteristicSolution:
     interval ends.
 
     ``T_valid`` is the first zero of mu0, the first sign change of a(t) or
-    the horizon ``T``, whichever comes first, and ``end_cause`` says which:
-    ``"mu0-zero"``, ``"a-zero"`` or ``"horizon"``.  The states are dense up to
-    ``T``, or up to ``T_valid`` when a(t) ends the run.  ``steps`` and
-    ``nfev`` count the integrator's accepted steps and right-hand-side
-    evaluations.
+    the horizon ``coeffs.domain_end``, whichever comes first, and
+    ``end_cause`` says which: ``"mu0-zero"``, ``"a-zero"`` or ``"horizon"``.
+    The states are dense up to the horizon, or up to ``T_valid`` when a(t)
+    ends the run.  ``steps`` and ``nfev`` count the integrator's accepted
+    steps and right-hand-side evaluations.
     """
 
     coeffs: CoefficientSet
-    T: float
-    tol: float
     T_valid: float
     end_cause: str
     steps: int
@@ -128,30 +126,6 @@ class CharacteristicSolution:
                          -2.0 * e2D * (a2C * (x1 - k * x0) + d * y1k),
                          np.exp(C - 2.0 * D)])
 
-    def _eval(self, t, row):
-        out = self.standard(t)[row]
-        return float(out) if np.ndim(t) == 0 else out
-
-    def mu0(self, t):
-        return self._eval(t, 0)
-
-    def dmu0(self, t):
-        return self._eval(t, 1)
-
-    def mu1(self, t):
-        return self._eval(t, 2)
-
-    def dmu1(self, t):
-        return self._eval(t, 3)
-
-    def h(self, t):
-        return self._eval(t, 4)
-
-    @property
-    def first_zero_of_mu0(self) -> Optional[float]:
-        """The first zero of mu0 in (0, T_valid], or None."""
-        return self.T_valid if self.end_cause == "mu0-zero" else None
-
     @property
     def t_last(self) -> float:
         """The largest time the validity guard accepts: ``T_valid`` at the
@@ -181,17 +155,15 @@ class CharacteristicSolution:
                           f"(0, {self.t_last:.10g}]: {why}")
 
 
-def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
+def solve_characteristic(coeffs: CoefficientSet,
                          tol: float = 1e-10) -> CharacteristicSolution:
-    """Integrate the linearized Riccati system with local error ``tol`` and
-    find where the validity interval ends.
+    """Integrate the linearized Riccati system over [0, ``coeffs.domain_end``]
+    with local error ``tol`` and find where the validity interval ends.
 
     Parameters
     ----------
     coeffs:
-        Coefficient set with a(0) != 0.
-    T:
-        Integration horizon, default ``coeffs.domain_end``.
+        Coefficient set with a(0) != 0; its ``domain_end`` is the horizon.
     tol:
         Relative error tolerance of the dense states, in (0, inf).  The
         adaptive embedded Runge–Kutta pair DOP853
@@ -212,18 +184,13 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
         is not finite (a coefficient returned NaN or inf, or a state or a
         drift factor e^{±C} overflowed).
     """
-    if T is None:
-        T = coeffs.domain_end
-    T = float(T)
-    if not 0.0 < T <= coeffs.domain_end * (1.0 + 1e-12):
-        raise DomainError(f"T={T} outside (0, {coeffs.domain_end}]")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     a0 = coeffs.a(0.0)
     if a0 == 0.0:
         raise DomainError("a(0) = 0: the kernel needs a(0) != 0")
 
-    end = coeffs.domain_end
+    end = float(coeffs.domain_end)
     a_, b_, c_, d_, f_, g_ = (coeffs.a, coeffs.b, coeffs.c, coeffs.d,
                               coeffs.f, coeffs.g)
     exp = math.exp
@@ -262,7 +229,7 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
     # a step that overflows makes numpy warn before rhs's finiteness check
     # turns the overflowed stage into IntegrationError
     with np.errstate(over="ignore"):
-        run = _dop853.solve(rhs, 0.0, T, y0, rtol, rtol * 1e-3, events,
+        run = _dop853.solve(rhs, 0.0, end, y0, rtol, rtol * 1e-3, events,
                             what="characteristic")
 
     mu0_zeros, a_zeros = run.t_events
@@ -271,8 +238,8 @@ def solve_characteristic(coeffs: CoefficientSet, T: float | None = None,
     elif a_zeros:
         T_valid, end_cause = float(a_zeros[0]), "a-zero"
     else:
-        T_valid, end_cause = T, "horizon"
-    return CharacteristicSolution(coeffs=coeffs, T=T, tol=tol, T_valid=T_valid,
+        T_valid, end_cause = end, "horizon"
+    return CharacteristicSolution(coeffs=coeffs, T_valid=T_valid,
                                   end_cause=end_cause,
                                   steps=len(run.sol.ts) - 1, nfev=run.nfev,
                                   _sol=run.sol)
@@ -285,8 +252,9 @@ def wronskian_residual(chs: CharacteristicSolution, grid) -> float:
     exactly when the integrated pairs keep X^0 Y^1 - X^1 Y^0 = 1.
     """
     ts = np.atleast_1d(np.asarray(grid, dtype=float))
-    if not ((ts > 0.0) & (ts <= chs.T * (1.0 + 1e-12))).all():
-        raise DomainError(f"grid outside (0, {chs.T}]")
+    end = chs.coeffs.domain_end
+    if not ((ts > 0.0) & (ts <= end * (1.0 + 1e-12))).all():
+        raise DomainError(f"grid outside (0, {end}]")
     mu0, dmu0, mu1, dmu1, h = chs.standard(ts)
     ref = -2.0 * np.array([chs.coeffs.a(t) for t in ts.tolist()]) * h ** 2
     return float(np.max(np.abs(mu0 * dmu1 - mu1 * dmu0 - ref) / np.abs(ref)))

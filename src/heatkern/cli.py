@@ -144,7 +144,7 @@ def _phi_from_args(args) -> kn.InitialData:
                                        center=args.phi_center, L=args.L)
     if args.phi == "ones":
         L = args.L if args.L is not None else 30.0
-        return kn.InitialData.from_callable(lambda y: 1.0, L=L)
+        return kn.InitialData.from_callable(np.ones_like, L=L)
     raise ConfigError(f"unknown --phi {args.phi!r}")
 
 

@@ -76,6 +76,22 @@ class CoefficientSet:
         return fn
 
 
+def structure(coeffs: CoefficientSet, t_end: float) -> tuple[set, set]:
+    """(zero, constant): the names among a…g that vanish (|v| <= 1e-14) and
+    that stay at their t = 0 value (within 1e-12 max(1, |v(0)|)) at 9 equally
+    spaced times of [0, t_end].  The package's one guess at structure from
+    samples; a NaN value is neither."""
+    ts = [t_end * k / 8.0 for k in range(9)]
+    zero, constant = set(), set()
+    for name in _COEFF_NAMES:
+        vs = [getattr(coeffs, name)(t) for t in ts]
+        if all(abs(v) <= 1e-14 for v in vs):
+            zero.add(name)
+        if all(abs(v - vs[0]) <= 1e-12 * max(1.0, abs(vs[0])) for v in vs):
+            constant.add(name)
+    return zero, constant
+
+
 def tau_sigma(coeffs: CoefficientSet, t: float) -> tuple[float, float]:
     """Drift and restoring coefficients of the characteristic equation at ``t``.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -25,8 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .characteristic import solve_characteristic
-from .coefficients import CoefficientSet, builtin_equation
-from .errors import DomainError, QuadratureError, SingularityError
+from .coefficients import CoefficientSet, builtin_equation, structure
+from .errors import (DomainError, IntegrationError, QuadratureError,
+                     SingularityError)
 from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
@@ -342,8 +344,11 @@ class HeatKernel:
         hit = self._cache.get(t)
         if hit is None:
             v = self.fund.values(t)
-            if v.mu0 <= 0.0:
-                raise DomainError(f"mu0({t}) = {v.mu0:.3e} <= 0; kernel undefined")
+            if v.mu0 < 0.0:
+                raise DomainError(f"mu0({t}) = {v.mu0:.3e} < 0; kernel undefined")
+            if v.mu0 < sys.float_info.min:   # subnormal or 0
+                raise IntegrationError(f"mu0({t}) = {v.mu0:.3e} underflows the "
+                                       "normal float range; log mu0 is inexact")
             hit = (-0.5 * math.log(2.0 * math.pi * v.mu0), v.alpha0, v.beta0,
                    v.gamma0, v.delta0, v.eps0, v.kappa0)
             if len(self._cache) > 256:
@@ -546,14 +551,13 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
                 quad_spec: QuadSpec = QuadSpec()) -> float:
     """E_x[phi(X_t)] = int K(x, y, t) phi(y) dy for transition-density kernels.
 
-    Warns when the coefficient set has nonzero d, b or f, in which case the
+    Warns when the coefficient set has nonzero d, b or f on [0, t] (as
+    :func:`~heatkern.coefficients.structure` samples them), in which case the
     kernel is a Green function but not a probability transition density.
     """
     xs = x_grid([float(x)])
-    coeffs = K.coeffs
-    ts_probe = np.linspace(0.0, min(t, coeffs.domain_end), 7)
-    if any(abs(coeffs.d(s)) > 1e-14 or abs(coeffs.b(s)) > 1e-14
-           or abs(coeffs.f(s)) > 1e-14 for s in ts_probe):
+    zero = structure(K.coeffs, min(t, K.coeffs.domain_end))[0]
+    if not {"d", "b", "f"} <= zero:
         warnings.warn("kernel has nonzero d, b or f; expectation is not "
                       "probabilistic", NonconservativeWarning, stacklevel=2)
     return float(_convolve(K, phi, xs, [float(t)], quad_spec)[0, 0])

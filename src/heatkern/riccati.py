@@ -326,9 +326,6 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, t: float,
         return a * sigma * h ** 2 / dmu0 ** 2
 
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=4096)
-    a0 = coeffs.a(0.0)
-    d0 = coeffs.d(0.0)
-    a_t = coeffs.a(t)
-    return (d0 / (2.0 * a0)
-            - a_t * chs.h(t) ** 2 / (chs.mu0(t) * chs.dmu0(t))
-            - 4.0 * val)
+    mu0, dmu0, _, _, h = chs.standard(t).tolist()
+    return (coeffs.d(0.0) / (2.0 * coeffs.a(0.0))
+            - coeffs.a(t) * h ** 2 / (mu0 * dmu0) - 4.0 * val)

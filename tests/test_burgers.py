@@ -10,7 +10,6 @@ from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
                       cole_hopf, diffusion_residual, integrate_profile_direct,
                       profile, solve_burgers_ivp, solve_ivp, tau_sigma,
                       traveling_wave)
-from heatkern.burgers import _is_classical
 from heatkern.errors import DomainError, IntegrationError, SingularityError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 
@@ -96,8 +95,17 @@ def test_solver_requires_positive_time(coeffs_heat):
 
 
 def test_classical_detection(coeffs_heat, coeffs_fp):
-    assert _is_classical(coeffs_heat)
-    assert not _is_classical(coeffs_fp)
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert BurgersProblem(coeffs_heat, lambda y: 0.0, xs).classical
+    assert not BurgersProblem(coeffs_fp, lambda y: 0.0, xs).classical
+
+
+def test_time_varying_diffusion_is_not_classical():
+    # b = c = f = g = 0 but a = 1 + 0.1 t is not constant
+    co = profile("custom", T=2.0, poly={"a": [1.0, 0.1]})
+    prob = BurgersProblem(co, lambda y: 0.0, np.linspace(-1.0, 1.0, 5))
+    assert not prob.classical
+    assert prob.scale == 1.0
 
 
 @pytest.mark.parametrize("t, why", [(7.0, "horizon"), (math.nan, "not a number")])

@@ -31,58 +31,59 @@ def _analytic(name):
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
 def test_standard_solutions_match_analytic(name):
     co, mu0_ref, mu1_ref, h_ref = _analytic(name)
-    chs = solve_characteristic(co, T=2.0, tol=1e-11)
-    assert np.max(np.abs(chs.mu0(TS) - mu0_ref) / np.abs(mu0_ref)) < 1e-8
-    assert np.max(np.abs(chs.mu1(TS) - mu1_ref) / np.abs(mu1_ref)) < 1e-8
-    assert np.max(np.abs(chs.h(TS) - h_ref) / h_ref) < 1e-8
+    mu0, _, mu1, _, h = solve_characteristic(co, tol=1e-11).standard(TS)
+    assert np.max(np.abs(mu0 - mu0_ref) / np.abs(mu0_ref)) < 1e-8
+    assert np.max(np.abs(mu1 - mu1_ref) / np.abs(mu1_ref)) < 1e-8
+    assert np.max(np.abs(h - h_ref) / h_ref) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
 def test_initial_data(name):
     co = _analytic(name)[0]
-    chs = solve_characteristic(co, T=2.0, tol=1e-11)
+    mu0, dmu0, mu1, dmu1, h = solve_characteristic(co, tol=1e-11).standard(0.0)
     a0 = co.a(0.0)
-    assert abs(chs.mu0(0.0)) <= 1e-12
-    assert abs(chs.dmu0(0.0) - 2.0 * a0) <= 1e-12
-    assert abs(chs.mu1(0.0) - 1.0) <= 1e-12
-    assert abs(chs.dmu1(0.0)) <= 1e-12
-    assert abs(chs.h(0.0) - 1.0) <= 1e-12
+    assert abs(mu0) <= 1e-12
+    assert abs(dmu0 - 2.0 * a0) <= 1e-12
+    assert abs(mu1 - 1.0) <= 1e-12
+    assert abs(dmu1) <= 1e-12
+    assert abs(h - 1.0) <= 1e-12
 
 
 def test_h_positive_everywhere():
-    chs = solve_characteristic(profile("fokker-planck"), T=2.0, tol=1e-10)
-    assert np.all(chs.h(np.linspace(0.0, 2.0, 200)) > 0.0)
+    chs = solve_characteristic(profile("fokker-planck"), tol=1e-10)
+    assert np.all(chs.standard(np.linspace(0.0, 2.0, 200))[4] > 0.0)
 
 
 def test_specific_values_fokker_planck():
-    chs = solve_characteristic(profile("fokker-planck"), T=2.0, tol=1e-11)
-    assert chs.mu0(1.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-9)
-    assert chs.h(1.0) == pytest.approx(math.exp(-1.0), rel=1e-9)
+    mu0, _, _, _, h = solve_characteristic(profile("fokker-planck"),
+                                           tol=1e-11).standard(1.0)
+    assert mu0 == pytest.approx(1.0 - math.exp(-2.0), rel=1e-9)
+    assert h == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_wronskian_residual_heat_machine_precision():
-    co = profile("constant-heat", a=1.0)
-    chs = solve_characteristic(co, T=1.0, tol=1e-10)
+    co = profile("constant-heat", a=1.0, T=1.0)
+    chs = solve_characteristic(co, tol=1e-10)
     assert wronskian_residual(chs, [0.25, 0.5, 1.0]) < 1e-12
 
 
 def test_wronskian_residual_fokker_planck():
     # analytic W(t) = -2 e^{-2t}
     co = profile("fokker-planck")
-    chs = solve_characteristic(co, T=2.0, tol=1e-10)
+    chs = solve_characteristic(co, tol=1e-10)
     assert wronskian_residual(chs, [0.5, 1.0, 2.0]) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
 def test_wronskian_residual_all_profiles(name):
     co = _analytic(name)[0]
-    chs = solve_characteristic(co, T=2.0, tol=1e-10)
+    chs = solve_characteristic(co, tol=1e-10)
     assert wronskian_residual(chs, np.linspace(0.1, 2.0, 12)) < 1e-6
 
 
 def test_wronskian_grid_outside_domain():
-    co = profile("constant-heat", a=1.0)
-    chs = solve_characteristic(co, T=1.0, tol=1e-10)
+    co = profile("constant-heat", a=1.0, T=1.0)
+    chs = solve_characteristic(co, tol=1e-10)
     with pytest.raises(DomainError):
         wronskian_residual(chs, [1.5])
 
@@ -90,19 +91,17 @@ def test_wronskian_grid_outside_domain():
 def test_first_zero_of_mu0_oscillatory():
     # b = -1 gives sigma = -1, so mu'' + 4 mu = 0 and mu0 = sin(2t): zero at pi/2
     co = profile("custom", T=2.0, poly={"a": [1.0], "b": [-1.0]})
-    chs = solve_characteristic(co, T=2.0, tol=1e-11)
-    assert chs.first_zero_of_mu0 == pytest.approx(math.pi / 2.0, abs=1e-9)
+    chs = solve_characteristic(co, tol=1e-11)
     assert chs.T_valid == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert chs.end_cause == "mu0-zero"
     assert chs.t_last == chs.T_valid * (1.0 - 1e-6)
-    assert abs(chs.mu0(1.9)) > 0.1  # the states run on past the zero of mu0
+    assert abs(chs.standard(1.9)[0]) > 0.1  # the states run on past the zero of mu0
 
 
 @pytest.mark.parametrize("name", ["heat", "fp", "cable", "ou"])
 def test_no_spurious_zero_on_builtins(name):
     co = _analytic(name)[0]
-    chs = solve_characteristic(co, T=2.0, tol=1e-10)
-    assert chs.first_zero_of_mu0 is None
+    chs = solve_characteristic(co, tol=1e-10)
     assert chs.T_valid == chs.t_last == 2.0
     assert chs.end_cause == "horizon"
 
@@ -113,8 +112,8 @@ def test_halving_tol_never_increases_error():
     errors = []
     tol = 1e-5
     while tol > 0.9e-9:
-        chs = solve_characteristic(co, T=2.0, tol=tol)
-        errors.append(float(np.max(np.abs(chs.mu0(TS) - ana))))
+        chs = solve_characteristic(co, tol=tol)
+        errors.append(float(np.max(np.abs(chs.standard(TS)[0] - ana))))
         tol /= 2.0
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse * 1.1
@@ -122,23 +121,22 @@ def test_halving_tol_never_increases_error():
 
 
 def test_dense_output_vectorized_and_bounded():
-    chs = solve_characteristic(profile("fokker-planck"), T=2.0, tol=1e-10)
-    vals = chs.mu0(np.array([0.1, 0.5, 1.5]))
-    assert vals.shape == (3,)
+    chs = solve_characteristic(profile("fokker-planck"), tol=1e-10)
+    vals = chs.standard(np.array([0.1, 0.5, 1.5]))
+    assert vals.shape == (5, 3)
     with pytest.raises(DomainError):
-        chs.mu0(2.5)
+        chs.standard(2.5)
     with pytest.raises(DomainError):
-        chs.mu0(-0.5)
+        chs.standard(-0.5)
 
 
 def test_horizon_validation(deadline):
     co = profile("constant-heat", a=1.0, T=1.0)
-    with pytest.raises(DomainError):
-        solve_characteristic(co, T=3.0)
+    assert solve_characteristic(co).T_valid == 1.0   # the set's domain_end
     with deadline(30):
         for tol in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                solve_characteristic(co, T=1.0, tol=tol)
+                solve_characteristic(co, tol=tol)
 
 
 def test_zero_a_at_the_start_is_a_domain_error():
@@ -179,6 +177,17 @@ def test_failed_solve_is_the_same_typed_error(deadline, co, tol, message):
     assert str(err.value) == message
 
 
+def test_crawl_towards_a_singularity_stops_at_the_step_cap(deadline):
+    # d = 1/(0.5 - t)^2 is not integrable up to t = 0.5: every step shrinks,
+    # and without the cap the run took ~113 000 attempts before failing
+    co = dataclasses.replace(
+        _HEAT, d=lambda t: 1.0 / (0.5 - t) ** 2 if t < 0.5 else math.inf)
+    with deadline(3), pytest.raises(IntegrationError,
+                                    match="characteristic .* more than 10000 "
+                                          "step attempts"):
+        solve_characteristic(co, tol=1e-10)
+
+
 # a(t) turns negative at t = 1; the triple zero is too flat for a root finder
 # on a(t) itself
 @pytest.mark.parametrize("co", [
@@ -192,14 +201,14 @@ def test_sign_change_of_a_ends_validity(deadline, co):
         K = make_kernel(co)
     chs = K.fund.chs
     assert chs.T_valid == pytest.approx(1.0, abs=1e-9)
-    assert chs.end_cause == "a-zero" and chs.first_zero_of_mu0 is None
+    assert chs.end_cause == "a-zero"
     assert K.T_valid == chs.T_valid
     with pytest.raises(DomainError, match=r"a\(t\) changes sign"):
         K.evaluate(0.0, 0.0, 1.5)
     with pytest.raises(DomainError, match=r"a\(t\) changes sign"):
         solve_ivp(K, InitialData.gaussian(), [0.0, 0.5], 1.5)
     with pytest.raises(DomainError):
-        chs.mu0(1.5)  # the run stopped at the zero of a
+        chs.standard(1.5)  # the run stopped at the zero of a
     assert math.isfinite(K.evaluate(0.0, 0.0, chs.t_last))
 
 
@@ -245,7 +254,7 @@ def test_stiff_ou_without_source_is_not_step_bound(deadline):
     with deadline(10):
         chs = solve_characteristic(co, tol=1e-10)
     assert 0 < chs.steps <= 100 and chs.nfev > chs.steps
-    assert chs.mu0(2.0) == pytest.approx(1e-4, rel=1e-9)
+    assert chs.standard(2.0)[0] == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_last_valid_time_before_a_zero_of_mu0():

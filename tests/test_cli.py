@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from heatkern import TravelingWaveSpec, make_kernel, profile, traveling_wave
 from heatkern import kernel as kn
-from heatkern.cli import main, _parse_grid, ConfigError
+from heatkern.cli import main, _parse_grid, _phi_from_args, ConfigError
 
 
 def _read_csv(path):
@@ -406,6 +407,24 @@ def test_solve_ones_truncates_at_default_L(tmp_path):
     want = [0.5 * (math.erf((30.0 - x) / math.sqrt(8.0))
                    + math.erf((30.0 + x) / math.sqrt(8.0))) for x in rows[:, 1]]
     assert rows[:, 2] == pytest.approx(want, rel=1e-8)
+
+
+def test_solve_ones_stays_on_the_array_path(tmp_path):
+    phi = _phi_from_args(argparse.Namespace(phi="ones", L=None))
+    calls = []
+    values = kn._on_arrays(lambda y: calls.append(y.shape) or phi(y))
+    nodes = np.linspace(-1.0, 1.0, 42).reshape(2, 21)
+    for _ in range(2):
+        assert values(nodes).tolist() == np.ones_like(nodes).tolist()
+    assert calls == [(2, 21), (2, 21)]    # one call per batch of nodes
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--profile", "constant-heat", "--phi", "ones",
+                 "--t", "0.5", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    want = kn.solve_ivp(make_kernel(profile("constant-heat", T=2.5), tol=1e-10),
+                        kn.InitialData.from_callable(np.ones_like, L=30.0),
+                        _parse_grid("-4:4:81"), 0.5)
+    assert rows[:, 2].tolist() == want.values[0].tolist()
 
 
 def test_gnuplot_surface_script_for_kernel(tmp_path):

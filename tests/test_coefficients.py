@@ -8,7 +8,22 @@ from hypothesis import strategies as st
 
 from heatkern import (CoefficientSet, asymptotics, closed_form, from_config,
                       profile, tau_sigma)
+from heatkern.coefficients import structure
 from heatkern.errors import DomainError
+
+
+def test_structure_reports_vanishing_and_constant_coefficients():
+    assert structure(profile("fokker-planck"), 2.0) == (
+        {"b", "f", "g"}, {"a", "b", "c", "d", "f", "g"})
+    co = profile("custom", T=2.0, poly={"a": [1.0, 0.1], "f": [0.0, 1e-15]})
+    assert structure(co, 2.0) == ({"b", "c", "d", "f", "g"},    # |f| <= 1e-14
+                                  {"b", "c", "d", "f", "g"})
+    # each caller picks the interval: b vanishes on [0, 1] only
+    late = dataclasses.replace(co, b=lambda t: max(t - 1.0, 0.0))
+    assert "b" in structure(late, 1.0)[0]
+    assert "b" not in structure(late, 2.0)[0]
+    zero, constant = structure(dataclasses.replace(co, g=lambda t: math.nan), 2.0)
+    assert "g" not in zero | constant
 
 
 def test_tau_sigma_constant_heat():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heatkern import (GridField, InitialData, QuadSpec, asymptotic_kernel,
-                      closed_form, diffusion_residual, expectation,
-                      fundamental, make_kernel, normalization, profile,
-                      solve_characteristic, solve_ivp, transform_solve)
-from heatkern.errors import DomainError, QuadratureError, SingularityError
+from heatkern import (BurgersProblem, GridField, InitialData, QuadSpec,
+                      asymptotic_kernel, closed_form, diffusion_residual,
+                      expectation, fundamental, make_kernel, normalization,
+                      profile, solve_burgers_ivp, solve_characteristic,
+                      solve_ivp, transform_solve)
+from heatkern.errors import (DomainError, IntegrationError, QuadratureError,
+                             SingularityError)
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _exp_guard, _gk21, _quad,
@@ -68,6 +70,16 @@ def test_negative_diffusion_has_no_kernel():
     fund = fundamental(solve_characteristic(co))
     assert fund.T_valid == 2.0
     assert fund.mu0(1.0) == pytest.approx(-2.0, rel=1e-9)
+
+
+def test_mu0_below_the_normal_range_is_a_typed_error():
+    # d = 1000: mu0 = 2t e^{-2000t} leaves the normal float range near t = 0.354
+    K = make_kernel(profile("custom", T=1.0, poly={"a": [1.0], "d": [1000.0]}))
+    exact = 1000.0 * 0.3 - 0.5 * math.log(4.0 * math.pi * 0.3)
+    assert K.log_evaluate(0.0, 0.0, 0.3) == pytest.approx(exact, rel=1e-12)
+    for t in (0.37, 0.38, 0.5):     # subnormal, then 0
+        with pytest.raises(IntegrationError, match=r"mu0\(.*underflows"):
+            K.log_evaluate(0.0, 0.0, t)
 
 
 def test_exp_guard_overflow():
@@ -521,6 +533,28 @@ def test_expectation_warns_on_nonconservative(kernel_fp):
 
 
 # ---------------------------------------------------------------- normalization
+
+def test_positive_quadratic_exponent_is_a_typed_error(deadline):
+    # b = -4: gamma0 = alpha0 = -cot(4t)/2 turns positive past pi/8, inside
+    # T_valid = pi/4, where no Gaussian in y (or x) is left to integrate
+    co = profile("custom", T=1.0, poly={"a": [1.0], "b": [-4.0]})
+    with deadline(30):
+        K = make_kernel(co)
+    prob = BurgersProblem(co, lambda y: np.exp(-y * y), np.linspace(-1, 1, 5))
+    phi, xs = InitialData.gaussian(), np.linspace(-1.0, 1.0, 5)
+    for t in (0.5, 0.7):
+        for run in (lambda: solve_ivp(K, phi, xs, t),
+                    lambda: solve_burgers_ivp(prob, t),
+                    lambda: normalization(K, t, "y")):
+            with pytest.raises(QuadratureError, match=r"in y .*gamma0 = "):
+                run()
+        with pytest.raises(QuadratureError, match=r"in x .*alpha0 = "):
+            normalization(K, t, "x")
+    assert np.isfinite(solve_ivp(K, phi, xs, 0.3).values).all()
+    assert np.isfinite(solve_burgers_ivp(prob, 0.3).values).all()
+    assert math.isfinite(normalization(K, 0.3, "y"))
+    assert math.isfinite(normalization(K, 0.3, "x"))
+
 
 def test_normalization_ou_over_y(kernel_ou):
     assert normalization(kernel_ou, 0.7, "y") == pytest.approx(1.0, abs=1e-8)

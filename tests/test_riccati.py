@@ -73,7 +73,8 @@ def test_fundamental_beta0_is_h_over_mu0(kernel_cable):
     fund = kernel_cable.fund
     chs = fund.chs
     for t in (0.2, 0.9, 1.7):
-        assert fund.beta0(t) == pytest.approx(chs.h(t) / chs.mu0(t), rel=1e-13)
+        mu0, _, _, _, h = chs.standard(t)
+        assert fund.beta0(t) == pytest.approx(h / mu0, rel=1e-13)
 
 
 def test_fundamental_domain_errors(kernel_fp):
@@ -88,7 +89,7 @@ def test_fundamental_domain_errors(kernel_fp):
 
 def test_fundamental_stops_before_mu0_zero():
     co = profile("custom", T=2.0, poly={"a": [1.0], "b": [-1.0]})
-    chs = solve_characteristic(co, T=2.0, tol=1e-11)
+    chs = solve_characteristic(co, tol=1e-11)
     fund = fundamental(chs)
     assert fund.T_valid == pytest.approx(math.pi / 2.0, abs=1e-9)
     assert math.isfinite(fund.alpha0(1.5))  # still inside
