@@ -5,14 +5,18 @@ Ordinary Differential Equations I*, 2nd ed., Springer 1993, Sec. II.10): an
 eighth-order step, a fifth-order error estimate with a third-order
 correction, step-size control, the seventh-degree continuous extension over
 every accepted step, and events located on that extension by Brent's
-method.  It is the one integrator of the main path (the characteristic
-solve, the Burgers antiderivative and the traveling-wave runs).
+method.  It is the one ODE integrator of the main path: the characteristic
+solve and the traveling-wave runs.  (The Burgers antiderivative V0 is a
+quadrature, built from Gauss–Kronrod panels in ``burgers``.)
 
 The step, its error norm and step-size control, the initial-step heuristic,
 the dense-output polynomial and its segment rule, and the event search follow
 SciPy 1.17.1 (``scipy.integrate.solve_ivp(method="DOP853")`` and the C
 ``brentq`` it calls) operation for operation, so a run gives the same nodes,
-states, evaluation counts and event roots to the last bit.  The tableau below
+states, evaluation counts and event roots to the last bit.  One corner
+differs on purpose: a step whose fifth-order error estimate is exactly 0 has
+error norm 0, where SciPy divides 0 by 0 once 0.01 |err3|^2 underflows and
+rejects the step for a NaN.  The tableau below
 is SciPy's ``scipy/integrate/_ivp/dop853_coefficients.py``, distributed under
 this notice:
 
@@ -331,9 +335,11 @@ def _error_norm(K, h, scale):
     err5 = np.dot(K.T, E5) / scale
     err3 = np.dot(K.T, E3) / scale
     err5_norm_2 = _norm(err5) ** 2
-    err3_norm_2 = _norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
+    if err5_norm_2 == 0:
+        # SciPy returns 0 only if err3 is 0 too; with 0.01 |err3|^2 underflowing
+        # to 0 it divides 0 by 0 and rejects the step for a NaN
         return 0.0
+    err3_norm_2 = _norm(err3) ** 2
     denom = err5_norm_2 + 0.01 * err3_norm_2
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 

@@ -17,7 +17,9 @@ zeros of its solution rather than as blow-up mid-integration).
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -27,38 +29,179 @@ from . import _dop853
 from .coefficients import CoefficientSet, structure
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
-from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
-                     _on_arrays, make_kernel, x_grid)
+from .kernel import (_G10_W, _GK_X, _K21_W, GridField, HeatKernel, QuadSpec,
+                     _gk21, _kernel_rows, _on_arrays, make_kernel, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 
-class _DenseAntiderivative:
-    """V(y) = int_0^y v(z) dz on [-W, W] from one dense ODE solution.
+# The numerical V0's panels start as the cells of one lattice fixed at 0:
+# unit cells out to |y| = _UNIT_CELLS, then [2^j, 2^(j+1)], so that the
+# window of 4e9 a strong drift can need at large t takes 60 cells a side.
+_UNIT_CELLS = 32.0
+_ABS_TOL = 1e-14        # a panel's |K21 - G10| may be this times its width,
+_REL_TOL = 1e-12        # or this times its integral of |v|
+_MIN_WIDTH = 2.0 ** -44  # the narrowest panel, relative to max(1, |y|)
+_MAX_PANELS = 1 << 14
+# Clenshaw's sum of a Legendre series: b_k = c_k + A_k x b_(k+1) - B_k b_(k+2)
+_CLENSHAW = [((2 * k + 1) / (k + 1), (k + 1) / (k + 2)) for k in range(21)]
 
-    One run over s in [0, W] carries (V(s), V(-s))' = (v(s), -v(-s)) from
-    0, so it starts where the data is; a run across [-W, W] starts where v
-    underflows to 0 and, for W beyond about 35, steps over a bump at 0.
+
+def _clenshaw(coef, x):
+    """sum_k coef(k) P_k(x) over k = 0..21, in one operation order for floats
+    and arrays."""
+    b1, b2 = coef(21), 0.0
+    for k in range(20, -1, -1):
+        A, B = _CLENSHAW[k]
+        b1, b2 = coef(k) + A * x * b1 - B * b2, b1
+    return b1
+
+
+@functools.cache
+def _integral_matrix() -> np.ndarray:
+    """(22, 21): values of a degree-20 polynomial at the Kronrod nodes on
+    [-1, 1] to the Legendre coefficients of its integral from -1.
+
+    Elementwise numpy only: LAPACK's inverse or a BLAS product would add
+    their code pages to the process's resident memory.
+    """
+    P = [np.ones(21), _GK_X]     # P_k at the nodes, by the recurrence
+    for k in range(1, 20):
+        P.append(((2 * k + 1) * _GK_X * P[k] - k * P[k - 1]) / (k + 1))
+    A = np.hstack((np.array(P).T, np.eye(21)))   # Gauss-Jordan on [V | I]
+    for k in range(21):
+        p = k + np.argmax(np.abs(A[k:, k]))
+        A[[k, p]] = A[[p, k]]
+        A[k] /= A[k, k]
+        factor = A[:, k].copy()
+        factor[k] = 0.0
+        A -= factor[:, None] * A[k]
+    C = A[:, 21:]                # node values to Legendre coefficients
+    M = np.zeros((22, 21))
+    M[0] = M[1] = C[0]           # int P_0 = P_0 + P_1
+    for k in range(1, 21):       # int P_k = (P_(k+1) - P_(k-1)) / (2k + 1)
+        M[k + 1] += C[k] / (2 * k + 1)
+        M[k - 1] -= C[k] / (2 * k + 1)
+    return M
+
+
+class _DenseAntiderivative:
+    """V(y) = int_0^y v(z) dz on [-W, W] from adaptive G10/K21 panels.
+
+    Each pass calls v once, on the 21 Kronrod nodes of every live panel, and
+    bisects each panel whose |K21 - G10| exceeds max(_ABS_TOL width,
+    _REL_TOL int |v|).  A panel keeps V at its left edge and the Legendre
+    coefficients of the integral of the degree-20 interpolant of its node
+    values, so V(y) is one search for the panel and one Clenshaw sum; a float
+    y takes Python floats and gives the array path's value to the bit.  V
+    accumulates outward from 0 and each panel is refined on its own, so
+    :meth:`extend` only adds panels: V on the old window keeps its last bit,
+    and no value depends on which windows were asked for first.  A panel
+    narrower than _MIN_WIDTH max(1, |y|), such as one holding a jump of v,
+    is accepted when |K21 - G10| is at most _REL_TOL times the int |v| of
+    the lattice cell it came from.  One that is not (a non-integrable v), a
+    value of v that is not finite, or more than _MAX_PANELS panels raise
+    :class:`IntegrationError` naming the y where refinement stopped.
     """
 
     def __init__(self, v: Callable[[float], float], half_width: float):
-        self.v = v
+        self._v = _on_arrays(v)
         self.half_width = 0.0
+        self._edge = 0.0           # the lattice point the panels reach
+        self._ends = [0.0, 0.0]    # V(-edge), V(edge)
+        self._a = self._half = self._V = np.empty(0)
+        self._coef = np.empty((22, 0))
         self.extend(half_width)
 
     def extend(self, half_width: float):
         if half_width <= self.half_width:
             return
-        self._sol = _dop853.solve(lambda s, V: [self.v(s), -self.v(-s)],
-                                  0.0, half_width, [0.0, 0.0], 1e-12, 1e-14,
-                                  what="antiderivative").sol
+        if not math.isfinite(half_width):
+            raise IntegrationError(f"V0 window half-width {half_width} is not finite")
+        edges = [self._edge]
+        while edges[-1] < half_width:
+            e = edges[-1]
+            edges.append(e + 1.0 if e < _UNIT_CELLS else 2.0 * e)
+        if len(edges) > 1:   # else the panels reach far enough already
+            self._add(np.array(edges))
         self.half_width = half_width
 
+    def _add(self, edges):
+        """Panels on the cells between the lattice points ``edges`` and
+        their mirror images, joined to the panels there are."""
+        a, b, k21, coef = self._panels(np.concatenate((-edges[:0:-1], edges[:-1])),
+                                       np.concatenate((-edges[-2::-1], edges[1:])))
+        left, right = b <= 0.0, a >= 0.0
+        # V runs outward from V(-edge) and V(edge), one panel at a time
+        run_left = np.cumsum(np.concatenate(([self._ends[0]], -k21[left][::-1])))
+        run_right = np.cumsum(np.concatenate(([self._ends[1]], k21[right])))
+        self._ends = [run_left[-1], run_right[-1]]
+        self._V = np.concatenate((run_left[:0:-1], self._V, run_right[:-1]))
+        self._a, self._half, self._coef = (
+            np.concatenate((new[..., left], old, new[..., right]), axis=-1)
+            for new, old in ((a, self._a), (0.5 * (b - a), self._half),
+                             (coef, self._coef)))
+        self._a_list = self._a.tolist()
+        self._rows = {}   # the float path's Python floats, per panel used
+        self._edge = float(edges[-1])
+
+    def _panels(self, a, b):
+        """Bisect the cells [a, b] until every panel meets the tolerance;
+        (left edges, right edges, K21 integrals, (22, n) coefficients)."""
+        done = []
+        cell = None   # the int |v| of the cell each panel came from
+        while len(a):
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            y = mid[:, None] + half[:, None] * _GK_X
+            f = self._v(y)
+            bad = ~np.isfinite(f)
+            if bad.any():
+                raise IntegrationError(f"v0 is not finite at y = {y[bad][0]:.6g}")
+            k21 = half * (f * _K21_W).sum(axis=-1)
+            err = np.abs(k21 - half * (f * _G10_W).sum(axis=-1))
+            absint = half * (np.abs(f) * _K21_W).sum(axis=-1)
+            cell = absint if cell is None else cell
+            narrow = b - a < _MIN_WIDTH * np.maximum(1.0, np.abs(mid))
+            ok = (err <= np.maximum(_ABS_TOL * (b - a), _REL_TOL * absint)) \
+                | narrow & (err <= _REL_TOL * cell)
+            if (narrow & ~ok).any():
+                worst = mid[np.argmax(np.where(narrow & ~ok, err, -1.0))]
+                raise IntegrationError(f"V0 refinement stopped at y = "
+                                       f"{worst:.6g}: v0 is not integrable "
+                                       f"there to tolerance")
+            done.append((a[ok], b[ok], k21[ok], f[ok] * half[ok, None]))
+            a, b, mid, cell, err = a[~ok], b[~ok], mid[~ok], cell[~ok], err[~ok]
+            if sum(len(d[0]) for d in done) + 2 * len(a) > _MAX_PANELS:
+                raise IntegrationError(f"V0 needs more than {_MAX_PANELS} "
+                                       f"panels; refinement stopped at y = "
+                                       f"{mid[np.argmax(err)]:.6g}")
+            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+            cell = np.concatenate((cell, cell))
+        a, b, k21, fh = (np.concatenate(d) for d in zip(*done))
+        order = np.argsort(a)
+        M = _integral_matrix()
+        coef = M[:, :1] * fh[order, 0]
+        for j in range(1, 21):   # node by node: no BLAS summation order
+            coef += M[:, j:j + 1] * fh[order, j]
+        return a[order], b[order], k21[order], coef
+
     def __call__(self, y):
+        W = self.half_width
+        if np.ndim(y) == 0:
+            y = check_range("y", float(y), -W, W)
+            i = bisect_right(self._a_list, y) - 1
+            row = self._rows.get(i)
+            if row is None:
+                row = self._rows[i] = (self._a_list[i], float(self._half[i]),
+                                       float(self._V[i]), self._coef[:, i].tolist())
+            a, half, V, c = row
+            return V + _clenshaw(c.__getitem__, (y - a) / half - 1.0)
         y = np.asarray(y, dtype=float)
-        flat = check_range("y", y.ravel(), -self.half_width, self.half_width)
-        right, left = self._sol(np.abs(flat))
-        out = np.where(flat >= 0.0, right, left)
-        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+        flat = check_range("y", y.ravel(), -W, W)
+        i = np.searchsorted(self._a, flat, side="right") - 1
+        x = (flat - self._a[i]) / self._half[i] - 1.0
+        # one degree at a time, so no (points, 22) block is gathered
+        S = _clenshaw(lambda k: self._coef[k].take(i), x)
+        return (self._V.take(i) + S).reshape(y.shape)
 
 
 @dataclass

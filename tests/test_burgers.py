@@ -536,3 +536,141 @@ def test_antiderivative_domain_guard(coeffs_heat):
         V0(6.0)
     with pytest.raises(DomainError):
         V0(np.array([1.0, -6.0]))
+
+
+def _gaussian(amp, center):
+    """v0 = amp exp(-(y - center)^2) and its exact int_0^y."""
+    def v0(y):
+        return amp * np.exp(-(y - center) ** 2)
+
+    def V0(y):
+        return 0.5 * amp * math.sqrt(math.pi) * (erf(y - center) - erf(-center))
+
+    return v0, V0
+
+
+@pytest.mark.parametrize("W", [12.0, 35.0])
+@pytest.mark.parametrize("amp, center", [(0.7, 0.3), (2.0, -1.5), (0.05, 4.0)])
+def test_antiderivative_matches_exact_references(coeffs_fp, W, amp, center):
+    v0, V0 = _gaussian(amp, center)
+    prob = BurgersProblem(coeffs_fp, v0, np.linspace(-1.0, 1.0, 5))
+    V = prob.antiderivative(W)
+    ys = np.concatenate([np.linspace(-W, W, 1201), np.arange(-W, W + 1.0)])
+    got = V(ys)
+    assert np.max(np.abs(got - V0(ys))) <= 1e-13
+    assert np.array_equal([V(y) for y in ys.tolist()], got)   # to the bit
+    assert V(np.float64(ys[7])) == got[7] and V(3) == V(3.0)
+
+
+def test_antiderivative_matches_the_kink_antiderivative():
+    kink = BatemanWave(A=0.8, V=0.2, a=0.7, c=0.5, sign="-")
+    prob = BurgersProblem(profile("constant-heat", a=0.7),
+                          kink.initial_profile(), np.linspace(-1.0, 1.0, 5))
+    V = prob.antiderivative(19.0)
+    ys = np.linspace(-19.0, 19.0, 1501)
+    got = V(ys)
+    assert np.max(np.abs(got - kink.initial_antiderivative()(ys))) <= 1e-13
+    assert np.array_equal([V(y) for y in ys.tolist()], got)
+
+
+def test_extend_keeps_the_old_window_to_the_bit(coeffs_fp):
+    v0, _ = _gaussian(0.7, 0.3)
+    prob = BurgersProblem(coeffs_fp, v0, np.linspace(-1.0, 1.0, 5))
+    ys = np.linspace(-6.5, 6.5, 801)
+    before = prob.antiderivative(6.5)(ys)
+    assert np.array_equal(prob.antiderivative(90.0)(ys), before)
+    # a window built wide at once holds the same values
+    wide = BurgersProblem(coeffs_fp, v0, prob.xs).antiderivative(90.0)
+    assert np.array_equal(wide(ys), before)
+    far = np.linspace(-90.0, 90.0, 401)
+    assert np.array_equal(wide(far), prob.antiderivative(90.0)(far))
+
+
+def test_solve_does_not_depend_on_earlier_solves(coeffs_fp):
+    v0, _ = _gaussian(0.7, 0.3)
+    xs = np.linspace(-1.0, 1.0, 15)
+    prob = BurgersProblem(coeffs_fp, v0, xs)
+    first = solve_burgers_ivp(prob, 0.2).values
+    solve_burgers_ivp(prob, 1.5)              # widens the V0 window
+    assert np.array_equal(solve_burgers_ivp(prob, 0.2).values, first)
+    assert np.array_equal(
+        solve_burgers_ivp(BurgersProblem(coeffs_fp, v0, xs), 0.2).values, first)
+    late = BurgersProblem(coeffs_fp, v0, xs)
+    solve_burgers_ivp(late, 1.5)              # the wide window first
+    assert np.array_equal(solve_burgers_ivp(late, 0.2).values, first)
+
+
+def test_antiderivative_calls_v0_once_per_pass(coeffs_heat):
+    calls = []
+
+    def v0(y):
+        calls.append(np.shape(y))
+        return 0.7 * np.exp(-(y - 0.3) ** 2)
+
+    BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5)).antiderivative(12.0)
+    assert 1 <= len(calls) <= 4
+    assert all(len(shape) == 2 and shape[1] == 21 for shape in calls)
+
+
+@pytest.mark.parametrize("coeffs", [
+    profile("fokker-planck", T=2.5),
+    profile("ou-drift", T=2.5, a=1.0, k=1.0, g=0.5),
+    profile("constant-heat", T=2.5, a=1.0),
+    profile("custom", T=2.0, poly={"a": [1.0, 0.3], "b": [0.0, 0.1],
+                                   "c": [0.2, -0.1], "f": [0.0, 0.2],
+                                   "g": [0.3, 0.1]}),
+], ids=["fokker-planck", "ou-drift", "constant-heat", "custom"])
+def test_numeric_antiderivative_solves_match_analytic(coeffs):
+    v0, V0 = _gaussian(0.7, 0.3)
+    xs = np.linspace(-1.0, 1.0, 15)
+    ts = [0.2, 1.0, 1.8]
+    numeric = solve_burgers_ivp(BurgersProblem(coeffs, v0, xs), ts).values
+    exact = BurgersProblem(coeffs, v0, xs, v0_antiderivative=V0)
+    assert np.max(np.abs(numeric - solve_burgers_ivp(exact, ts).values)) < 1e-10
+
+
+@pytest.mark.parametrize("v0, message", [
+    (lambda y: 1.0 / (y - 0.3001), r"refinement stopped at y = 0\.3001"),
+    (lambda y: np.abs(y - 0.3) ** -0.5,
+     r"refinement stopped at y = 0\.3: v0 is not integrable there"),
+    (lambda y: np.sin(1e5 * y), r"more than \d+ panels; refinement stopped at y = "),
+    (lambda y: np.where(y > 7.5, np.nan, 0.0), r"not finite at y = 7\.5"),
+])
+def test_antiderivative_failures_are_quick_and_name_y(deadline, coeffs_heat,
+                                                      v0, message):
+    prob = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5))
+    with deadline(0.5), pytest.raises(IntegrationError, match=message):
+        prob.antiderivative(10.0)
+
+
+def test_antiderivative_lattice_doubles_beyond_32(deadline, coeffs_heat):
+    # a strong drift can ask for V0 on +-4e9; cells [2^j, 2^(j+1)] past 32
+    # keep that to a few hundred panels
+    v0, V0 = _gaussian(0.7, 0.3)
+    nodes = []
+    prob = BurgersProblem(coeffs_heat, lambda y: (nodes.append(y.size), v0(y))[1],
+                          np.linspace(-1.0, 1.0, 5))
+    with deadline(0.5):
+        V = prob.antiderivative(4e9)
+    assert sum(nodes) < 300 * 21
+    ys = np.array([-3.9e9, -1e5, -40.0, -3.3, 0.0, 2.5, 33.0, 7e6, 4e9])
+    assert np.max(np.abs(V(ys) - V0(ys))) <= 1e-13
+
+
+@pytest.mark.parametrize("jump, at", [(2.0, 0.3), (20.0, 0.3), (2.0, 30.3)])
+def test_antiderivative_of_step_data(coeffs_heat, jump, at):
+    # Riemann data: a jump of v0 inside a panel is resolved down to the
+    # narrowest panel, which is then measured against its cell's integral
+    def v0(y):
+        return np.where(y < at, 0.5 * jump, -0.5 * jump)
+
+    def V0(y):
+        return 0.5 * jump * np.where(y < at, y, 2.0 * at - y)
+
+    xs = np.linspace(-1.0, 1.0, 15)
+    prob = BurgersProblem(coeffs_heat, v0, xs)
+    ys = np.linspace(-40.0, 40.0, 1601)
+    assert np.max(np.abs(prob.antiderivative(40.0)(ys) - V0(ys))) <= 1e-13 * jump
+    exact = BurgersProblem(coeffs_heat, v0, xs, v0_antiderivative=V0)
+    assert np.max(np.abs(solve_burgers_ivp(prob, 0.5).values
+                         - solve_burgers_ivp(exact, 0.5).values)) < 1e-10
