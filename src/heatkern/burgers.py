@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -35,8 +34,9 @@ from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 
 # The numerical V0's panels start as the cells of one lattice fixed at 0:
-# unit cells out to |y| = _UNIT_CELLS, then [2^j, 2^(j+1)], so that the
-# window of 4e9 a strong drift can need at large t takes 60 cells a side.
+# unit cells out to |y| = _UNIT_CELLS, then eight cells to each octave
+# [2^j, 2^(j+1)], so that the window of 4e9 a strong drift can need at large
+# t takes 248 cells a side, and v0 is sampled at most an eighth past |y| = W.
 _UNIT_CELLS = 32.0
 _ABS_TOL = 1e-14        # a panel's |K21 - G10| may be this times its width,
 _REL_TOL = 1e-12        # or this times its integral of |v|
@@ -46,36 +46,14 @@ _MAX_PANELS = 1 << 14
 _CLENSHAW = [((2 * k + 1) / (k + 1), (k + 1) / (k + 2)) for k in range(21)]
 
 
-def _clenshaw(coef, x):
-    """sum_k coef(k) P_k(x) over k = 0..21, in one operation order for floats
-    and arrays."""
-    b1, b2 = coef(21), 0.0
-    for k in range(20, -1, -1):
-        A, B = _CLENSHAW[k]
-        b1, b2 = coef(k) + A * x * b1 - B * b2, b1
-    return b1
-
-
 @functools.cache
 def _integral_matrix() -> np.ndarray:
     """(22, 21): values of a degree-20 polynomial at the Kronrod nodes on
-    [-1, 1] to the Legendre coefficients of its integral from -1.
-
-    Elementwise numpy only: LAPACK's inverse or a BLAS product would add
-    their code pages to the process's resident memory.
-    """
+    [-1, 1] to the Legendre coefficients of its integral from -1."""
     P = [np.ones(21), _GK_X]     # P_k at the nodes, by the recurrence
     for k in range(1, 20):
         P.append(((2 * k + 1) * _GK_X * P[k] - k * P[k - 1]) / (k + 1))
-    A = np.hstack((np.array(P).T, np.eye(21)))   # Gauss-Jordan on [V | I]
-    for k in range(21):
-        p = k + np.argmax(np.abs(A[k:, k]))
-        A[[k, p]] = A[[p, k]]
-        A[k] /= A[k, k]
-        factor = A[:, k].copy()
-        factor[k] = 0.0
-        A -= factor[:, None] * A[k]
-    C = A[:, 21:]                # node values to Legendre coefficients
+    C = np.linalg.inv(np.array(P).T)   # node values to Legendre coefficients
     M = np.zeros((22, 21))
     M[0] = M[1] = C[0]           # int P_0 = P_0 + P_1
     for k in range(1, 21):       # int P_k = (P_(k+1) - P_(k-1)) / (2k + 1)
@@ -91,8 +69,10 @@ class _DenseAntiderivative:
     bisects each panel whose |K21 - G10| exceeds max(_ABS_TOL width,
     _REL_TOL int |v|).  A panel keeps V at its left edge and the Legendre
     coefficients of the integral of the degree-20 interpolant of its node
-    values, so V(y) is one search for the panel and one Clenshaw sum; a float
-    y takes Python floats and gives the array path's value to the bit.  V
+    values, so V(y) is one search for the panel and one Clenshaw sum.  The
+    panels fill whole lattice cells, so v is sampled out to the first lattice
+    point at or past W, which is below max(W + 1, 1.125 W): v must be finite
+    there, not only on [-W, W].  V
     accumulates outward from 0 and each panel is refined on its own, so
     :meth:`extend` only adds panels: V on the old window keeps its last bit,
     and no value depends on which windows were asked for first.  A panel
@@ -120,7 +100,8 @@ class _DenseAntiderivative:
         edges = [self._edge]
         while edges[-1] < half_width:
             e = edges[-1]
-            edges.append(e + 1.0 if e < _UNIT_CELLS else 2.0 * e)
+            edges.append(e + 1.0 if e < _UNIT_CELLS
+                         else e + 2.0 ** (math.frexp(e)[1] - 4))
         if len(edges) > 1:   # else the panels reach far enough already
             self._add(np.array(edges))
         self.half_width = half_width
@@ -140,8 +121,6 @@ class _DenseAntiderivative:
             np.concatenate((new[..., left], old, new[..., right]), axis=-1)
             for new, old in ((a, self._a), (0.5 * (b - a), self._half),
                              (coef, self._coef)))
-        self._a_list = self._a.tolist()
-        self._rows = {}   # the float path's Python floats, per panel used
         self._edge = float(edges[-1])
 
     def _panels(self, a, b):
@@ -185,23 +164,19 @@ class _DenseAntiderivative:
         return a[order], b[order], k21[order], coef
 
     def __call__(self, y):
-        W = self.half_width
         if np.ndim(y) == 0:
-            y = check_range("y", float(y), -W, W)
-            i = bisect_right(self._a_list, y) - 1
-            row = self._rows.get(i)
-            if row is None:
-                row = self._rows[i] = (self._a_list[i], float(self._half[i]),
-                                       float(self._V[i]), self._coef[:, i].tolist())
-            a, half, V, c = row
-            return V + _clenshaw(c.__getitem__, (y - a) / half - 1.0)
+            return float(self(np.array([y], dtype=float))[0])
         y = np.asarray(y, dtype=float)
+        W = self.half_width
         flat = check_range("y", y.ravel(), -W, W)
         i = np.searchsorted(self._a, flat, side="right") - 1
         x = (flat - self._a[i]) / self._half[i] - 1.0
-        # one degree at a time, so no (points, 22) block is gathered
-        S = _clenshaw(lambda k: self._coef[k].take(i), x)
-        return (self._V.take(i) + S).reshape(y.shape)
+        # Clenshaw, one degree at a time, so no (points, 22) block is gathered
+        b1, b2 = self._coef[21].take(i), 0.0
+        for k in range(20, -1, -1):
+            A, B = _CLENSHAW[k]
+            b1, b2 = self._coef[k].take(i) + A * x * b1 - B * b2, b1
+        return (self._V.take(i) + b1).reshape(y.shape)
 
 
 @dataclass

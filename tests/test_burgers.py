@@ -559,6 +559,7 @@ def test_antiderivative_matches_exact_references(coeffs_fp, W, amp, center):
     got = V(ys)
     assert np.max(np.abs(got - V0(ys))) <= 1e-13
     assert np.array_equal([V(y) for y in ys.tolist()], got)   # to the bit
+    assert type(V(ys[7])) is float
     assert V(np.float64(ys[7])) == got[7] and V(3) == V(3.0)
 
 
@@ -643,18 +644,46 @@ def test_antiderivative_failures_are_quick_and_name_y(deadline, coeffs_heat,
         prob.antiderivative(10.0)
 
 
-def test_antiderivative_lattice_doubles_beyond_32(deadline, coeffs_heat):
-    # a strong drift can ask for V0 on +-4e9; cells [2^j, 2^(j+1)] past 32
-    # keep that to a few hundred panels
+def test_antiderivative_lattice_grows_by_octaves_beyond_32(deadline, coeffs_heat):
+    # a strong drift can ask for V0 on +-4e9; eight cells to each octave
+    # [2^j, 2^(j+1)] past 32 keep that to a few hundred panels
     v0, V0 = _gaussian(0.7, 0.3)
     nodes = []
     prob = BurgersProblem(coeffs_heat, lambda y: (nodes.append(y.size), v0(y))[1],
                           np.linspace(-1.0, 1.0, 5))
     with deadline(0.5):
         V = prob.antiderivative(4e9)
-    assert sum(nodes) < 300 * 21
+    assert sum(nodes) < 600 * 21
     ys = np.array([-3.9e9, -1e5, -40.0, -3.3, 0.0, 2.5, 33.0, 7e6, 4e9])
     assert np.max(np.abs(V(ys) - V0(ys))) <= 1e-13
+
+
+@pytest.mark.parametrize("W, hull", [(7.5, 8.0), (32.0, 32.0), (33.0, 36.0),
+                                     (40.0, 40.0), (600.0, 640.0),
+                                     (3e9, 2.0 ** 31 + 4 * 2.0 ** 28)])
+def test_antiderivative_samples_v0_on_the_lattice_hull(coeffs_heat, W, hull):
+    # v0 is sampled on the lattice cells that cover [-W, W], which end at the
+    # first lattice point at or past W, below max(W + 1, 1.125 W)
+    assert W <= hull < max(W + 1.0, 1.125 * W)
+    v0, V0 = _gaussian(0.7, 0.3)
+    seen = []
+    xs = np.linspace(-1.0, 1.0, 5)
+    prob = BurgersProblem(coeffs_heat, lambda y: (seen.append(np.abs(y).max()),
+                                                  v0(y))[1], xs)
+    V = prob.antiderivative(W)
+    assert hull * (1.0 - 1e-3) < max(seen) < hull
+    assert abs(V(W) - V0(W)) <= 1e-13
+    # finite on the hull is enough; not finite inside it names the y
+    finite = np.nextafter(hull, np.inf)
+    prob = BurgersProblem(coeffs_heat, lambda y: np.where(np.abs(y) > finite,
+                                                          np.nan, v0(y)), xs)
+    assert abs(prob.antiderivative(W)(-W) - V0(-W)) <= 1e-13
+    if hull > W:
+        inside = 0.5 * (W + hull)
+        prob = BurgersProblem(coeffs_heat, lambda y: np.where(
+            np.abs(y) > inside, np.nan, v0(y)), xs)
+        with pytest.raises(IntegrationError, match="v0 is not finite at y = "):
+            prob.antiderivative(W)
 
 
 @pytest.mark.parametrize("jump, at", [(2.0, 0.3), (20.0, 0.3), (2.0, 30.3)])
