@@ -130,28 +130,30 @@ def check_closed_form(name: str):
 
 @check(2, "superposition-vs-direct", 1e-6, per_profile=True)
 def check_superposition(name: str):
-    """Nonlinear superposition vs direct integration, 20 random initial data."""
+    """Nonlinear superposition vs direct integration, 20 random initial data
+    integrated as one stack."""
     coeffs = builtin_profile(name)
     fund = pipeline_kernel(name).fund
     rng = np.random.default_rng(20240517)
+    inits = np.array([[
+        rng.uniform(0.4, 2.0),       # mu(0) > 0
+        rng.uniform(-1.0, 0.2),      # alpha(0), capped to avoid blow-up
+        rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0]),
+        rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+    ] for _ in range(20)])
+    horizon = 0.5
+    for _attempt in range(3):
+        try:
+            trajectories = rc.integrate_direct(coeffs, inits, horizon, tol=1e-11)
+            break
+        except BlowUpError as exc:
+            horizon = 0.8 * exc.t_blowup
     worst = 0.0
-    for _ in range(20):
-        init = np.array([
-            rng.uniform(0.4, 2.0),       # mu(0) > 0
-            rng.uniform(-1.0, 0.2),      # alpha(0), capped to avoid blow-up
-            rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0]),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0),
-        ])
-        horizon = 0.5
-        for _attempt in range(3):
-            try:
-                direct = rc.integrate_direct(coeffs, init, horizon, tol=1e-11).final
-                break
-            except BlowUpError as exc:
-                horizon = 0.8 * exc.t_blowup
+    for init, traj in zip(inits, trajectories):
+        direct = traj.final
         merged = rc.superpose(fund, init, horizon)
         for field in ("mu", "alpha", "beta", "gamma", "delta", "eps", "kappa"):
             worst = max(worst, rel_err(getattr(direct, field),

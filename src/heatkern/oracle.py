@@ -169,7 +169,11 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
     The advection term (a v + g - c x) v_x is explicit with donor-cell
     upwinding and must satisfy max|speed| dt/dx <= 0.5 (checked each step);
     the diffusion term is Crank–Nicolson, so it imposes no step limit.  Its
-    matrix is refactored only when a at the step midpoint changes.
+    matrix is refactored only when a at the step midpoint changes, and the
+    arrays built from c, b and f only when one of the six values changes.
+    Every step writes into buffers allocated once per run, in the order of
+    operations of the formula in the comment above each block, so the field
+    is the same to the bit as one built from temporaries.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -183,39 +187,61 @@ def fd_burgers(coeffs: CoefficientSet, v0: Callable[[float], float],
     n_steps, dt = _steps(t_end, spec.dt)
     xi = xs[1:-1]
     m = len(xi)
-    key = None
+    inner, left, right = v[1:-1], v[:-2], v[2:]     # views: v is updated in place
+    diff = np.empty(m + 1)      # (v[i+1] - v[i])/dx: backward and forward slopes
+    speed, grad, explicit, lap = (np.empty(m) for _ in range(4))
+    key = a_key = None
     for step in range(n_steps):
         t = step * dt
         t_mid = t + 0.5 * dt
-        a_mid = coeffs.a(t_mid)
-        a = coeffs.a(t)
-        b = coeffs.b(t)
-        c = coeffs.c(t)
-        f = coeffs.f(t)
-        g = coeffs.g(t)
-        _require_finite((a_mid, a, b, c, f, g), "coefficient value", t)
-
-        speed = a * v[1:-1] + g - c * xi
-        cfl = np.max(np.abs(speed)) * dt / dx
-        if cfl > CFL_LIMIT:
-            raise StabilityError(f"advection CFL {cfl:.3f} exceeds {CFL_LIMIT} "
-                                 f"at t={t:.6g}; reduce dt")
-        back = (v[1:-1] - v[:-2]) / dx
-        fwd = (v[2:] - v[1:-1]) / dx
-        grad = np.where(speed > 0.0, back, fwd)
-        explicit = -speed * grad + c * v[1:-1] - 2.0 * (f - 2.0 * b * xi)
-
-        lap = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx ** 2
-        rhs = v[1:-1] + dt * explicit + 0.5 * dt * a_mid * lap
-        rhs[0] += 0.5 * dt * a_mid / dx ** 2 * bc_l
-        rhs[-1] += 0.5 * dt * a_mid / dx ** 2 * bc_r
-        if a_mid != key:
+        values = (coeffs.a(t_mid), coeffs.a(t), coeffs.b(t), coeffs.c(t),
+                  coeffs.f(t), coeffs.g(t))
+        if values != key:
+            _require_finite(values, "coefficient value", t)
+            a_mid, a, b, c, f, g = values
+            c_xi = c * xi
+            source = 2.0 * (f - 2.0 * b * xi)
+            half_a = 0.5 * dt * a_mid
+            key = values
+        if a_mid != a_key:
             r = 0.5 * dt * a_mid / dx ** 2
             factors = _factor(dgttrf, np.full(m - 1, -r),
                               np.full(m, 1.0 + 2.0 * r), np.full(m - 1, -r),
                               t_mid)
-            key = a_mid
-        v[1:-1], _ = dgttrs(*factors, rhs)
+            a_key = a_mid
+
+        # speed = a v + g - c x
+        np.multiply(inner, a, out=speed)
+        speed += g
+        speed -= c_xi
+        np.abs(speed, out=grad)
+        cfl = grad.max() * dt / dx
+        if cfl > CFL_LIMIT:
+            raise StabilityError(f"advection CFL {cfl:.3f} exceeds {CFL_LIMIT} "
+                                 f"at t={t:.6g}; reduce dt")
+        # upwind slope: backward where speed > 0, forward elsewhere
+        np.subtract(v[1:], v[:-1], out=diff)
+        diff /= dx
+        np.copyto(grad, diff[1:])
+        np.copyto(grad, diff[:-1], where=speed > 0.0)
+        # explicit = -speed grad + c v - 2 (f - 2 b x)
+        np.multiply(speed, grad, out=grad)
+        np.multiply(inner, c, out=explicit)
+        explicit -= grad
+        explicit -= source
+        # lap = (v[i-1] - 2 v[i] + v[i+1])/dx^2
+        np.multiply(inner, 2.0, out=lap)
+        np.subtract(left, lap, out=lap)
+        lap += right
+        lap /= dx ** 2
+        # rhs = v + dt explicit + dt/2 a_mid lap, into explicit
+        explicit *= dt
+        explicit += inner
+        lap *= half_a
+        explicit += lap
+        explicit[0] += r * bc_l
+        explicit[-1] += r * bc_r
+        inner[:], _ = dgttrs(*factors, explicit, overwrite_b=1)
 
         if step % 50 == 0 or step == n_steps - 1:
             _check_bounded(v, True, (step + 1) * dt)

@@ -183,16 +183,22 @@ def superpose(fund: FundamentalRiccati, init, t: float) -> RiccatiState:
 
 
 class RiccatiTrajectory:
-    """Dense directly-integrated trajectory of the seven-function system."""
+    """Dense directly-integrated trajectory of the seven-function system.
 
-    def __init__(self, init, T, dense):
+    ``dense(t)`` returns the 7m states of a stack integrated together,
+    component by component (a (7, m) array, raveled); this trajectory reads
+    column ``member``.
+    """
+
+    def __init__(self, init, T, dense, member=0):
         self.init = tuple(float(v) for v in init)
         self.T = float(T)
         self._dense = dense
+        self._member = member
 
     def state(self, t: float) -> RiccatiState:
         t = check_range("t", float(t), 0.0, self.T)
-        y = self._dense(t)
+        y = self._dense(t).reshape(7, -1)[:, self._member]
         return RiccatiState(t, *map(float, y), init=self.init)
 
     @property
@@ -200,25 +206,39 @@ class RiccatiTrajectory:
         return self.state(self.T)
 
 
-def integrate_direct(coeffs: CoefficientSet, init, T: float,
-                     tol: float = 1e-10) -> RiccatiTrajectory:
+def integrate_direct(coeffs: CoefficientSet, init, T: float, tol: float = 1e-10
+                     ) -> RiccatiTrajectory | list[RiccatiTrajectory]:
     """Integrate the seven coupled ODEs directly from ``init`` up to ``T``.
 
-    Solutions of the Riccati component can blow up in finite time; any
-    component magnitude exceeding 1e12 aborts the run with a
-    :class:`BlowUpError` carrying the reached time.
+    ``init`` is one datum (mu, alpha, beta, gamma, delta, eps, kappa) of
+    shape (7,), which gives one :class:`RiccatiTrajectory`, or a stack of m
+    data of shape (m, 7), which is integrated as one system of 7m equations
+    and gives a list of m trajectories sharing its dense output.  The RHS
+    acts on the rows of a (7, m) view, so a ... g are evaluated once per
+    call for the whole stack.  The step control's error norm is the RMS over
+    all 7m components, so a stack runs at rtol = tol/sqrt(m) (atol = 1e-3
+    rtol) to hold every member to the accuracy of its own run at ``tol``.
+
+    ``T`` must lie in [0, coeffs.domain_end]; anything else, NaN and inf
+    included, raises :class:`DomainError`.  Solutions of the Riccati
+    component can blow up in finite time; any component magnitude of any
+    member exceeding 1e12 aborts the run with a :class:`BlowUpError`
+    carrying the time the first member escaped.
     """
-    init = np.array([float(v) for v in init], dtype=float)
-    if init.shape != (7,):
-        raise ValueError("init must contain the seven values "
-                         "(mu, alpha, beta, gamma, delta, eps, kappa)")
-    if not np.all(np.isfinite(init)):
+    stack = np.array(init, dtype=float)
+    if stack.ndim not in (1, 2) or stack.shape[-1] != 7 or stack.size == 0:
+        raise ValueError("init must be the seven values (mu, alpha, beta, "
+                         "gamma, delta, eps, kappa) or a stack of shape (m, 7)")
+    if not np.all(np.isfinite(stack)):
         raise ValueError("init must be finite")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    T = check_range("T", T, 0.0, coeffs.domain_end)
+    rows = stack.reshape(-1, 7)
+    rtol = tol / math.sqrt(len(rows))
 
     def rhs(t, y):
-        mu, alpha, beta, gamma, delta, eps, kappa = y
+        mu, alpha, beta, gamma, delta, eps, kappa = y.reshape(7, -1)
         a = coeffs.a(t)
         b = coeffs.b(t)
         c = coeffs.c(t)
@@ -226,7 +246,7 @@ def integrate_direct(coeffs: CoefficientSet, init, T: float,
         f = coeffs.f(t)
         g = coeffs.g(t)
         lin = c + 4.0 * a * alpha
-        return np.array([
+        return np.concatenate([
             -2.0 * mu * (2.0 * a * alpha + d),
             -b + 2.0 * c * alpha + 4.0 * a * alpha ** 2,
             lin * beta,
@@ -243,15 +263,17 @@ def integrate_direct(coeffs: CoefficientSet, init, T: float,
     escape.direction = 1.0
 
     from scipy.integrate import solve_ivp   # the oracle's own integrator
-    sol = solve_ivp(rhs, (0.0, float(T)), init, method="DOP853",
-                    dense_output=True, rtol=tol, atol=tol * 1e-3,
+    sol = solve_ivp(rhs, (0.0, T), rows.T.ravel(), method="DOP853",
+                    dense_output=True, rtol=rtol, atol=rtol * 1e-3,
                     events=escape)
     if sol.status == 1:
         raise BlowUpError(f"trajectory escaped |y| > {BLOWUP_THRESHOLD:g} "
                           f"at t = {sol.t_events[0][0]:.6g}", sol.t_events[0][0])
     if not sol.success:
         raise IntegrationError(f"direct integration failed: {sol.message}")
-    return RiccatiTrajectory(init, T, sol.sol)
+    if stack.ndim == 1:
+        return RiccatiTrajectory(stack, T, sol.sol)
+    return [RiccatiTrajectory(row, T, sol.sol, j) for j, row in enumerate(rows)]
 
 
 def invert(state: RiccatiState) -> FundamentalValues:

@@ -37,6 +37,8 @@ NAN_CALLS = {
     "integrate_direct.state": lambda: integrate_direct(
         profile("constant-heat"), (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
         0.5).state(math.nan),
+    "integrate_direct.T": lambda: integrate_direct(
+        profile("constant-heat"), (1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), math.nan),
     "traveling_wave.beta": lambda: _wave().beta(math.nan),
     "traveling_wave.gamma": lambda: _wave().gamma(math.nan),
     "traveling_wave.induced_b": lambda: _wave().induced_b(math.nan),

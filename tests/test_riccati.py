@@ -26,6 +26,14 @@ def mixed_err(a, b, switch=1e-6):
     return abs(a - b) / scale if scale > switch else abs(a - b)
 
 
+def _seeded_stack(m, seed=3):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        rng.uniform(0.4, 2.0, m), rng.uniform(-1.0, 0.2, m),
+        rng.uniform(0.4, 2.0, m) * rng.choice([-1.0, 1.0], m),
+        *rng.uniform(-1.0, 1.0, (4, m))])
+
+
 # ------------------------------------------------------------------ fundamental
 
 def test_fundamental_fokker_planck_closed_form(kernel_fp):
@@ -272,25 +280,91 @@ def test_direct_integration_zero_fixed_point(coeffs_cable):
 
 
 def test_direct_integration_blowup(coeffs_heat):
-    with pytest.raises(BlowUpError) as err:
-        integrate_direct(coeffs_heat, (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0), 1.0)
-    assert err.value.t_blowup == pytest.approx(0.25, abs=2e-3)
+    # alpha(0) = 1 escapes at t = 1/4 (alpha = 1/(1 - 4t)); in a stack the
+    # first member to escape stops the run, and the others do not escape
+    stack = _seeded_stack(6)
+    stack[4, 1] = 1.0
+    for init in ((1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0), stack):
+        with pytest.raises(BlowUpError) as err:
+            integrate_direct(coeffs_heat, init, 1.0)
+        assert err.value.t_blowup == pytest.approx(0.25, abs=2e-3)
 
 
 def test_direct_integration_input_validation(coeffs_heat):
-    with pytest.raises(ValueError):
-        integrate_direct(coeffs_heat, (1.0, 2.0), 1.0)
-    with pytest.raises(ValueError):
-        integrate_direct(coeffs_heat, (np.nan,) * 7, 1.0)
-    traj = integrate_direct(coeffs_heat, (1.0, -1.0, 1.0, 0, 0, 0, 0), 0.5)
-    with pytest.raises(DomainError):
-        traj.state(0.7)
+    bad_stacks = (np.ones((3, 6)), np.empty((0, 7)), np.ones((2, 3, 7)),
+                  np.vstack([np.ones(7), [1.0, np.inf, 1.0, 0, 0, 0, 0]]))
+    for init in ((1.0, 2.0), (np.nan,) * 7, *bad_stacks):
+        with pytest.raises(ValueError, match="init"):
+            integrate_direct(coeffs_heat, init, 1.0)
+    single = integrate_direct(coeffs_heat, (1.0, -1.0, 1.0, 0, 0, 0, 0), 0.5)
+    for traj in (single, *integrate_direct(coeffs_heat, _seeded_stack(3), 0.5)):
+        with pytest.raises(DomainError):
+            traj.state(0.7)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
 def test_direct_integration_rejects_bad_tol(deadline, coeffs_heat, tol):
     with deadline(30), pytest.raises(ValueError, match="positive and finite"):
         integrate_direct(coeffs_heat, DIRECT_INIT, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("T", [-1.0, math.inf, 2.5 + 0.5])
+def test_direct_integration_rejects_horizon_outside_domain(deadline,
+                                                           coeffs_heat, T):
+    # backward, endless, or past the coefficients' domain_end = 2.5
+    with deadline(10), pytest.raises(DomainError, match="T="):
+        integrate_direct(coeffs_heat, DIRECT_INIT, T)
+
+
+def test_stack_members_match_their_single_runs():
+    co = profile("custom", T=1.5, poly=MIXED_POLY)
+    inits = _seeded_stack(20)
+    stack = integrate_direct(co, inits, 1.0, tol=1e-11)
+    assert len(stack) == 20
+    for init, traj in zip(inits, stack):
+        single = integrate_direct(co, init, 1.0, tol=1e-11)
+        assert traj.init == single.init == tuple(init)
+        got, want = traj.final, single.final
+        for field in STATE_FIELDS:
+            assert mixed_err(getattr(got, field), getattr(want, field)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 4, 20])
+def test_stack_runs_at_tol_over_sqrt_m(monkeypatch, coeffs_fp, m):
+    # the error norm is the RMS over all 7m components: rtol = tol/sqrt(m)
+    # keeps each member's error at its own run's level
+    import scipy.integrate
+
+    seen = []
+    real = scipy.integrate.solve_ivp
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", spy)
+    integrate_direct(coeffs_fp, _seeded_stack(m), 0.5, tol=1e-10)
+    assert seen == [(1e-10 / math.sqrt(m), 1e-10 / math.sqrt(m) * 1e-3)]
+
+
+def test_single_row_stack_is_the_single_run(coeffs_fp):
+    # m = 1 runs at the same rtol through the same RHS: the same bits
+    single = integrate_direct(coeffs_fp, DIRECT_INIT, 0.5, tol=1e-11)
+    (row,) = integrate_direct(coeffs_fp, [DIRECT_INIT], 0.5, tol=1e-11)
+    assert row.final == single.final
+
+
+def test_direct_integration_never_uses_the_main_path_integrator(
+        monkeypatch, coeffs_fp):
+    # the oracle must stay independent of the characteristic solve's DOP853
+    import heatkern._dop853
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_direct reached heatkern._dop853")
+
+    monkeypatch.setattr(heatkern._dop853, "solve", refuse)
+    assert integrate_direct(coeffs_fp, DIRECT_INIT, 0.5).final.t == 0.5
+    assert len(integrate_direct(coeffs_fp, _seeded_stack(4), 0.5)) == 4
 
 
 # ----------------------------------------------------------------------- invert
