@@ -9,6 +9,12 @@ method.  It is the one ODE integrator of the main path: the characteristic
 solve and the traveling-wave runs.  (The Burgers antiderivative V0 is a
 quadrature, built from Gauss–Kronrod panels in ``burgers``.)
 
+The continuous extension is a separate computation from the step (Sec.
+II.6): three more stages and a (7, n) coefficient block.  A run builds it
+for a step only when something reads it, an event search inside the step or
+the first query of :class:`DenseSolution` that lands in its segment, so a
+run read at a few times pays for a few extensions.
+
 The step, its error norm and step-size control, the initial-step heuristic,
 the dense-output polynomial and its segment rule, and the event search follow
 SciPy 1.17.1 (``scipy.integrate.solve_ivp(method="DOP853")`` and the C
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -223,6 +230,7 @@ _D = {
 }
 
 N_STAGES = 12
+N_EXTRA_STAGES = 3    # the continuous extension's own stages
 C = np.array(_C)
 A = np.zeros((16, 16))
 for _row, _entries in _A.items():
@@ -242,7 +250,7 @@ for _row, _entries in _D.items():
     for _col, _v in _entries.items():
         D[_row, _col] = _v
 # stage s combines the first s stages with A[s, :s] at time t + C[s] h
-_STAGES = [(A[s, :s], C[s]) for s in range(1, 16)]
+_STAGES = [(A[s, :s], float(C[s])) for s in range(1, 16)]
 # Brent's root search on an event, with scipy's solve_ivp settings
 _XTOL = _RTOL = 4 * EPS
 _MAXITER = 100
@@ -258,6 +266,26 @@ def _extension(x, F, y_old):
     return y + y_old
 
 
+def _dense_coefficients(fun, err, t, h, y, y_new, K):
+    """A step's (7, n) continuous-extension coefficients F.
+
+    ``K`` is a (16, n) array whose first 13 rows are the step's stages; the
+    three extra stages fill the rest.  The arithmetic is SciPy's
+    ``DOP853._dense_output_impl``, in its order, under the numpy error state
+    ``err`` of the solve that took the step.
+    """
+    with np.errstate(**err):
+        for s, (a, c) in enumerate(_STAGES[N_STAGES:], start=N_STAGES + 1):
+            K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+        F = np.empty((7, len(y)))
+        dy = y_new - y
+        F[0] = dy
+        F[1] = h * K[0] - dy
+        F[2] = 2 * dy - h * (K[N_STAGES] + K[0])
+        F[3:] = h * np.dot(D, K)
+    return F
+
+
 class DenseSolution:
     """The continuous extension of every accepted step, evaluated at any t.
 
@@ -266,17 +294,38 @@ class DenseSolution:
     segment.  A float t gives the n states, an array of t an (n, *t.shape)
     array: one gather of segment coefficients.  Both evaluate the same
     polynomial in the same operation order, so they agree to the last bit.
+
+    ``F[i]`` is segment i's (7, n) coefficient block, or a callable that
+    builds it (:func:`solve` passes one per step whose extension nothing has
+    read yet).  The first query that lands in such a segment calls it, which
+    makes ``N_EXTRA_STAGES`` right-hand-side evaluations; an exception it
+    raises, such as an :class:`IntegrationError` for a stage that is not
+    finite, propagates from the query and leaves the segment unbuilt.
+    ``nfev`` counts the right-hand-side evaluations made so far: ``nfev``
+    at construction plus those of the segments built since.
     """
 
-    def __init__(self, ts, t_old, h, y_old, F):
+    def __init__(self, ts, t_old, h, y_old, F, nfev=0):
         self._ts = np.array(ts)
         self.ts = self._ts.tolist()
         self.t_max = self.ts[-1]
         self._t_old, self._h = np.array(t_old), np.array(h)
         self._y_old = np.array(y_old)
-        self._F = np.array(F).transpose(1, 0, 2)   # (power, segment, state)
+        self._F = np.empty((7, *self._y_old.shape))   # (power, segment, state)
+        self._pending = {}   # segment -> the callable that builds its F
+        for i, Fi in enumerate(F):
+            if callable(Fi):
+                self._pending[i] = Fi
+            else:
+                self._F[:, i] = Fi
+        self.nfev = nfev
         self._t_old_list, self._h_list = self._t_old.tolist(), self._h.tolist()
         self._rows = {}   # the float path's Python floats, per segment used
+
+    def _build(self, i):
+        self._F[:, i] = self._pending[i]()
+        del self._pending[i]
+        self.nfev += N_EXTRA_STAGES
 
     def __call__(self, t):
         last = len(self.ts) - 2
@@ -285,6 +334,8 @@ class DenseSolution:
             i = min(max(bisect_left(self.ts, t) - 1, 0), last)
             rows = self._rows.get(i)
             if rows is None:   # per state: F6..F0, y_old
+                if i in self._pending:
+                    self._build(i)
                 rows = self._rows[i] = np.vstack(
                     [self._F[::-1, i], self._y_old[i]]).T.tolist()
             x = (t - self._t_old_list[i]) / self._h_list[i]
@@ -294,17 +345,26 @@ class DenseSolution:
                              for f6, f5, f4, f3, f2, f1, f0, y0 in rows])
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, last)
+        if self._pending:
+            for j in np.unique(i).tolist():
+                if j in self._pending:
+                    self._build(j)
         x = ((t - self._t_old[i]) / self._h[i])[..., None]
         return np.moveaxis(_extension(x, self._F[:, i], self._y_old[i]), -1, 0)
 
 
 class Run(NamedTuple):
-    """One integration: the dense solution (its ``ts`` are the nodes), the
-    number of right-hand-side evaluations and each event's roots in order."""
+    """One integration: the dense solution (its ``ts`` are the nodes) and
+    each event's roots in order."""
 
     sol: DenseSolution
-    nfev: int
     t_events: list
+
+    @property
+    def nfev(self) -> int:
+        """Right-hand-side evaluations so far: the solve's, and the extra
+        stages of every extension built since (see :class:`DenseSolution`)."""
+        return self.sol.nfev
 
 
 def _norm(x):
@@ -341,7 +401,7 @@ def _error_norm(K, h, scale):
         return 0.0
     err3_norm_2 = _norm(err3) ** 2
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return float(np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale)))
 
 
 def _active_events(g, g_new, directions):
@@ -422,6 +482,12 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
     there.  Raises :class:`IntegrationError` naming ``what`` when the step
     size underflows or a step past ``MAX_STEPS`` attempts is needed; an
     exception raised by ``fun`` propagates.
+
+    ``fun`` must not keep its ``y`` argument: the stages share one buffer.
+    It must also stay callable after the run returns, because the dense
+    solution builds a step's continuous extension only when it is first
+    read (see :class:`DenseSolution`), under the numpy error state that was
+    in force during the solve.
     """
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
@@ -432,20 +498,22 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
     def call(t, y):
         return np.asarray(fun(t, y), dtype=float)
 
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)   # a copy: the extensions read it later
     t, f = t0, call(t0, y)
-    h_abs = _initial_step(call, t0, y, f, t1 - t0, rtol, atol)
+    h_abs = float(_initial_step(call, t0, y, f, t1 - t0, rtol, atol))
     nfev = 2
+    err = np.geterr()
     K_ext = np.empty((16, len(y)))
     K = K_ext[:N_STAGES + 1]
-    KT = [K_ext[:s].T for s in range(16)]   # stage s reads KT[s] @ A[s, :s]
+    KT = [K_ext[:s].T for s in range(N_STAGES + 1)]   # stage s: KT[s] @ A[s, :s]
+    y_stage = np.empty(len(y))
     ts, t_old, hs, y_old, Fs = [t0], [], [], [], []
     g = [ev(t0, y) for ev, _, _ in events]
     t_events = [[] for _ in events]
     done = False
     attempts = 0
     while not done:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:   # until a step is accepted
@@ -462,12 +530,15 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
             if t_new - t1 > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s, (a, c) in enumerate(_STAGES[:N_STAGES - 1], start=1):
-                K[s] = call(t + c * h, y + np.dot(KT[s], a) * h)
+                np.dot(KT[s], a, out=y_stage)   # the bits of y + (K^T a) h
+                y_stage *= h
+                y_stage += y
+                K[s] = fun(t + c * h, y_stage)
             y_new = y + h * np.dot(KT[N_STAGES], B)
-            f_new = K[-1] = call(t + h, y_new)
+            K[N_STAGES] = fun(t + h, y_new)
             nfev += N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K, h, scale)
@@ -479,22 +550,17 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
-        # the dense output: three more stages and the (7, n) coefficients F
-        for s, (a, c) in enumerate(_STAGES[N_STAGES:], start=N_STAGES + 1):
-            K_ext[s] = call(t + c * h, y + np.dot(KT[s], a) * h)
-        nfev += 3
-        F = np.empty((7, len(y)))
-        dy = y_new - y
-        F[0] = dy
-        F[1] = h * f - dy
-        F[2] = 2 * dy - h * (f_new + f)
-        F[3:] = h * np.dot(D, K_ext)
+        # F is built from a copy of the step's stages when first read
+        stages = K_ext.copy()
+        F = partial(_dense_coefficients, fun, err, t, h, y, y_new, stages)
         done = t_new - t1 >= 0
         t_end = t_new
         if events:
             g_new = [ev(t_new, y_new) for ev, _, _ in events]
             active = _active_events(g, g_new, [d for _, d, _ in events])
             if active:
+                F = F()
+                nfev += N_EXTRA_STAGES
                 roots = [brentq(lambda s, ev=events[i][0]:
                                 ev(s, _extension((s - t) / h, F, y)), t, t_new)
                          for i in active]
@@ -513,5 +579,5 @@ def solve(fun: Callable, t0: float, t1: float, y0, rtol: float, atol: float,
             hs.append(h)
             y_old.append(y)
             Fs.append(F)
-        t, y, f = t_new, y_new, f_new
-    return Run(DenseSolution(ts, t_old, hs, y_old, Fs), nfev, t_events)
+        t, y, f = t_new, y_new, stages[N_STAGES]
+    return Run(DenseSolution(ts, t_old, hs, y_old, Fs, nfev), t_events)

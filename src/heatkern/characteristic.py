@@ -25,7 +25,8 @@ divides by a coefficient or a state, and a' and d' are never read; where b
 or f is 0 its term is exactly 0, so a strong drift (e^{-C} overflowing)
 does not matter unless b or f needs it.  Dense output comes from the
 integrator's continuous extension, so the kernel coefficients built from
-these states can be sampled at arbitrary times.
+these states can be sampled at arbitrary times; the extension of a step is
+built the first time a query reads it.
 
 The standard solutions of the characteristic equation
 mu'' - tau(t) mu' - 4 sigma(t) mu = 0, with mu0(0) = 0, mu0'(0) = 2a(0),
@@ -87,16 +88,23 @@ class CharacteristicSolution:
     the horizon ``coeffs.domain_end``, whichever comes first, and
     ``end_cause`` says which: ``"mu0-zero"``, ``"a-zero"`` or ``"horizon"``.
     The states are dense up to the horizon, or up to ``T_valid`` when a(t)
-    ends the run.  ``steps`` and ``nfev`` count the integrator's accepted
-    steps and right-hand-side evaluations.
+    ends the run.  ``steps`` counts the integrator's accepted steps.
     """
 
     coeffs: CoefficientSet
     T_valid: float
     end_cause: str
     steps: int
-    nfev: int
     _sol: _dop853.DenseSolution
+
+    @property
+    def nfev(self) -> int:
+        """Right-hand-side evaluations made so far.  The run builds a step's
+        continuous extension (three more evaluations) only when a state
+        query or an event search first reads that step, so the count grows
+        with the steps read and reaches the full run's count once every
+        step has been read."""
+        return self._sol.nfev
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
@@ -212,7 +220,7 @@ def solve_characteristic(coeffs: CoefficientSet,
               fm * y0 - g2 * x0, dq, p * dq]
         if not math.isfinite(sum(dy)):
             raise IntegrationError(f"characteristic system is not finite at t = {t:.6g}")
-        return np.array(dy)
+        return dy
 
     def mu0_zero(t, y):
         return y[1]
@@ -241,8 +249,7 @@ def solve_characteristic(coeffs: CoefficientSet,
         T_valid, end_cause = end, "horizon"
     return CharacteristicSolution(coeffs=coeffs, T_valid=T_valid,
                                   end_cause=end_cause,
-                                  steps=len(run.sol.ts) - 1, nfev=run.nfev,
-                                  _sol=run.sol)
+                                  steps=len(run.sol.ts) - 1, _sol=run.sol)
 
 
 def wronskian_residual(chs: CharacteristicSolution, grid) -> float:

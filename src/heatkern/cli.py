@@ -153,10 +153,11 @@ def cmd_kernel(args) -> int:
     K = kn.make_kernel(coeffs, tol=args.tol)
     xs = _parse_grid(args.grid)
     grid = K.evaluate(xs[:, None], xs[None, :], args.t)
-    rows = ((x, y, args.t, v) for x, row in zip(xs, grid)
-            for y, v in zip(xs, row))
+    n = len(xs)
     with _output(args.out) as fh:
-        kn.write_csv(fh, ("x", "y", "t", "K"), rows)
+        kn.write_csv(fh, ("x", "y", "t", "K"),
+                     (np.repeat(xs, n), np.tile(xs, n), np.full(n * n, args.t),
+                      grid.ravel()))
     _gnuplot(args, "1:2:4", mode="splot")
     return 0
 
@@ -212,14 +213,19 @@ def cmd_wave(args) -> int:
         print("profile poles at z = "
               + ", ".join(f"{p:.12g}" for p in tw.poles), file=sys.stderr)
     xs = _parse_grid(args.grid)
-    rows = [(args.t, x, v) for x, v in zip(xs, tw(xs, args.t))]
+    v = tw(xs, args.t)
     with _output(args.out) as fh:
-        kn.write_csv(fh, ("t", "x", "v"), rows)
+        kn.write_csv(fh, ("t", "x", "v"), (np.full(len(xs), args.t), xs, v))
     _gnuplot(args, "2:3")
     return 0
 
 
 def cmd_riccati(args) -> int:
+    if not (args.tmin == args.tmax if args.points == 1
+            else args.tmin < args.tmax):
+        raise ConfigError(f"--tmin/--tmax need tmin < tmax, or tmin = tmax "
+                          f"with --points 1, got {args.tmin:g} and "
+                          f"{args.tmax:g} with --points {args.points}")
     coeffs = _coefficients(args)
     chs = solve_characteristic(coeffs, tol=args.tol)
     ts = np.geomspace(args.tmin, min(args.tmax, chs.t_last), args.points)
@@ -229,9 +235,8 @@ def cmd_riccati(args) -> int:
     else:
         columns = fundamental(chs).values(ts)[1:]
         header = ("t", "alpha0", "beta0", "gamma0", "delta0", "eps0", "kappa0")
-    rows = zip(ts, *columns)
     with _output(args.out) as fh:
-        kn.write_csv(fh, header, rows)
+        kn.write_csv(fh, header, (ts, *columns))
     _gnuplot(args, "1:2")
     return 0
 

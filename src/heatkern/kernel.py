@@ -222,13 +222,11 @@ class GridField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def rows(self):
-        for i, t in enumerate(self.ts):
-            for j, x in enumerate(self.xs):
-                yield t, x, self.values[i, j]
-
     def to_csv(self, fh, header=("t", "x", "u")):
-        write_csv(fh, header, self.rows())
+        """One row per (t, x), t-major."""
+        n_t, n_x = self.values.shape
+        write_csv(fh, header, (np.repeat(self.ts, n_x), np.tile(self.xs, n_t),
+                               self.values.ravel()))
 
 
 def x_grid(xs) -> np.ndarray:
@@ -239,11 +237,26 @@ def x_grid(xs) -> np.ndarray:
     return xs
 
 
-def write_csv(fh, header, rows):
-    """Write ``header`` and numeric ``rows`` as CSV with 17 significant digits."""
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    fh.write(",".join(header) + "\n"
-             + "".join(row_format % tuple(row) for row in rows))
+def write_csv(fh, header, columns):
+    """Write ``header`` and equally long numeric ``columns`` as CSV rows with
+    17 significant digits.
+
+    Each distinct value of a column is formatted once.  Values are told
+    apart by their bit pattern, so -0.0, 0.0 and every NaN keep their own
+    text: the bytes are those of formatting every value on its own.
+    """
+    texts = []
+    for column in columns:
+        values = np.asarray(column, dtype=float).ravel()
+        floats, bits = values.tolist(), values.view(np.int64).tolist()
+        if texts and len(bits) != len(texts[0]):
+            raise ValueError("CSV columns differ in length")
+        distinct = dict(zip(bits, floats))
+        text = dict(zip(distinct, map("%.17g".__mod__, distinct.values())))
+        texts.append(list(map(text.__getitem__, bits)))
+    lines = list(map(",".join, zip(*texts)))
+    lines.append("")   # the last row's newline
+    fh.write(",".join(header) + "\n" + "\n".join(lines))
 
 
 def _check_half_width(L):

@@ -107,7 +107,8 @@ class FundamentalRiccati:
                 states = states.tolist()
                 e_c, e_2d = math.exp(states[4]), math.exp(-2.0 * states[5])
             else:  # math.exp per element as well: np.exp may differ in the last bit
-                e_c, e_2d = (np.array([math.exp(v) for v in row.tolist()])
+                e_c, e_2d = (np.array([math.exp(v) for v in row.ravel().tolist()]
+                                      ).reshape(row.shape)
                              for row in (states[4], -2.0 * states[5]))
         except OverflowError:
             raise IntegrationError("e^C or e^(-2D) overflows: mu0 or beta0 is "

@@ -113,6 +113,14 @@ def test_riccati_command_stops_at_last_valid_time(tmp_path):
     _, rows = _read_csv(out)
     assert rows.shape == (7, 7) and np.all(np.isfinite(rows))
     assert rows[-1, 0] == pytest.approx(math.pi / 4.0 * (1.0 - 1e-6), rel=1e-9)
+    # a --tmin past the zero is a numerical failure, not a bad command line
+    assert main(["riccati", "--config", str(config), "--tmin", "1.0",
+                 "--tmax", "1.5", "--out", str(tmp_path / "late.csv")]) == 3
+    single = tmp_path / "single.csv"
+    assert main(["riccati", "--config", str(config), "--tmin", "0.5",
+                 "--tmax", "0.5", "--points", "1", "--out", str(single)]) == 0
+    _, rows = _read_csv(single)
+    assert rows.shape == (1, 7) and rows[0, 0] == 0.5
 
 
 def test_kernel_past_a_zero_of_a_exit_code(tmp_path, capsys):
@@ -236,6 +244,9 @@ def test_config_error_exit_code():
 @pytest.mark.parametrize("argv", [
     ["riccati", "--tmin", "0"],
     ["riccati", "--points", "-1"],
+    ["riccati", "--tmin", "1.5", "--tmax", "0.5"],
+    ["riccati", "--tmin", "0.5", "--tmax", "0.5"],
+    ["riccati", "--tmin", "0.5", "--tmax", "0.7", "--points", "1"],
     ["wave", "--window", "3:1"],
     ["wave", "--window", "a:b"],
     ["wave", "--beta0", "0"],

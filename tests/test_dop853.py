@@ -32,7 +32,8 @@ def scipy_solve(fun, t0, t1, y0, rtol, atol, events=(), *, what):
                     rtol=rtol, atol=atol, events=hooks or None)
     assert sol.success, sol.message
     t_events = [te.tolist() for te in sol.t_events] if hooks else []
-    return _dop853.Run(sol.sol, sol.nfev, t_events)
+    sol.sol.nfev = sol.nfev   # scipy built every extension during the run
+    return _dop853.Run(sol.sol, t_events)
 
 
 @pytest.fixture
@@ -74,14 +75,16 @@ def test_characteristic_run_is_scipys(reference, name, tol):
     want = reference(lambda: solve_characteristic(coeffs, tol=tol))
     got = solve_characteristic(coeffs, tol=tol)
     assert got.end_cause == want.end_cause == cause
-    assert (got.steps, got.nfev) == (want.steps, want.nfev)
+    assert got.steps == want.steps
     assert got.T_valid == want.T_valid
     if cause == "mu0-zero":
         assert got.T_valid == pytest.approx(math.pi / 4, rel=1e-9)
     nodes = np.array(got._sol.ts)
     assert same(nodes, want._sol.ts)
+    # the nodes read every segment, so every extension is built
     ts = np.concatenate([np.linspace(0.0, nodes[-1], 200 - len(nodes)), nodes])
     dense = got.states(ts)
+    assert got.nfev == want.nfev
     assert same(dense, want.states(ts))
     # the float path evaluates the same polynomial in the same order
     assert same(np.array([got.states(t) for t in ts.tolist()]).T, dense)
@@ -182,3 +185,74 @@ def test_zero_fifth_order_error_is_a_zero_norm():
     s = np.linspace(0.0, 20.0, 201)
     exact = 0.25 * math.sqrt(math.pi) * np.array([math.erf(v) for v in s])
     assert np.max(np.abs(run.sol(s) - [exact, -exact])) < 1e-12
+
+
+class Counting:
+    """y'' = -y as a first-order pair, counting its evaluations; ``scale``
+    multiplies every derivative from the next call on."""
+
+    def __init__(self):
+        self.calls, self.scale = 0, 1.0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        dy = np.array([y[1], -y[0]]) * self.scale
+        if not np.isfinite(dy).all():
+            raise IntegrationError(f"probe is not finite at t = {t:.6g}")
+        return dy
+
+
+def test_extensions_are_built_when_read():
+    fun = Counting()
+    run = _dop853.solve(fun, 0.0, 5.0, [1.0, 0.0], 1e-8, 1e-10, what="probe")
+    sol, steps = run.sol, len(run.sol.ts) - 1
+    theirs = solve_ivp(Counting(), (0.0, 5.0), [1.0, 0.0], method="DOP853",
+                       dense_output=True, rtol=1e-8, atol=1e-10)
+    assert len(theirs.t) - 1 == steps > 4
+    # the solve: 2 + 12 per step attempt; scipy adds 3 per accepted step
+    assert fun.calls == run.nfev == theirs.nfev - 3 * steps
+    ts = sol.ts
+    mid = [(a + b) / 2 for a, b in zip(ts, ts[1:])]
+    before = fun.calls
+    sol(mid[1])
+    assert fun.calls - before == run.nfev - before == 3
+    sol(mid[1])
+    sol(np.array([ts[2], mid[1]]))   # both in segment 1
+    assert fun.calls - before == 3
+    # an array over three unread segments and a read one: 3 each
+    sol(np.array([mid[2], mid[3], mid[3], mid[1], mid[4]]))
+    assert fun.calls - before == run.nfev - before == 12
+    sol(np.array(mid))
+    assert fun.calls == run.nfev == theirs.nfev
+    assert same(sol(np.array(mid)), theirs.sol(np.array(mid)))
+
+
+def test_extension_failure_surfaces_from_the_query():
+    fun = Counting()
+    run = _dop853.solve(fun, 0.0, 5.0, [1.0, 0.0], 1e-8, 1e-10, what="probe")
+    t = (run.sol.ts[1] + run.sol.ts[2]) / 2
+    fun.scale = math.nan
+    with pytest.raises(IntegrationError, match="probe is not finite"):
+        run.sol(t)
+    with pytest.raises(IntegrationError, match="probe is not finite"):
+        run.sol(np.array([t]))
+    # the segment stays unbuilt until a query succeeds
+    fun.scale = 1.0
+    nfev = run.nfev
+    want = _dop853.solve(Counting(), 0.0, 5.0, [1.0, 0.0], 1e-8, 1e-10,
+                         what="probe").sol(t)
+    assert same(run.sol(t), want) and run.nfev == nfev + 3
+
+
+def test_extension_runs_under_the_solves_error_state(recwarn):
+    fun = Counting()
+    with np.errstate(over="ignore"):
+        run = _dop853.solve(fun, 0.0, 5.0, [1.0, 0.0], 1e-8, 1e-10,
+                            what="probe")
+    fun.scale = 1e308   # the stages overflow to inf
+    with pytest.raises(IntegrationError, match="probe is not finite"):
+        run.sol(run.sol.ts[1] / 2)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # outside the solve's error state the same product warns
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.array([1e10]) * 1e308

@@ -785,10 +785,21 @@ def test_quad_reports_nonconvergence(kernel_heat):
 def test_write_csv_bytes_match_per_value_formatting():
     specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
                 2.2250738585072014e-308, 1.0 / 3.0, -1e300, 123456789.0]
-    rows = [(specials[i], np.float64(specials[-1 - i]), np.float64(i))
-            for i in range(len(specials))]
+    # repeats, which are formatted once, of values that compare equal or
+    # unordered: -0.0 and 0.0, NaNs of either sign and another payload
+    nan_payload = np.array([0x7FF8000000000001]).view(float)[0]
+    repeats = [-0.0, 0.0, math.nan, math.inf, -0.0, -math.nan, 0.0,
+               nan_payload, math.inf, math.nan]
+    columns = (specials + repeats,
+               np.array(specials[::-1] + repeats[::-1]),
+               [float(i % 3) for i in range(20)])
     buf = io.StringIO()
-    write_csv(buf, ("t", "x", "u"), rows)
+    write_csv(buf, ("t", "x", "u"), columns)
     old = "t,x,u\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                              for row in rows)
+                              for row in zip(*columns))
     assert buf.getvalue() == old
+    empty = io.StringIO()
+    write_csv(empty, ("t", "x"), ([], []))
+    assert empty.getvalue() == "t,x\n"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(io.StringIO(), ("t", "x"), ([0.0, 1.0], [0.0]))

@@ -140,6 +140,10 @@ def test_values_on_array_equal_stacked_scalars():
     ts = np.array([1e-4, 0.03, 0.7, 1.2, 1.5])
     stacked = np.array([fund.values(t) for t in ts]).T
     np.testing.assert_array_equal(np.array(fund.values(ts)), stacked)
+    # any shape of times, bit for bit the float path
+    square = np.array(fund.values(ts[:4].reshape(2, 2)))
+    assert square.shape == (7, 2, 2)
+    assert square.tobytes() == stacked[:, :4].reshape(7, 2, 2).tobytes()
     with pytest.raises(DomainError):
         fund.values(np.array([0.5, np.nan]))
 
