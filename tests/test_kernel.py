@@ -792,10 +792,11 @@ def test_write_csv_bytes_match_per_value_formatting():
                nan_payload, math.inf, math.nan]
     columns = (specials + repeats,
                np.array(specials[::-1] + repeats[::-1]),
-               [float(i % 3) for i in range(20)])
+               [float(i % 3) for i in range(20)],
+               np.linspace(-1.0, 1.0, 20) / 3.0)   # no repeats
     buf = io.StringIO()
-    write_csv(buf, ("t", "x", "u"), columns)
-    old = "t,x,u\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+    write_csv(buf, ("t", "x", "u", "v"), columns)
+    old = "t,x,u,v\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                               for row in zip(*columns))
     assert buf.getvalue() == old
     empty = io.StringIO()
