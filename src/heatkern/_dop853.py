@@ -345,8 +345,8 @@ class DenseSolution:
                              for f6, f5, f4, f3, f2, f1, f0, y0 in rows])
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self._ts, t, side="left") - 1, 0, last)
-        if self._pending:
-            for j in np.unique(i).tolist():
+        if self._pending:   # a set: the first np.unique call adds ~0.3 MB of RSS
+            for j in sorted(set(i.ravel().tolist())):
                 if j in self._pending:
                     self._build(j)
         x = ((t - self._t_old[i]) / self._h[i])[..., None]
