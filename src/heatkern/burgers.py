@@ -10,26 +10,30 @@ carries the x-derivative under the integral, so v is exact at any set of
 points.  The classical v_t + v v_x = a v_xx is the
 general equation for w = v / a, so it uses the same kernel, its validity
 interval and its errors, rescaled.  Traveling-wave families are constructed
-from the moving-frame reduction, whose profile ODE is integrated through an
-equivalent linear second-order equation (poles of the profile appear as
-zeros of its solution rather than as blow-up mid-integration).
+from the moving-frame reduction: its frame functions are quadratures, and
+its profile ODE is solved through an equivalent linear second-order
+equation, so poles of the profile appear as zeros of its solution rather
+than as blow-up mid-integration.  The numerical antiderivative of v0, the
+frame and the profile all run on the Legendre panels of
+:mod:`heatkern._panels`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import _dop853
-from .coefficients import CoefficientSet, structure
+from . import _panels
+from ._panels import G10_W, K21_W, NODES, clenshaw, integral_matrix
+from .coefficients import CoefficientSet, on_arrays, structure
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
-from .kernel import (_G10_W, _GK_X, _K21_W, GridField, HeatKernel, QuadSpec,
-                     _gk21, _kernel_rows, _on_arrays, make_kernel, x_grid)
+from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
+                     make_kernel, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 
@@ -42,24 +46,6 @@ _ABS_TOL = 1e-14        # a panel's |K21 - G10| may be this times its width,
 _REL_TOL = 1e-12        # or this times its integral of |v|
 _MIN_WIDTH = 2.0 ** -44  # the narrowest panel, relative to max(1, |y|)
 _MAX_PANELS = 1 << 14
-# Clenshaw's sum of a Legendre series: b_k = c_k + A_k x b_(k+1) - B_k b_(k+2)
-_CLENSHAW = [((2 * k + 1) / (k + 1), (k + 1) / (k + 2)) for k in range(21)]
-
-
-@functools.cache
-def _integral_matrix() -> np.ndarray:
-    """(22, 21): values of a degree-20 polynomial at the Kronrod nodes on
-    [-1, 1] to the Legendre coefficients of its integral from -1."""
-    P = [np.ones(21), _GK_X]     # P_k at the nodes, by the recurrence
-    for k in range(1, 20):
-        P.append(((2 * k + 1) * _GK_X * P[k] - k * P[k - 1]) / (k + 1))
-    C = np.linalg.inv(np.array(P).T)   # node values to Legendre coefficients
-    M = np.zeros((22, 21))
-    M[0] = M[1] = C[0]           # int P_0 = P_0 + P_1
-    for k in range(1, 21):       # int P_k = (P_(k+1) - P_(k-1)) / (2k + 1)
-        M[k + 1] += C[k] / (2 * k + 1)
-        M[k - 1] -= C[k] / (2 * k + 1)
-    return M
 
 
 class _DenseAntiderivative:
@@ -69,7 +55,8 @@ class _DenseAntiderivative:
     bisects each panel whose |K21 - G10| exceeds max(_ABS_TOL width,
     _REL_TOL int |v|).  A panel keeps V at its left edge and the Legendre
     coefficients of the integral of the degree-20 interpolant of its node
-    values, so V(y) is one search for the panel and one Clenshaw sum.  The
+    values, so V(y) is one search for the panel and one Clenshaw sum, which
+    a float y takes in Python floats, to the array path's bits.  The
     panels fill whole lattice cells, so v is sampled out to the first lattice
     point at or past W, which is below max(W + 1, 1.125 W): v must be finite
     there, not only on [-W, W].  V
@@ -84,7 +71,7 @@ class _DenseAntiderivative:
     """
 
     def __init__(self, v: Callable[[float], float], half_width: float):
-        self._v = _on_arrays(v)
+        self._v = on_arrays(v)
         self.half_width = 0.0
         self._edge = 0.0           # the lattice point the panels reach
         self._ends = [0.0, 0.0]    # V(-edge), V(edge)
@@ -122,6 +109,8 @@ class _DenseAntiderivative:
             for new, old in ((a, self._a), (0.5 * (b - a), self._half),
                              (coef, self._coef)))
         self._edge = float(edges[-1])
+        self._a_list, self._half_list = self._a.tolist(), self._half.tolist()
+        self._V_list, self._cols = self._V.tolist(), {}
 
     def _panels(self, a, b):
         """Bisect the cells [a, b] until every panel meets the tolerance;
@@ -130,14 +119,14 @@ class _DenseAntiderivative:
         cell = None   # the int |v| of the cell each panel came from
         while len(a):
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            y = mid[:, None] + half[:, None] * _GK_X
+            y = mid[:, None] + half[:, None] * NODES
             f = self._v(y)
             bad = ~np.isfinite(f)
             if bad.any():
                 raise IntegrationError(f"v0 is not finite at y = {y[bad][0]:.6g}")
-            k21 = half * (f * _K21_W).sum(axis=-1)
-            err = np.abs(k21 - half * (f * _G10_W).sum(axis=-1))
-            absint = half * (np.abs(f) * _K21_W).sum(axis=-1)
+            k21 = half * (f * K21_W).sum(axis=-1)
+            err = np.abs(k21 - half * (f * G10_W).sum(axis=-1))
+            absint = half * (np.abs(f) * K21_W).sum(axis=-1)
             cell = absint if cell is None else cell
             narrow = b - a < _MIN_WIDTH * np.maximum(1.0, np.abs(mid))
             ok = (err <= np.maximum(_ABS_TOL * (b - a), _REL_TOL * absint)) \
@@ -157,26 +146,29 @@ class _DenseAntiderivative:
             cell = np.concatenate((cell, cell))
         a, b, k21, fh = (np.concatenate(d) for d in zip(*done))
         order = np.argsort(a)
-        M = _integral_matrix()
+        M = integral_matrix()
         coef = M[:, :1] * fh[order, 0]
         for j in range(1, 21):   # node by node: no BLAS summation order
             coef += M[:, j:j + 1] * fh[order, j]
         return a[order], b[order], k21[order], coef
 
     def __call__(self, y):
-        if np.ndim(y) == 0:
-            return float(self(np.array([y], dtype=float))[0])
-        y = np.asarray(y, dtype=float)
         W = self.half_width
+        if np.ndim(y) == 0:   # Python floats: the array path's arithmetic
+            y = check_range("y", float(y), -W, W)
+            i = bisect_right(self._a_list, y) - 1
+            col = self._cols.get(i)
+            if col is None:
+                col = self._cols[i] = self._coef[:, i].tolist()
+            x = (y - self._a_list[i]) / self._half_list[i] - 1.0
+            return self._V_list[i] + clenshaw(col.__getitem__, 22, x)
+        y = np.asarray(y, dtype=float)
         flat = check_range("y", y.ravel(), -W, W)
         i = np.searchsorted(self._a, flat, side="right") - 1
         x = (flat - self._a[i]) / self._half[i] - 1.0
-        # Clenshaw, one degree at a time, so no (points, 22) block is gathered
-        b1, b2 = self._coef[21].take(i), 0.0
-        for k in range(20, -1, -1):
-            A, B = _CLENSHAW[k]
-            b1, b2 = self._coef[k].take(i) + A * x * b1 - B * b2, b1
-        return (self._V.take(i) + b1).reshape(y.shape)
+        # one degree at a time, so no (points, 22) block is gathered
+        V = self._V.take(i) + clenshaw(lambda k: self._coef[k].take(i), 22, x)
+        return V.reshape(y.shape)
 
 
 @dataclass
@@ -231,7 +223,7 @@ class BurgersProblem:
     def v0_bound(self, half_width: float) -> float:
         """max |v0| on 513 points; IntegrationError where v0 is not finite."""
         ys = np.linspace(-half_width, half_width, 513)
-        vals = np.abs(_on_arrays(self.v0)(ys))
+        vals = np.abs(on_arrays(self.v0)(ys))
         bad = ~np.isfinite(vals)
         if bad.any():
             raise IntegrationError(f"v0 is not finite at y = {ys[bad][0]:.6g}")
@@ -268,7 +260,7 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
 
     # the antiderivative must cover every quadrature window
     needed = float(np.max(np.abs(mean) + width))
-    V0 = _on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
+    V0 = on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
     def exponent(rows, y):
         return g0[rows, None] * y * y + q1[rows, None] * y - s * V0(y)
@@ -411,33 +403,56 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
         mu'' = (c0 + c1) mu' - (c2 z^2 + c3 z + c4) mu / 2
 
     over the z-window with mu(z0) = 1, mu'(z0) = -F0/2, so that
-    F = -2 mu'/mu matches the anchor; the zeros of mu, found as events of
-    that integration, are reported as the profile's poles.
+    F = -2 mu'/mu matches the anchor, all on the Legendre panels of
+    :mod:`heatkern._panels` to relative error ``tol``: beta = beta(0)
+    e^{int c} and gamma are quadratures, mu comes from the panels' linear
+    solve.  Every sign change of mu at the nodes is bisected on the dense mu
+    and reported as a pole of the profile.
     """
 
-    def frame_rhs(t, y):
-        dy = [c(t) * y[0], spec.c0 * a(t) * y[0] ** 2]
-        if not math.isfinite(sum(dy)):
-            raise IntegrationError(f"frame equations are not finite at t = {t:.6g}")
-        return dy
+    if not T > 0.0:
+        raise ValueError(f"frame integration needs t1 > t0, got [0, {T}]")
+    beta0, lam = spec.beta0_init, spec.c0 + spec.c1
+    a_, c_ = on_arrays(a), on_arrays(c)
 
-    frame = _dop853.solve(frame_rhs, 0.0, T,
-                          [spec.beta0_init, spec.gamma0_init], tol, 1e-14,
-                          what="frame")
+    def frame_states(_, half, co):   # (E, gamma) with beta = beta0 e^E
+        E, E_edges = _panels.cumulative(half, co[..., 0])
+        dgamma = spec.c0 * co[..., 1] * (beta0 * np.exp(E)) ** 2
+        gamma, gamma_edges = _panels.cumulative(half, dgamma, spec.gamma0_init)
+        return (np.column_stack((E_edges, gamma_edges)),
+                np.stack((co[..., 0], dgamma), axis=-1),
+                np.stack((E, gamma), axis=-1))
 
-    lam = spec.c0 + spec.c1
+    frame = _panels.refine((0.0, T), lambda t: np.stack((c_(t), a_(t)), axis=-1),
+                           frame_states, tol, (1.0, 0.0), "frame equations are")
+
+    def frame_at(t):
+        E, gamma = frame.dense(t)
+        return beta0 * np.exp(E), gamma
+
+    def profile_states(_, half, pot):
+        A10 = -pot[..., 0]
+        mu, edges = _panels.chain(
+            *_panels.linear(half, np.ones_like(A10), A10, np.full_like(A10, lam)),
+            [[1.0], [-0.5 * spec.F0]])
+        mu, dmu = mu[..., 0, 0], mu[..., 1, 0]
+        return (edges[..., 0], np.stack((dmu, lam * dmu + A10 * mu), axis=-1),
+                np.stack((mu, dmu), axis=-1))
+
     z0, z1 = spec.z_window
-
-    def mu_rhs(z, y):
-        pot = 0.5 * (spec.c2 * z * z + spec.c3 * z + spec.c4)
-        return [y[1], lam * y[1] - pot * y[0]]
-
-    def pole(z, y):
-        return y[0]
-
-    mu = _dop853.solve(mu_rhs, z0, z1, [1.0, -spec.F0 / 2.0], tol, 1e-14,
-                       events=[(pole, 0.0, False)], what="profile")
-    return TravelingWave(spec, a, c, T, frame.sol, mu.sol, mu.t_events[0])
+    mu = _panels.refine(
+        (z0, z1),
+        lambda z: 0.5 * (spec.c2 * z * z + spec.c3 * z + spec.c4)[..., None],
+        profile_states, tol, (0.0, 0.0), "profile equation is", var="z")
+    # mu at z0, every node and z1: each sign change holds a zero
+    zs = np.concatenate(([z0], mu.t.ravel(), [z1]))
+    ms = np.concatenate(([1.0], mu.y[..., 0].ravel(), [mu.edges[-1, 0]]))
+    poles = []
+    for j in np.flatnonzero((ms[:-1] != 0.0) & (ms[:-1] * ms[1:] <= 0.0)):
+        side = math.copysign(1.0, ms[j])
+        poles.append(_panels.bisect(lambda z: mu.dense.state(0, z) * side > 0.0,
+                                    float(zs[j]), float(zs[j + 1])))
+    return TravelingWave(spec, a, c, T, frame_at, mu.dense, poles)
 
 
 def integrate_profile_direct(spec: TravelingWaveSpec,

@@ -11,22 +11,23 @@ X^ = X e^{-C}, Y^ = Y e^{C} obeys
 
     X^' = -b e^{-2C} Y^,   Y^' = -4a e^{2C} X^,
 
-and this module integrates two such pairs, (X^0, Y^0)(0) = (1, 0) and
+and this module solves for two such pairs, (X^0, Y^0)(0) = (1, 0) and
 (X^1, Y^1)(0) = (0, 1), whose Wronskian X^0 Y^1 - X^1 Y^0 stays 1, together
 with C, D and three quadratures of the source coefficients f, g:
 
     P' = f Y^0 e^{-C} - 2g X^0 e^{C},   Q' = f Y^1 e^{-C} - 2g X^1 e^{C},
     R' = P Q',                          P(0) = Q(0) = R(0) = 0.
 
-The nine states form one first-order system with shared error control,
-integrated by the package's own DOP853 (:mod:`heatkern._dop853`, a port of
-scipy's that takes the same steps to the last bit).  No right-hand side
-divides by a coefficient or a state, and a' and d' are never read; where b
-or f is 0 its term is exactly 0, so a strong drift (e^{-C} overflowing)
-does not matter unless b or f needs it.  Dense output comes from the
-integrator's continuous extension, so the kernel coefficients built from
-these states can be sampled at arbitrary times; the extension of a step is
-built the first time a query reads it.
+The pairs' equation is linear and C, D, P, Q, R are quadratures, so the run
+is one pass of Legendre panels (:mod:`heatkern._panels`): C and D first,
+then both pairs from one batched linear solve per panel and the chained 2 x 2
+panel propagators, then P, Q and R.  Every coefficient is evaluated once per
+node, on arrays.  No term divides by a coefficient or a state, and a' and d'
+are never read; where b, f or g is 0 its term is exactly 0, so a strong
+drift (e^{-C} overflowing) does not matter unless a nonzero coefficient
+needs it.  Each panel's states are Legendre series of their mean slope, so
+the kernel coefficients built from them can be sampled at arbitrary times,
+and a state that starts at 0 keeps its relative accuracy as t -> 0.
 
 The standard solutions of the characteristic equation
 mu'' - tau(t) mu' - 4 sigma(t) mu = 0, with mu0(0) = 0, mu0'(0) = 2a(0),
@@ -46,9 +47,9 @@ divides by mu0, which vanishes with Y^0, and it is defined for forward
 diffusion only, so the validity interval ends at T_valid: the first zero of
 Y^0, the first sign change of a(t) or the horizon ``coeffs.domain_end``,
 whichever comes first.
-Both zeros are events of the one integration: the run continues past a zero
-of Y^0 and stops at a sign change of a.  A zero of a that does not change
-sign needs nothing, since nothing divides by a.
+Both are found at the nodes of the one solve and bisected: the run continues
+past a zero of Y^0 and stops at a sign change of a.  A zero of a that does
+not change sign needs nothing, since nothing divides by a.
 :meth:`CharacteristicSolution.check_valid` is the one guard every evaluator
 applies; it stops a relative ``ZERO_MARGIN`` short of a zero end.
 """
@@ -60,15 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dop853
-from .coefficients import CoefficientSet
-from .errors import DomainError, IntegrationError
+from . import _panels
+from .coefficients import CoefficientSet, on_arrays
+from .errors import DomainError
 
 ZERO_MARGIN = 1e-6
-# Every kernel value is read from the continuous extension, whose error runs
-# 10-50 times the step error that _dop853 controls; the run asks for tol/16 so
-# that the dense states meet about tol.
-DENSE_TOL_FACTOR = 16.0
 
 # why the validity interval ends, by CharacteristicSolution.end_cause
 _END_REASONS = {
@@ -77,6 +74,12 @@ _END_REASONS = {
     "a-zero": "a(t) changes sign at t = {:.10g} and backward diffusion has "
               "no kernel",
 }
+# C and D enter through e^C and e^{-2D}: they are resolved to an absolute
+# error, the other states relative to their size
+# the first panels halve toward t = 0, T/16 the narrowest, so that a state
+# that starts at 0 is resolved relative to its own size there
+_GRADING = 4
+_FLOOR = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -88,43 +91,36 @@ class CharacteristicSolution:
     the horizon ``coeffs.domain_end``, whichever comes first, and
     ``end_cause`` says which: ``"mu0-zero"``, ``"a-zero"`` or ``"horizon"``.
     The states are dense up to the horizon, or up to ``T_valid`` when a(t)
-    ends the run.  ``steps`` counts the integrator's accepted steps.
+    ends the run.  ``steps`` counts the panels and ``nfev`` the times at
+    which the coefficients were evaluated (21 per panel built, plus the
+    bisection of an a-zero); both are fixed once the solve returns.
     """
 
     coeffs: CoefficientSet
     T_valid: float
     end_cause: str
     steps: int
-    _sol: _dop853.DenseSolution
-
-    @property
-    def nfev(self) -> int:
-        """Right-hand-side evaluations made so far.  The run builds a step's
-        continuous extension (three more evaluations) only when a state
-        query or an event search first reads that step, so the count grows
-        with the steps read and reaches the full run's count once every
-        step has been read."""
-        return self._sol.nfev
+    nfev: int
+    _sol: _panels.Dense
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
         end = self._sol.t_max
-        if np.ndim(t) == 0:   # a float: one segment, no array machinery
-            t = float(t)
-            if not -1e-15 <= t <= end * (1.0 + 1e-12):
-                raise DomainError(f"t outside [0, {end}]")
-            return self._sol(t)
-        t_arr = np.asarray(t, dtype=float)
-        if not ((t_arr >= -1e-15) & (t_arr <= end * (1.0 + 1e-12))).all():
+        t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+        if not np.all((t >= -1e-15) & (t <= end * (1.0 + 1e-12))):
             raise DomainError(f"t outside [0, {end}]")
-        return self._sol(t_arr)
+        return self._sol(t)
 
     def standard(self, t):
         """Rows (mu0, mu0', mu1, mu1', h) at ``t``: the standard solutions of
         the characteristic equation and h, derived from the states."""
         x0, y0, x1, y1, C, D = self.states(t)[:6]
         co = self.coeffs
-        a, d = (np.vectorize(fn, otypes=[float])(t) for fn in (co.a, co.d))
+        if np.ndim(t) == 0:
+            a, d = co.a(float(t)), co.d(float(t))
+        else:
+            t = np.asarray(t, dtype=float)
+            a, d = on_arrays(co.a)(t), on_arrays(co.d)(t)
         k = co.d(0.0) / (2.0 * co.a(0.0))
         a2C, e2D = 2.0 * a * np.exp(2.0 * C), np.exp(-2.0 * D)
         y1k = y1 - k * y0
@@ -163,10 +159,47 @@ class CharacteristicSolution:
                           f"(0, {self.t_last:.10g}]: {why}")
 
 
+def _first_exit(t, values, inside, at):
+    """The first time where ``inside`` fails: bisected on ``at(t)`` between
+    the node before the first of ``values`` (at the increasing nodes ``t``)
+    outside and that node, or None when every value is inside."""
+    out = np.flatnonzero(~inside(values))
+    if not len(out):
+        return None
+    j = int(out[0])
+    return _panels.bisect(lambda s: inside(at(s)), t[j - 1] if j else 0.0, t[j])
+
+
+def _states(a, half, co):
+    """The nine states of all panels from the coefficients at their nodes:
+    (edge values (m + 1, 9), derivatives and values at the nodes (m, 21, 9))."""
+    A, B, c, d, f, g = np.moveaxis(co, -1, 0)
+    C, C_edges = _panels.cumulative(half, c)
+    D, D_edges = _panels.cumulative(half, d)
+    # a term whose coefficient is 0 is exactly 0, whatever e^{±C} is
+    p = np.where(B == 0.0, 0.0, -B * np.exp(-2.0 * C))
+    q = -4.0 * A * np.exp(2.0 * C)
+    pairs, pair_edges = _panels.chain(*_panels.linear(half, p, q), np.eye(2))
+    (x0, x1), (y0, y1) = np.moveaxis(pairs, (-2, -1), (0, 1))
+    fm = np.where(f == 0.0, 0.0, f * np.exp(-C))
+    g2 = np.where(g == 0.0, 0.0, 2.0 * g * np.exp(C))
+    dP, dQ = fm * y0 - g2 * x0, fm * y1 - g2 * x1
+    P, P_edges = _panels.cumulative(half, dP)
+    Q, Q_edges = _panels.cumulative(half, dQ)
+    dR = P * dQ
+    R, R_edges = _panels.cumulative(half, dR)
+    (x0e, x1e), (y0e, y1e) = np.moveaxis(pair_edges, (-2, -1), (0, 1))
+    edges = np.column_stack((x0e, y0e, x1e, y1e, C_edges, D_edges, P_edges,
+                             Q_edges, R_edges))
+    y = np.stack((x0, y0, x1, y1, C, D, P, Q, R), axis=-1)
+    dy = np.stack((p * y0, q * x0, p * y1, q * x1, c, d, dP, dQ, dR), axis=-1)
+    return edges, dy, y
+
+
 def solve_characteristic(coeffs: CoefficientSet,
                          tol: float = 1e-10) -> CharacteristicSolution:
-    """Integrate the linearized Riccati system over [0, ``coeffs.domain_end``]
-    with local error ``tol`` and find where the validity interval ends.
+    """Solve the linearized Riccati system over [0, ``coeffs.domain_end``]
+    to relative error ``tol`` and find where the validity interval ends.
 
     Parameters
     ----------
@@ -174,82 +207,62 @@ def solve_characteristic(coeffs: CoefficientSet,
         Coefficient set with a(0) != 0; its ``domain_end`` is the horizon.
     tol:
         Relative error tolerance of the dense states, in (0, inf).  The
-        adaptive embedded Runge–Kutta pair DOP853
-        (:func:`heatkern._dop853.solve`) runs at ``rtol = tol /
-        DENSE_TOL_FACTOR`` (at least 100 machine epsilons) and ``atol = 1e-3
-        * rtol``.
+        Legendre panels of :mod:`heatkern._panels` are bisected until every
+        state's series is resolved to it (C and D to an absolute ``tol``).
 
-    The first zero of mu0 and the first sign change of a(t) are solver
-    events located on the dense output; the run stops at the latter.  Either
-    one ends the validity interval and is recorded, not raised.
+    The first sign change of a(t) at the nodes is bisected on a(t) itself,
+    and the run ends there; the first zero of mu0 is a sign change of Y^0 at
+    the nodes, bisected on the dense Y^0.  Either one ends the validity
+    interval and is recorded, not raised.
 
     Raises
     ------
     DomainError
         If a(0) == 0.
     IntegrationError
-        If the integrator aborts (e.g. step-size underflow) or a derivative
-        is not finite (a coefficient returned NaN or inf, or a state or a
-        drift factor e^{±C} overflowed).
+        If a coefficient, a drift factor e^{±C} or a state is not finite
+        (the message names the first such t), or the panels cannot resolve
+        the states (a panel narrower than about 1e-13, or more than
+        ``_panels.MAX_PANELS`` panels).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     a0 = coeffs.a(0.0)
     if a0 == 0.0:
         raise DomainError("a(0) = 0: the kernel needs a(0) != 0")
+    sign = math.copysign(1.0, a0)
+    fields = [on_arrays(fn) for fn in (coeffs.a, coeffs.b, coeffs.c,
+                                       coeffs.d, coeffs.f, coeffs.g)]
+    a_calls = []
+
+    def a_at(t):
+        a_calls.append(t)
+        return coeffs.a(t)
+
+    def a_keeps_sign(a):   # a zero, or NaN, is no sign change
+        return np.logical_not(a * sign < 0.0)
+
+    def a_zero(a, b, co):
+        return _first_exit(_panels.nodes(a, b).ravel(), co[..., 0].ravel(),
+                           a_keeps_sign, a_at)
 
     end = float(coeffs.domain_end)
-    a_, b_, c_, d_, f_, g_ = (coeffs.a, coeffs.b, coeffs.c, coeffs.d,
-                              coeffs.f, coeffs.g)
-    exp = math.exp
-
-    def rhs(t, y):
-        x0, y0, x1, y1, C, _, p, _, _ = y.tolist()
-        t = min(float(t), end)   # Python floats: faster scalar arithmetic
-        a, b, c, d, f, g = a_(t), b_(t), c_(t), d_(t), f_(t), g_(t)
-        try:
-            ep = exp(C)
-            em = exp(-C) if b or f else 0.0
-        except OverflowError:
-            raise IntegrationError(f"characteristic system is not finite at "
-                                   f"t = {t:.6g}: e^(±C) overflows") from None
-        a4, bm = 4.0 * a * ep * ep, b * em * em
-        fm, g2 = f * em, 2.0 * g * ep
-        dq = fm * y1 - g2 * x1
-        dy = [-bm * y0, -a4 * x0, -bm * y1, -a4 * x1, c, d,
-              fm * y0 - g2 * x0, dq, p * dq]
-        if not math.isfinite(sum(dy)):
-            raise IntegrationError(f"characteristic system is not finite at t = {t:.6g}")
-        return dy
-
-    def mu0_zero(t, y):
-        return y[1]
-
-    def a_zero(t, y):  # the sign, so that a multiple zero is bisected too
-        return np.sign(a_(min(t, end)))
-
-    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0), so its first
-    # zero after t = 0 is crossed with that sign; the direction also skips
-    # the start, where Y^0 = 0.  A sign change of a ends the run.
-    events = ((mu0_zero, math.copysign(1.0, a0), False), (a_zero, 0.0, True))
-    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rtol = max(tol / DENSE_TOL_FACTOR, 100.0 * np.finfo(float).eps)
-    # a step that overflows makes numpy warn before rhs's finiteness check
-    # turns the overflowed stage into IntegrationError
-    with np.errstate(over="ignore"):
-        run = _dop853.solve(rhs, 0.0, end, y0, rtol, rtol * 1e-3, events,
-                            what="characteristic")
-
-    mu0_zeros, a_zeros = run.t_events
-    if mu0_zeros:
-        T_valid, end_cause = float(mu0_zeros[0]), "mu0-zero"
-    elif a_zeros:
-        T_valid, end_cause = float(a_zeros[0]), "a-zero"
-    else:
-        T_valid, end_cause = end, "horizon"
+    run = _panels.refine(end * np.append(0.0, 2.0 ** np.arange(-_GRADING, 1)),
+                         lambda t: np.stack([fn(t) for fn in fields], axis=-1),
+                         _states, tol, _FLOOR, "characteristic system is",
+                         stop=a_zero)
+    T_valid = run.dense.t_max
+    end_cause = "a-zero" if T_valid < end else "horizon"
+    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0)
+    mu0_zero = _first_exit(np.append(run.t, T_valid),
+                           np.append(run.y[..., 1], run.edges[-1, 1]),
+                           lambda y0: y0 * sign < 0.0,
+                           lambda t: run.dense.state(1, t))
+    if mu0_zero is not None:
+        T_valid, end_cause = mu0_zero, "mu0-zero"
     return CharacteristicSolution(coeffs=coeffs, T_valid=T_valid,
-                                  end_cause=end_cause,
-                                  steps=len(run.sol.ts) - 1, _sol=run.sol)
+                                  end_cause=end_cause, steps=run.dense.panels,
+                                  nfev=run.nfev + len(a_calls), _sol=run.dense)
 
 
 def wronskian_residual(chs: CharacteristicSolution, grid) -> float:
@@ -263,5 +276,5 @@ def wronskian_residual(chs: CharacteristicSolution, grid) -> float:
     if not ((ts > 0.0) & (ts <= end * (1.0 + 1e-12))).all():
         raise DomainError(f"grid outside (0, {end}]")
     mu0, dmu0, mu1, dmu1, h = chs.standard(ts)
-    ref = -2.0 * np.array([chs.coeffs.a(t) for t in ts.tolist()]) * h ** 2
+    ref = -2.0 * on_arrays(chs.coeffs.a)(ts) * h ** 2
     return float(np.max(np.abs(mu0 * dmu1 - mu1 * dmu0 - ref) / np.abs(ref)))

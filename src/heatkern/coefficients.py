@@ -28,6 +28,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import check_range
 
 _COEFF_NAMES = ("a", "b", "c", "d", "f", "g")
@@ -39,14 +41,16 @@ Coefficient = Callable[[float], float]
 class CoefficientSet:
     """The six time coefficients of the master equation, optionally with a', d'.
 
-    All callables take a scalar time and return a scalar.  The kernel needs
-    a(0) > 0 and exists only up to the first sign change of ``a``; the
-    characteristic solve finds that zero as an event, ends the validity
-    interval there and raises ``IntegrationError`` where a coefficient is not
-    finite (:mod:`heatkern.characteristic`).  Nothing is checked at
-    construction.  The kernel, Cauchy and Burgers paths read only a…g; the
-    derivatives ``da`` and ``dd`` are read only by the reduction's oracles,
-    which raise ``ValueError`` naming a missing one (:meth:`derivative`).
+    All callables take a scalar time and return a scalar; the solves call
+    them on arrays of times, and one that cannot take an array is called per
+    element (:func:`on_arrays`).  The kernel needs a(0) > 0 and exists only
+    up to the first sign change of ``a``; the characteristic solve finds that
+    zero, ends the validity interval there and raises ``IntegrationError``
+    where a coefficient is not finite (:mod:`heatkern.characteristic`).
+    Nothing is checked at construction.  The kernel, Cauchy and Burgers
+    paths read only a…g; the derivatives ``da`` and ``dd`` are read only by
+    the reduction's oracles, which raise ``ValueError`` naming a missing one
+    (:meth:`derivative`).
     """
 
     a: Coefficient
@@ -74,6 +78,34 @@ class CoefficientSet:
                              "set; the reduction to mu'' - tau mu' - 4 sigma mu "
                              "= 0 needs it")
         return fn
+
+
+def on_arrays(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``fn`` evaluated on an ndarray, as a float array of the same shape.
+
+    A 0-d result, such as a degree-0 table's float, is broadcast and keeps
+    its sign (-0.0 stays -0.0).  A callable that raises TypeError or
+    ValueError on an array, or returns an array of another shape, is from
+    then on called once per element with Python floats.
+    """
+    elementwise = False
+
+    def call(t):
+        nonlocal elementwise
+        if not elementwise:
+            try:
+                out = np.asarray(fn(t), dtype=float)
+                if out.shape == t.shape:
+                    return out
+                if out.ndim == 0:
+                    return np.full(t.shape, out)
+            except (TypeError, ValueError):
+                pass
+            elementwise = True
+        return np.array([fn(v) for v in t.ravel().tolist()],
+                        dtype=float).reshape(t.shape)
+
+    return call
 
 
 def structure(coeffs: CoefficientSet, t_end: float) -> tuple[set, set]:

@@ -26,10 +26,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .characteristic import solve_characteristic
-from .coefficients import CoefficientSet, builtin_equation, structure
+from .coefficients import (CoefficientSet, builtin_equation, on_arrays,
+                           structure)
 from .errors import (DomainError, IntegrationError, QuadratureError,
                      SingularityError)
 from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
+from ._panels import G10_W, K21_W, NODES
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 LOG_OVERFLOW = 700.0
@@ -56,29 +58,6 @@ class QuadSpec:
     limit: int = 4096
 
 
-# Gauss–Kronrod 21-point rule on [-1, 1] and its embedded 10-point Gauss rule
-# (the pair QUADPACK's qk21 uses); _G10_W is zero at the Kronrod-only nodes.
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077548214932150, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068])
-_WGK0 = 0.149445554002916905664936468389821
-_WG = np.array([0.0, 0.066671344308688137593568809893332,
-                0.0, 0.149451349150580593145776339657697,
-                0.0, 0.219086362515982043995534934228163,
-                0.0, 0.269266719309996355091226921569469,
-                0.0, 0.295524224714752870173892994651338])
-_GK_X = np.concatenate((-_XGK, [0.0], _XGK[::-1]))
-_K21_W = np.concatenate((_WGK, [_WGK0], _WGK[::-1]))
-_G10_W = np.concatenate((_WG, [0.0], _WG[::-1]))
 _PANELS_PER_SIDE = 4
 _BLOCK = 2048           # panels per integrand call; bounds working memory
 
@@ -126,11 +105,11 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
             blk = slice(i, i + _BLOCK)
             half = 0.5 * (b[blk] - a[blk])
             mid = 0.5 * (a[blk] + b[blk])
-            fx = f(rows[blk], mid[:, None] + half[:, None] * _GK_X)
+            fx = f(rows[blk], mid[:, None] + half[:, None] * NODES)
             if not np.isfinite(fx).all():   # no bisection could meet a tolerance
                 raise QuadratureError("integrand is not finite at a quadrature node")
-            k21.append(half * (fx * _K21_W).sum(axis=-1))
-            g10.append(half * (fx * _G10_W).sum(axis=-1))
+            k21.append(half * (fx * K21_W).sum(axis=-1))
+            g10.append(half * (fx * G10_W).sum(axis=-1))
         k21 = np.atleast_2d(np.concatenate(k21, axis=-1))
         err = np.abs(k21 - np.concatenate(g10, axis=-1)).max(axis=0)
         estimate = total[0] + np.bincount(rows, k21[0], minlength=n)
@@ -143,31 +122,6 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
         rows, a, b = (np.concatenate((rows, rows)), np.concatenate((a, m)),
                       np.concatenate((m, b)))
     return total
-
-
-def _on_arrays(fn):
-    """``fn`` evaluated on an ndarray, per element if it cannot take one.
-
-    A callable that raises TypeError or ValueError on an array, or returns
-    an array of another shape, is from then on called once per element with
-    Python floats.
-    """
-    elementwise = False
-
-    def call(y):
-        nonlocal elementwise
-        if not elementwise:
-            try:
-                out = np.asarray(fn(y), dtype=float)
-                if out.shape == y.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            elementwise = True
-        return np.array([fn(v) for v in y.ravel().tolist()],
-                        dtype=float).reshape(y.shape)
-
-    return call
 
 
 def _quad(f, lo, hi, spec: QuadSpec, points=None):
@@ -542,7 +496,7 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
 
     peak = np.minimum(np.maximum(mean, lo), hi)
     shift = q2 * peak * peak + q1 * peak
-    values = _on_arrays(phi)
+    values = on_arrays(phi)
 
     def integrand(rows, y):
         return np.exp(q2[rows, None] * y * y + q1[rows, None] * y
@@ -695,7 +649,7 @@ def diffusion_residual(field: GridField, coeffs: CoefficientSet) -> GridField:
     u = field.values[1:-1]
     ux = d1_uniform4(u, field.dx)
     uxx = d2_uniform4(u, field.dx)
-    a, b, c, d, f, g = (np.array([fn(t) for t in ts], dtype=float)[:, None]
+    a, b, c, d, f, g = (on_arrays(fn)(ts)[:, None]
                         for fn in (coeffs.a, coeffs.b, coeffs.c, coeffs.d,
                                    coeffs.f, coeffs.g))
     res = ut - (a * uxx - (g - c * xs) * ux + (d + f * xs - b * xs * xs) * u)

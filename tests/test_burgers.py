@@ -293,6 +293,19 @@ def test_growing_profile_pole_location():
         tw.profile(5.0)
 
 
+@pytest.mark.parametrize("F0, window", [(0.5, (-2.0, 1.0)), (1.0, (0.0, 3.0)),
+                                        (0.3, (-1.0, 2.5))])
+def test_profile_poles_match_the_direct_escape(F0, window):
+    # the direct route stops where |F| = 2/|z - pole| reaches 1e10
+    spec = TravelingWaveSpec(c0=0.3, c1=0.2, c2=0.1, c3=-0.2, c4=0.1,
+                             beta0_init=1.0, gamma0_init=0.0,
+                             z_window=window, F0=F0)
+    tw = traveling_wave(spec, a=lambda t: 1.0, c=lambda t: 0.1, T=1.0)
+    z_end = integrate_profile_direct(spec).z_end
+    assert z_end < window[1] and len(tw.poles) >= 1
+    assert tw.poles[0] == pytest.approx(z_end, abs=1e-8)
+
+
 def test_traveling_wave_array_path_equals_scalar_calls():
     spec = TravelingWaveSpec(c0=0.3, c1=0.2, c2=0.1, c3=-0.2, c4=0.1,
                              beta0_init=1.0, gamma0_init=0.0,
@@ -405,8 +418,9 @@ def test_traveling_wave_non_finite_coefficient_raises(deadline, a, c):
 
 @pytest.mark.parametrize("a, message", [
     (lambda t: math.nan, "frame equations are not finite at t = 0"),
+    # located to the narrowest panel, not where a step landed
     (lambda t: 1.0 if t < 0.6 else math.nan,
-     "frame equations are not finite at t = 0.790422"),
+     "frame equations are not finite at t = 0.6"),
 ], ids=["nan", "nan-after-0.6"])
 def test_traveling_wave_nan_a_is_the_same_typed_error(deadline, a, message):
     spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
@@ -599,6 +613,18 @@ def test_solve_does_not_depend_on_earlier_solves(coeffs_fp):
     late = BurgersProblem(coeffs_fp, v0, xs)
     solve_burgers_ivp(late, 1.5)              # the wide window first
     assert np.array_equal(solve_burgers_ivp(late, 0.2).values, first)
+
+
+def test_antiderivative_float_calls_are_the_array_bits(coeffs_heat):
+    # a float y takes the float path of the same Clenshaw sum
+    prob = BurgersProblem(coeffs_heat, lambda y: 0.7 * np.exp(-(y - 0.3) ** 2),
+                          np.linspace(-1.0, 1.0, 5))
+    V0 = prob.antiderivative(40.0)
+    ys = np.concatenate((np.linspace(-40.0, 40.0, 161),
+                         np.random.default_rng(3).uniform(-40.0, 40.0, 200)))
+    floats = np.array([V0(y) for y in ys.tolist()])
+    assert all(type(V0(y)) is float for y in ys[:3].tolist())
+    assert np.array_equal(floats.view(np.int64), V0(ys).view(np.int64))
 
 
 def test_antiderivative_calls_v0_once_per_pass(coeffs_heat):

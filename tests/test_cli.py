@@ -11,6 +11,7 @@ import pytest
 
 from heatkern import TravelingWaveSpec, make_kernel, profile, traveling_wave
 from heatkern import kernel as kn
+from heatkern.coefficients import on_arrays
 from heatkern.cli import main, _parse_grid, _phi_from_args, ConfigError
 
 
@@ -423,7 +424,7 @@ def test_solve_ones_truncates_at_default_L(tmp_path):
 def test_solve_ones_stays_on_the_array_path(tmp_path):
     phi = _phi_from_args(argparse.Namespace(phi="ones", L=None))
     calls = []
-    values = kn._on_arrays(lambda y: calls.append(y.shape) or phi(y))
+    values = on_arrays(lambda y: calls.append(y.shape) or phi(y))
     nodes = np.linspace(-1.0, 1.0, 42).reshape(2, 21)
     for _ in range(2):
         assert values(nodes).tolist() == np.ones_like(nodes).tolist()

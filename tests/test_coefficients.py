@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heatkern import (CoefficientSet, asymptotics, closed_form, from_config,
                       profile, tau_sigma)
-from heatkern.coefficients import structure
+from heatkern.coefficients import on_arrays, structure
 from heatkern.errors import DomainError
 
 
@@ -273,3 +273,25 @@ def test_old_positional_order_fails_loudly():
     with pytest.raises(TypeError):
         CoefficientSet(zero, zero, zero, zero, zero, zero, zero, zero, 1.0)
 
+
+def test_on_arrays_broadcasts_a_constant_with_its_sign():
+    co = profile("ou-drift", k=1.0)            # g = -0.0, a degree-0 table
+    t = np.linspace(0.0, 1.0, 5)
+    g = on_arrays(co.g)(t)
+    assert g.shape == t.shape and np.all(np.signbit(g)) and not g.any()
+    assert np.array_equal(on_arrays(co.c)(t.reshape(5, 1)), np.full((5, 1), -1.0))
+
+
+def test_on_arrays_falls_back_per_element():
+    calls = []
+
+    def scalar_only(t):
+        calls.append(t)
+        return math.sin(t)              # TypeError on an array
+
+    t = np.array([[0.1, 0.2], [0.3, 0.4]])
+    f = on_arrays(scalar_only)
+    assert np.array_equal(f(t), np.vectorize(math.sin)(t))
+    assert all(type(v) is float for v in calls[-4:])
+    wrong_shape = on_arrays(lambda t: np.zeros(3) if np.ndim(t) else 0.0)
+    assert np.array_equal(wrong_shape(t), np.zeros((2, 2)))

@@ -360,13 +360,14 @@ def test_single_row_stack_is_the_single_run(coeffs_fp):
 
 def test_direct_integration_never_uses_the_main_path_integrator(
         monkeypatch, coeffs_fp):
-    # the oracle must stay independent of the characteristic solve's DOP853
-    import heatkern._dop853
+    # the oracle must stay independent of the characteristic solve's panels
+    import heatkern._panels
 
     def refuse(*args, **kwargs):
-        raise AssertionError("integrate_direct reached heatkern._dop853")
+        raise AssertionError("integrate_direct reached heatkern._panels")
 
-    monkeypatch.setattr(heatkern._dop853, "solve", refuse)
+    for name in ("refine", "linear", "cumulative"):
+        monkeypatch.setattr(heatkern._panels, name, refuse)
     assert integrate_direct(coeffs_fp, DIRECT_INIT, 0.5).final.t == 0.5
     assert len(integrate_direct(coeffs_fp, _seeded_stack(4), 0.5)) == 4
 
