@@ -63,6 +63,8 @@ N = len(NODES)
 
 # Clenshaw's sum of a Legendre series: b_k = c_k + A_k x b_(k+1) - B_k b_(k+2)
 _CLENSHAW = [((2 * k + 1) / (k + 1), (k + 1) / (k + 2)) for k in range(21)]
+_EYE, _UNIT = np.eye(N), np.eye(2)
+_DEGREE = np.arange(N)[:, None]
 
 MAX_PANELS = 1 << 11    # panels one ODE run may hold
 _MIN_WIDTH = 2.0 ** -44  # the narrowest panel, relative to max(1, |t|)
@@ -139,9 +141,11 @@ def nodes(a, b) -> np.ndarray:
 def cumulative(half, f, start=0.0):
     """The integral from the first panel's start of f, sampled (m, 21) at the
     nodes, plus ``start``: (values at the nodes, values at the m + 1 edges)."""
-    S = _mean_matrices()[0]
-    local = half[:, None] * (f @ S.T)
-    edges = np.cumsum(np.concatenate(([start], half * (f @ K21_W))))
+    local = half[:, None] * (f @ _mean_matrices()[0].T)
+    edges = np.empty(len(half) + 1)
+    edges[0] = start
+    np.multiply(half, f @ K21_W, edges[1:])
+    edges.cumsum(out=edges)
     return edges[:-1, None] + local, edges
 
 
@@ -153,13 +157,15 @@ def linear(half, A01, A10, A11=None):
     Z = e_j at the panel's start.  Where A01 is 0 the first row stays the
     unit datum exactly.
     """
-    S = _mean_matrices()[0]
-    hS = half[:, None, None] * S
+    m = len(half)
+    hS = half[:, None, None] * _mean_matrices()[0]
     S01, S10 = hS * A01[:, None, :], hS * A10[:, None, :]
-    M = np.eye(N) - S10 @ S01
+    M = np.subtract(_EYE, S10 @ S01)
     if A11 is not None:
         M -= hS * A11[:, None, :]
-    rhs = np.stack((S10.sum(axis=-1), np.ones_like(A10)), axis=-1)
+    rhs = np.empty((m, N, 2))
+    rhs[..., 0] = S10.sum(axis=-1)
+    rhs[..., 1] = 1.0
     try:
         V = np.linalg.solve(M, rhs)                     # (m, 21, 2)
     except np.linalg.LinAlgError:
@@ -167,37 +173,47 @@ def linear(half, A01, A10, A11=None):
     U = S01 @ V
     U[..., 0] += 1.0
     dU = A01[..., None] * V
-    dV = A10[..., None] * U + (0.0 if A11 is None else A11[..., None] * V)
+    dV = A10[..., None] * U
+    if A11 is not None:
+        dV += A11[..., None] * V
     w = half[:, None, None] * K21_W[:, None]
-    end = np.stack((np.eye(2)[0] + (w * dU).sum(axis=1),
-                    np.eye(2)[1] + (w * dV).sum(axis=1)), axis=1)
-    return np.stack((U, V), axis=-2), end
+    end = np.empty((m, 2, 2))
+    end[:, 0] = _UNIT[0] + (w * dU).sum(axis=1)
+    end[:, 1] = _UNIT[1] + (w * dV).sum(axis=1)
+    UV = np.empty((m, N, 2, 2))
+    UV[..., 0, :], UV[..., 1, :] = U, V
+    return UV, end
 
 
 def chain(node_prop, end_prop, z0):
     """Chain the panels' propagators from ``z0`` (2, j) at the first start:
     (values at the nodes (m, 21, 2, j), values at the m + 1 edges)."""
-    z = [np.asarray(z0, dtype=float)]
-    for E in end_prop:
-        z.append(E @ z[-1])
-    edges = np.array(z)
+    z0 = np.asarray(z0, dtype=float)
+    edges = np.empty((len(end_prop) + 1, *z0.shape))
+    edges[0] = z0
+    for k, E in enumerate(end_prop):
+        edges[k + 1] = E @ edges[k]
     return node_prop @ edges[:-1, None], edges
 
 
 class Dense:
     """Dense states on sorted panels: y(t) = start + (t - a) g(x).
 
-    A float t gives the s states as an array, an array of t an (s, *t.shape)
-    array.  State j's series has ``keep[j]`` terms, and its coefficients past
-    them are 0: the array path sums all K terms of every state, the float
-    path only a state's own, and the leading zero terms of the array path
-    leave its sum at +0.0 to the last bit, so both paths agree to the last
-    bit.  A t outside the panels is extrapolated from the end panel.
+    ``start`` (m, s) holds the states at the panels' starts and ``coef``
+    (m, K, s) the Legendre coefficients of g.  A float t gives the s states
+    as an array, an array of t an (s, *t.shape) array.  State j's series has
+    ``keep[j]`` terms, and its coefficients past them are 0: the array path
+    sums all K terms of every state, the float path only a state's own, and
+    the leading zero terms of the array path leave its sum at +0.0 to the
+    last bit, so both paths agree to the last bit.  A t outside the panels
+    is extrapolated from the end panel.
     """
 
     def __init__(self, a, b, start, coef, keep):
         self._a, self._half = a, 0.5 * (b - a)
-        self._start, self._coef = start, coef       # (m, s), (K, m, s)
+        self._inner = a[1:]     # t's panel is the number of these at or below t
+        self._start = start.T.copy()                 # (s, m)
+        self._coef = coef.transpose(1, 2, 0).copy()  # (K, s, m)
         self._keep = keep
         self.t_max = float(b[-1])
         self._a_list, self._half_list = a.tolist(), self._half.tolist()
@@ -215,7 +231,7 @@ class Dense:
         if rows is None:
             rows = self._rows[i] = [
                 (y0, col[:n].__getitem__, n) for y0, col, n in zip(
-                    self._start[i].tolist(), self._coef[:, i].T.tolist(),
+                    self._start[:, i].tolist(), self._coef[..., i].T.tolist(),
                     self._keep)]
         dt = t - self._a_list[i]
         return rows, dt, dt / self._half_list[i] - 1.0
@@ -225,13 +241,11 @@ class Dense:
             rows, dt, x = self._float_rows(float(t))
             return np.array([y0 + dt * clenshaw(col, n, x) for y0, col, n in rows])
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self._a, t, side="right") - 1,
-                    0, self.panels - 1)
-        dt = (t - self._a[i])[..., None]
-        x = dt / self._half[i][..., None] - 1.0
-        y = self._start[i] + dt * clenshaw(lambda k: self._coef[k][i],
-                                           len(self._coef), x)
-        return np.moveaxis(y, -1, 0)
+        i = np.searchsorted(self._inner, t, side="right")
+        dt = t - self._a[i]
+        x = dt / self._half[i] - 1.0
+        coef = self._coef[..., i]          # (K, s, *t.shape), gathered once
+        return self._start[:, i] + dt * clenshaw(coef.__getitem__, len(coef), x)
 
     def state(self, j: int, t: float) -> float:
         """State j alone at a float t, as the float path computes it."""
@@ -255,14 +269,17 @@ def bisect(inside: Callable, lo: float, hi: float) -> float:
 
 class Run(NamedTuple):
     """One refined run: the dense states, the nodes (m, 21) with the states
-    there (m, 21, s) and at the m + 1 panel edges, and the coefficient
-    evaluations made."""
+    there (m, 21, s) and at the m + 1 panel edges, the coefficient
+    evaluations made, the refinement passes (calls of ``build``) and the
+    panels whose states were built, summed over the passes."""
 
     dense: Dense
     t: np.ndarray
     y: np.ndarray
     edges: np.ndarray
     nfev: int
+    passes: int
+    built: int
 
 
 def refine(bounds, evaluate: Callable, build: Callable,
@@ -281,8 +298,9 @@ def refine(bounds, evaluate: Callable, build: Callable,
     ``floor[s]``, over the panel's width.  The dense series then keep the
     terms whose dropping could change a state at a node by more than
     tol/1024 of max(|value|, ``floor[s]``) there, so a state that starts at
-    0 keeps its relative accuracy.  ``stop(a, b, coefs)`` may return a time
-    where the run must end; the panels are then cut there.
+    0 keeps its relative accuracy.  ``stop(t, coefs)``, given the nodes and
+    the coefficients of all panels, may return a time where the run must
+    end; the panels are then cut there.
 
     The panel holding the first node where a state or a derivative is not
     finite is bisected as well, and the panels after it are left as they
@@ -297,38 +315,47 @@ def refine(bounds, evaluate: Callable, build: Callable,
     drop = tol * _DROP
     bounds = np.asarray(bounds, dtype=float)
     a, b = bounds[:-1], bounds[1:]
-    coefs = evaluate(nodes(a, b))
-    nfev = N * len(a)
+    t = nodes(a, b)
+    coefs = evaluate(t)
+    nfev, passes, built = N * len(a), 0, 0
     with np.errstate(all="ignore"):
         while True:
-            end = stop(a, b, coefs) if stop is not None else None
+            end = stop(t, coefs) if stop is not None else None
             if end is not None:
                 k = int(np.searchsorted(b, end))     # the panel holding it
                 if k and end - a[k] < _MIN_WIDTH * max(1.0, abs(end)):
-                    a, b, coefs = a[:k], b[:k], coefs[:k]   # it ends at a[k]
+                    # it ends at a[k]
+                    a, b, t, coefs = a[:k], b[:k], t[:k], coefs[:k]
                     continue
-                a, b, coefs = a[:k + 1], b[:k + 1].copy(), coefs[:k + 1].copy()
+                a, b, t, coefs = (a[:k + 1], b[:k + 1].copy(), t[:k + 1].copy(),
+                                  coefs[:k + 1].copy())
                 b[k] = end
-                coefs[k] = evaluate(nodes(a[k:], b[k:]))[0]
+                t[k] = nodes(a[k:], b[k:])[0]
+                coefs[k] = evaluate(t[k:])[0]
                 nfev += N
                 continue
             half = 0.5 * (b - a)
             edges, dy, y = build(a, half, coefs)
+            passes, built = passes + 1, built + len(a)
             # relative to the first node's slope, so that a constant is exact
             coef = G @ (dy - dy[:, :1])                    # (m, 21, s)
             coef[:, 0] += dy[:, 0]
-            tails = np.cumsum(np.abs(coef[:, ::-1]), axis=1)[:, ::-1]
-            size = np.maximum(np.maximum(np.abs(edges[:-1]), np.abs(edges[1:])),
+            tails = np.abs(coef[:, ::-1]).cumsum(axis=1)[:, ::-1]
+            size = np.abs(edges)
+            size = np.maximum(np.maximum(size[:-1], size[1:]),
                               np.maximum(np.abs(y).max(axis=1), floor))
             scale = np.maximum(tails[:, 0], size / (2.0 * half[:, None]))
             ok = (tails[:, N - 2] <= max(drop, _NOISE) * scale).all(axis=1)
-            finite = np.isfinite(dy).all(axis=-1) & np.isfinite(y).all(axis=-1)
             first_bad = None
-            if not finite.all():
-                first_bad = int(np.argmin(finite.ravel()))
-                kb = first_bad // N
-                ok[kb] = False
-                ok[kb + 1:] = True      # left as they are until then
+            # a value that is not finite at a node makes its panel's scale
+            # NaN or infinite: through every coefficient of g, or the size
+            if not np.isfinite(scale).all():
+                finite = np.isfinite(dy).all(axis=-1) & np.isfinite(y).all(axis=-1)
+                if not finite.all():
+                    first_bad = int(np.argmin(finite.ravel()))
+                    kb = first_bad // N
+                    ok[kb] = False
+                    ok[kb + 1:] = True      # left as they are until then
             if ok.all():
                 break
             mid = a + half
@@ -349,19 +376,18 @@ def refine(bounds, evaluate: Callable, build: Callable,
             split = ~ok
             new_a = np.concatenate((a[split], mid[split]))
             new_b = np.concatenate((mid[split], b[split]))
-            new = evaluate(nodes(new_a, new_b))
+            new_t = nodes(new_a, new_b)
+            new = evaluate(new_t)
             nfev += N * len(new_a)
             a = np.concatenate((a[ok], new_a))
-            b = np.concatenate((b[ok], new_b))
-            coefs = np.concatenate((coefs[ok], new))
             order = np.argsort(a, kind="stable")
-            a, b, coefs = a[order], b[order], coefs[order]
+            a = a[order]
+            b, t, coefs = (np.concatenate((old[ok], add))[order] for old, add in
+                           ((b, new_b), (t, new_t), (coefs, new)))
     # |y(t_i) - its series cut at degree K| <= (t_i - a) tails[K]
-    dt = nodes(a, b) - a[:, None]
-    room = (np.maximum(np.abs(y), floor) / dt[..., None]).min(axis=1)
+    room = (np.maximum(np.abs(y), floor) / (t - a[:, None])[..., None]).min(axis=1)
     dropped = (tails <= drop * room[:, None]).sum(axis=1).min(axis=0)
     keep = np.maximum(N - dropped, 1)                   # terms, per state
-    coef[:, np.arange(N)[:, None] >= keep] = 0.0
-    coef = np.moveaxis(coef[:, :keep.max()], 1, 0).copy()   # (K, m, s)
-    dense = Dense(a, b, edges[:-1], coef, keep.tolist())
-    return Run(dense, nodes(a, b), y, edges, nfev)
+    coef[:, _DEGREE >= keep] = 0.0
+    dense = Dense(a, b, edges[:-1], coef[:, :keep.max()], keep.tolist())
+    return Run(dense, t, y, edges, nfev, passes, built)

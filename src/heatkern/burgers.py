@@ -68,10 +68,18 @@ class _DenseAntiderivative:
     the lattice cell it came from.  One that is not (a non-integrable v), a
     value of v that is not finite, or more than _MAX_PANELS panels raise
     :class:`IntegrationError` naming the y where refinement stopped.
+
+    A cell is only refined where its first nodes see v, so a feature of v
+    narrower than the spacing of those nodes, about a hundredth of a cell,
+    can be missed whole.  ``knots`` (sorted, finite) split every cell that
+    holds one, in the first window and in every :meth:`extend`; knots at
+    such a feature and a few of its widths to each side make it seen.
     """
 
-    def __init__(self, v: Callable[[float], float], half_width: float):
+    def __init__(self, v: Callable[[float], float], half_width: float,
+                 knots=None):
         self._v = on_arrays(v)
+        self._knots = knots
         self.half_width = 0.0
         self._edge = 0.0           # the lattice point the panels reach
         self._ends = [0.0, 0.0]    # V(-edge), V(edge)
@@ -95,9 +103,15 @@ class _DenseAntiderivative:
 
     def _add(self, edges):
         """Panels on the cells between the lattice points ``edges`` and
-        their mirror images, joined to the panels there are."""
-        a, b, k21, coef = self._panels(np.concatenate((-edges[:0:-1], edges[:-1])),
-                                       np.concatenate((-edges[-2::-1], edges[1:])))
+        their mirror images, split at the knots they hold, joined to the
+        panels there are."""
+        left = right = edges
+        if self._knots is not None:
+            k = self._knots
+            right = np.union1d(edges, k[(k > edges[0]) & (k < edges[-1])])
+            left = np.union1d(edges, -k[(-k > edges[0]) & (-k < edges[-1])])
+        a, b, k21, coef = self._panels(np.concatenate((-left[:0:-1], right[:-1])),
+                                       np.concatenate((-left[-2::-1], right[1:])))
         left, right = b <= 0.0, a >= 0.0
         # V runs outward from V(-edge) and V(edge), one panel at a time
         run_left = np.cumsum(np.concatenate(([self._ends[0]], -k21[left][::-1])))
@@ -182,7 +196,11 @@ class BurgersProblem:
     them on [0, domain_end]) marks the classical
     v_t + v v_x = a v_xx, solved on the same kernel for w = v / a.
     ``v0_antiderivative`` may supply an analytic int_0^y v0; otherwise a
-    dense numerical one is built on demand.
+    dense numerical one is built on demand.  Its panels start on unit cells
+    and are refined where their nodes see v0, so a feature of v0 narrower
+    than about a hundredth of a cell needs ``knots``: points, such as the
+    feature's center and a few of its widths to each side, that split the
+    cells holding them and that :meth:`v0_bound` samples as well.
     """
 
     coeffs: CoefficientSet
@@ -190,12 +208,18 @@ class BurgersProblem:
     xs: np.ndarray
     v0_antiderivative: Optional[Callable[[float], float]] = None
     tol: float = 1e-10
+    knots: Optional[np.ndarray] = None
     classical: bool = field(init=False)
     _kernel: Optional[HeatKernel] = field(default=None, repr=False)
     _v0_dense: Optional[_DenseAntiderivative] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.xs = x_grid(self.xs)
+        if self.knots is not None:
+            knots = np.asarray(self.knots, dtype=float)
+            if knots.ndim != 1 or not np.all(np.isfinite(knots)):
+                raise ValueError("knots must be a finite 1-D array")
+            self.knots = np.unique(knots)
         zero, constant = structure(self.coeffs, self.coeffs.domain_end)
         self.classical = {"b", "c", "f", "g"} <= zero and "a" in constant
 
@@ -215,14 +239,18 @@ class BurgersProblem:
         if self.v0_antiderivative is not None:
             return self.v0_antiderivative
         if self._v0_dense is None:
-            self._v0_dense = _DenseAntiderivative(self.v0, half_width)
+            self._v0_dense = _DenseAntiderivative(self.v0, half_width,
+                                                  self.knots)
         else:
             self._v0_dense.extend(half_width)
         return self._v0_dense
 
     def v0_bound(self, half_width: float) -> float:
-        """max |v0| on 513 points; IntegrationError where v0 is not finite."""
+        """max |v0| on 513 points and the knots in [-half_width, half_width];
+        IntegrationError where v0 is not finite."""
         ys = np.linspace(-half_width, half_width, 513)
+        if self.knots is not None:
+            ys = np.concatenate((ys, self.knots[np.abs(self.knots) <= half_width]))
         vals = np.abs(on_arrays(self.v0)(ys))
         bad = ~np.isfinite(vals)
         if bad.any():

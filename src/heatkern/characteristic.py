@@ -74,11 +74,11 @@ _END_REASONS = {
     "a-zero": "a(t) changes sign at t = {:.10g} and backward diffusion has "
               "no kernel",
 }
-# C and D enter through e^C and e^{-2D}: they are resolved to an absolute
-# error, the other states relative to their size
 # the first panels halve toward t = 0, T/16 the narrowest, so that a state
 # that starts at 0 is resolved relative to its own size there
-_GRADING = 4
+_GRADES = np.append(0.0, 2.0 ** np.arange(-4, 1))
+# C and D enter through e^C and e^{-2D}: they are resolved to an absolute
+# error, the other states relative to their size
 _FLOOR = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
@@ -93,7 +93,8 @@ class CharacteristicSolution:
     The states are dense up to the horizon, or up to ``T_valid`` when a(t)
     ends the run.  ``steps`` counts the panels and ``nfev`` the times at
     which the coefficients were evaluated (21 per panel built, plus the
-    bisection of an a-zero); both are fixed once the solve returns.
+    bisection of an a-zero); both are fixed once the solve returns, as are
+    the read-only :attr:`passes` and :attr:`built`.
     """
 
     coeffs: CoefficientSet
@@ -101,7 +102,20 @@ class CharacteristicSolution:
     end_cause: str
     steps: int
     nfev: int
+    _passes: int
+    _built: int
     _sol: _panels.Dense
+
+    @property
+    def passes(self) -> int:
+        """The refinement passes: how often every panel's states were built."""
+        return self._passes
+
+    @property
+    def built(self) -> int:
+        """The panels whose states were built, summed over the passes; the
+        panels kept are ``steps``."""
+        return self._built
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
@@ -173,26 +187,31 @@ def _first_exit(t, values, inside, at):
 def _states(a, half, co):
     """The nine states of all panels from the coefficients at their nodes:
     (edge values (m + 1, 9), derivatives and values at the nodes (m, 21, 9))."""
-    A, B, c, d, f, g = np.moveaxis(co, -1, 0)
-    C, C_edges = _panels.cumulative(half, c)
-    D, D_edges = _panels.cumulative(half, d)
+    m, n = co.shape[:2]
+    edges, dy, y = np.empty((m + 1, 9)), np.empty((m, n, 9)), np.empty((m, n, 9))
+    A, B, c, d, f, g = co.transpose(2, 0, 1)
+    C, edges[:, 4] = _panels.cumulative(half, c)
+    D, edges[:, 5] = _panels.cumulative(half, d)
     # a term whose coefficient is 0 is exactly 0, whatever e^{±C} is
     p = np.where(B == 0.0, 0.0, -B * np.exp(-2.0 * C))
     q = -4.0 * A * np.exp(2.0 * C)
-    pairs, pair_edges = _panels.chain(*_panels.linear(half, p, q), np.eye(2))
-    (x0, x1), (y0, y1) = np.moveaxis(pairs, (-2, -1), (0, 1))
+    pairs, pair_edges = _panels.chain(*_panels.linear(half, p, q),
+                                      _panels._UNIT)
+    # pairs[..., i, j] is component i (X^, Y^) of the pair from e_j
+    edges[:, :4] = pair_edges.transpose(0, 2, 1).reshape(m + 1, 4)
+    y[..., :4] = pairs.transpose(0, 1, 3, 2).reshape(m, n, 4)
+    x0, y0, x1, y1 = y[..., :4].transpose(2, 0, 1)
     fm = np.where(f == 0.0, 0.0, f * np.exp(-C))
     g2 = np.where(g == 0.0, 0.0, 2.0 * g * np.exp(C))
     dP, dQ = fm * y0 - g2 * x0, fm * y1 - g2 * x1
-    P, P_edges = _panels.cumulative(half, dP)
-    Q, Q_edges = _panels.cumulative(half, dQ)
+    P, edges[:, 6] = _panels.cumulative(half, dP)
+    Q, edges[:, 7] = _panels.cumulative(half, dQ)
     dR = P * dQ
-    R, R_edges = _panels.cumulative(half, dR)
-    (x0e, x1e), (y0e, y1e) = np.moveaxis(pair_edges, (-2, -1), (0, 1))
-    edges = np.column_stack((x0e, y0e, x1e, y1e, C_edges, D_edges, P_edges,
-                             Q_edges, R_edges))
-    y = np.stack((x0, y0, x1, y1, C, D, P, Q, R), axis=-1)
-    dy = np.stack((p * y0, q * x0, p * y1, q * x1, c, d, dP, dQ, dR), axis=-1)
+    R, edges[:, 8] = _panels.cumulative(half, dR)
+    for k, v in enumerate((C, D, P, Q, R), 4):
+        y[..., k] = v
+    for k, v in enumerate((p * y0, q * x0, p * y1, q * x1, c, d, dP, dQ, dR)):
+        dy[..., k] = v
     return edges, dy, y
 
 
@@ -242,27 +261,34 @@ def solve_characteristic(coeffs: CoefficientSet,
     def a_keeps_sign(a):   # a zero, or NaN, is no sign change
         return np.logical_not(a * sign < 0.0)
 
-    def a_zero(a, b, co):
-        return _first_exit(_panels.nodes(a, b).ravel(), co[..., 0].ravel(),
-                           a_keeps_sign, a_at)
+    def a_zero(t, co):
+        return _first_exit(t.ravel(), co[..., 0].ravel(), a_keeps_sign, a_at)
+
+    def evaluate(t):
+        co = np.empty(t.shape + (6,))
+        for k, fn in enumerate(fields):
+            co[..., k] = fn(t)
+        return co
 
     end = float(coeffs.domain_end)
-    run = _panels.refine(end * np.append(0.0, 2.0 ** np.arange(-_GRADING, 1)),
-                         lambda t: np.stack([fn(t) for fn in fields], axis=-1),
-                         _states, tol, _FLOOR, "characteristic system is",
-                         stop=a_zero)
+    run = _panels.refine(end * _GRADES, evaluate, _states, tol, _FLOOR,
+                         "characteristic system is", stop=a_zero)
     T_valid = run.dense.t_max
     end_cause = "a-zero" if T_valid < end else "horizon"
-    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0)
-    mu0_zero = _first_exit(np.append(run.t, T_valid),
-                           np.append(run.y[..., 1], run.edges[-1, 1]),
-                           lambda y0: y0 * sign < 0.0,
+    # Y^0 = -2 mu0 e^{2D} leaves 0 against the sign of a(0): searched at
+    # every node and at the end
+    ts, y0s = np.empty(run.t.size + 1), np.empty(run.t.size + 1)
+    ts[:-1], ts[-1] = run.t.ravel(), T_valid
+    y0s[:-1], y0s[-1] = run.y[..., 1].ravel(), run.edges[-1, 1]
+    mu0_zero = _first_exit(ts, y0s, lambda y0: y0 * sign < 0.0,
                            lambda t: run.dense.state(1, t))
     if mu0_zero is not None:
         T_valid, end_cause = mu0_zero, "mu0-zero"
     return CharacteristicSolution(coeffs=coeffs, T_valid=T_valid,
                                   end_cause=end_cause, steps=run.dense.panels,
-                                  nfev=run.nfev + len(a_calls), _sol=run.dense)
+                                  nfev=run.nfev + len(a_calls),
+                                  _passes=run.passes, _built=run.built,
+                                  _sol=run.dense)
 
 
 def wronskian_residual(chs: CharacteristicSolution, grid) -> float:

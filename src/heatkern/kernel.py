@@ -198,8 +198,8 @@ def write_csv(fh, header, columns):
     Each distinct value of a column is formatted once.  Values are told
     apart by their bit pattern, so -0.0, 0.0 and every NaN keep their own
     text: the bytes are those of formatting every value on its own.  A
-    column without repeats is formatted within its rows, which costs less
-    than a call per value.
+    column without repeats is formatted within its rows, and all rows are
+    formatted by one ``%`` over the row format repeated once per row.
     """
     cells, specs = [], []
     for column in columns:
@@ -215,8 +215,12 @@ def write_csv(fh, header, columns):
             text = dict(zip(distinct, map("%.17g".__mod__, distinct.values())))
             cells.append(list(map(text.__getitem__, bits)))
             specs.append("%s")
-    row = ",".join(specs) + "\n"
-    fh.write(",".join(header) + "\n" + "".join(map(row.__mod__, zip(*cells))))
+    n, k = (len(cells[0]) if cells else 0), len(cells)
+    flat = [None] * (n * k)     # row-major: the cells of row i, then of i + 1
+    for j, col in enumerate(cells):
+        flat[j::k] = col
+    fh.write(",".join(header) + "\n"
+             + ((",".join(specs) + "\n") * n) % tuple(flat))
 
 
 def _check_half_width(L):

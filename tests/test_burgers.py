@@ -639,6 +639,65 @@ def test_antiderivative_calls_v0_once_per_pass(coeffs_heat):
     assert all(len(shape) == 2 and shape[1] == 21 for shape in calls)
 
 
+def _narrow_bumps(width, centers):
+    """v0 = sum of e^{-((y - c)/width)^2}, its exact antiderivative from 0,
+    and knots at each center and 8 widths to each side."""
+    def v0(y):
+        return sum(np.exp(-((y - c) / width) ** 2) for c in centers)
+
+    def V0(y):
+        return sum(0.5 * math.sqrt(math.pi) * width
+                   * (math.erf((y - c) / width) + math.erf(c / width))
+                   for c in centers)
+
+    knots = [c + k * width for c in centers for k in (-8.0, 0.0, 8.0)]
+    return v0, V0, knots
+
+
+@pytest.mark.parametrize("width", [1e-3, 1e-5])
+def test_knots_make_a_narrow_v0_seen(coeffs_heat, width):
+    # without knots, V0(1) read 5.5e-123 for width 1e-3: the bump's whole
+    # mass, 1.77e-3, fell between the nodes of the unit cell [0, 1]
+    v0, V0, knots = _narrow_bumps(width, [0.3])
+    prob = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5),
+                          knots=knots)
+    V = prob.antiderivative(25.0)
+    ys = np.concatenate((np.linspace(-25.0, 25.0, 1001),
+                         0.3 + width * np.linspace(-12.0, 12.0, 49)))
+    assert max(abs(V(y) - V0(y)) for y in ys.tolist()) <= 1e-12
+    assert prob.v0_bound(2.0) == 1.0     # the knot at the peak is sampled
+
+
+def test_knots_split_the_cells_of_every_extension(coeffs_heat):
+    v0, V0, knots = _narrow_bumps(1e-5, [0.3, -40.3])
+    prob = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5),
+                          knots=knots[::-1])
+    near = np.linspace(-20.0, 20.0, 201)
+    before = prob.antiderivative(20.0)(near)
+    V = prob.antiderivative(60.0)          # now over the bump at -40.3
+    assert np.array_equal(V(near), before)
+    ys = np.concatenate((near, np.linspace(-60.0, 60.0, 241)))
+    assert max(abs(V(y) - V0(y)) for y in ys.tolist()) <= 1e-12
+
+
+def test_knots_on_lattice_points_change_no_bit(coeffs_fp):
+    v0, _ = _gaussian(0.7, 0.3)
+    xs = np.linspace(-1.0, 1.0, 15)
+    plain = BurgersProblem(coeffs_fp, v0, xs)
+    knotted = BurgersProblem(coeffs_fp, v0, xs, knots=[0.0, 1.0, -3.0, 40.0])
+    ys = np.linspace(-50.0, 50.0, 401)
+    assert np.array_equal(knotted.antiderivative(50.0)(ys),
+                          plain.antiderivative(50.0)(ys))
+    assert np.array_equal(solve_burgers_ivp(knotted, 0.5).values,
+                          solve_burgers_ivp(plain, 0.5).values)
+
+
+@pytest.mark.parametrize("knots", [[0.0, math.nan], [[0.1, 0.2]], [math.inf]])
+def test_bad_knots_are_a_value_error(coeffs_heat, knots):
+    with pytest.raises(ValueError, match="knots"):
+        BurgersProblem(coeffs_heat, np.exp, [0.0], knots=knots)
+
+
 @pytest.mark.parametrize("coeffs", [
     profile("fokker-planck", T=2.5),
     profile("ou-drift", T=2.5, a=1.0, k=1.0, g=0.5),

@@ -321,3 +321,30 @@ def test_float_and_array_states_are_the_same_bits():
     ts = np.concatenate((edges, np.random.default_rng(5).uniform(0.0, 2.0, 50)))
     floats = np.array([chs.states(t) for t in ts.tolist()]).T
     assert np.array_equal(floats.view(np.int64), chs.states(ts).view(np.int64))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("kind, params", [("constant-heat", {}), ("cable", {}),
+                                          ("fokker-planck", {}),
+                                          ("ou-drift", {"k": 1.0, "g": 0.5})])
+def test_builtins_are_resolved_in_one_pass(kind, params, tol):
+    chs = solve_characteristic(profile(kind, T=2.5, **params), tol=tol)
+    assert (chs.passes, chs.built, chs.steps) == (1, 5, 5)
+
+
+@pytest.mark.parametrize("co, tol, passes, built", [
+    # 10 passes and 95 panels built for the 14 kept
+    (profile("ou-drift", T=2.5, a=1.0, k=1e4), 1e-10, 12, 120),
+    # 6 passes and 179 panels built for the 64 kept
+    (profile("custom", T=2.0, poly={"a": [1.0], "b": [1.0], "c": [-100.0]}),
+     1e-12, 8, 230),
+])
+def test_refinement_counters_are_bounded(deadline, co, tol, passes, built):
+    with deadline(10):
+        chs = solve_characteristic(co, tol=tol)
+    assert 1 < chs.passes <= passes
+    assert chs.steps < chs.built <= built
+    with pytest.raises(AttributeError):
+        chs.passes = 0
+    with pytest.raises(AttributeError):
+        chs.built = 0
