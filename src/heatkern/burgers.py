@@ -79,7 +79,7 @@ class _DenseAntiderivative:
     def __init__(self, v: Callable[[float], float], half_width: float,
                  knots=None):
         self._v = on_arrays(v)
-        self._knots = knots
+        self._knots = _knot_array(knots)
         self.half_width = 0.0
         self._edge = 0.0           # the lattice point the panels reach
         self._ends = [0.0, 0.0]    # V(-edge), V(edge)
@@ -185,6 +185,17 @@ class _DenseAntiderivative:
         return V.reshape(y.shape)
 
 
+def _knot_array(knots) -> Optional[np.ndarray]:
+    """``knots`` as a sorted array without repeats, or None; ValueError
+    unless they are a finite 1-D sequence."""
+    if knots is None:
+        return None
+    k = np.asarray(knots, dtype=float)
+    if k.ndim != 1 or not np.all(np.isfinite(k)):
+        raise ValueError("knots must be a finite 1-D array")
+    return np.unique(k)
+
+
 @dataclass
 class BurgersProblem:
     """A Burgers-type Cauchy problem at any finite, non-empty 1-D ``xs``.
@@ -215,11 +226,7 @@ class BurgersProblem:
 
     def __post_init__(self):
         self.xs = x_grid(self.xs)
-        if self.knots is not None:
-            knots = np.asarray(self.knots, dtype=float)
-            if knots.ndim != 1 or not np.all(np.isfinite(knots)):
-                raise ValueError("knots must be a finite 1-D array")
-            self.knots = np.unique(knots)
+        self.knots = _knot_array(self.knots)
         zero, constant = structure(self.coeffs, self.coeffs.domain_end)
         self.classical = {"b", "c", "f", "g"} <= zero and "a" in constant
 
@@ -249,8 +256,9 @@ class BurgersProblem:
         """max |v0| on 513 points and the knots in [-half_width, half_width];
         IntegrationError where v0 is not finite."""
         ys = np.linspace(-half_width, half_width, 513)
-        if self.knots is not None:
-            ys = np.concatenate((ys, self.knots[np.abs(self.knots) <= half_width]))
+        knots = _knot_array(self.knots)     # also where set after construction
+        if knots is not None:
+            ys = np.concatenate((ys, knots[np.abs(knots) <= half_width]))
         vals = np.abs(on_arrays(self.v0)(ys))
         bad = ~np.isfinite(vals)
         if bad.any():

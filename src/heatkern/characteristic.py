@@ -93,8 +93,10 @@ class CharacteristicSolution:
     The states are dense up to the horizon, or up to ``T_valid`` when a(t)
     ends the run.  ``steps`` counts the panels and ``nfev`` the times at
     which the coefficients were evaluated (21 per panel built, plus the
-    bisection of an a-zero); both are fixed once the solve returns, as are
-    the read-only :attr:`passes` and :attr:`built`.
+    bisection of an a-zero).  ``passes`` counts the refinement passes (how
+    often every panel's states were built) and ``built`` the panels whose
+    states were built, summed over the passes.  All four are fixed once the
+    solve returns.
     """
 
     coeffs: CoefficientSet
@@ -102,20 +104,9 @@ class CharacteristicSolution:
     end_cause: str
     steps: int
     nfev: int
-    _passes: int
-    _built: int
+    passes: int
+    built: int
     _sol: _panels.Dense
-
-    @property
-    def passes(self) -> int:
-        """The refinement passes: how often every panel's states were built."""
-        return self._passes
-
-    @property
-    def built(self) -> int:
-        """The panels whose states were built, summed over the passes; the
-        panels kept are ``steps``."""
-        return self._built
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
@@ -195,8 +186,7 @@ def _states(a, half, co):
     # a term whose coefficient is 0 is exactly 0, whatever e^{±C} is
     p = np.where(B == 0.0, 0.0, -B * np.exp(-2.0 * C))
     q = -4.0 * A * np.exp(2.0 * C)
-    pairs, pair_edges = _panels.chain(*_panels.linear(half, p, q),
-                                      _panels._UNIT)
+    pairs, pair_edges = _panels.chain(*_panels.linear(half, p, q), np.eye(2))
     # pairs[..., i, j] is component i (X^, Y^) of the pair from e_j
     edges[:, :4] = pair_edges.transpose(0, 2, 1).reshape(m + 1, 4)
     y[..., :4] = pairs.transpose(0, 1, 3, 2).reshape(m, n, 4)
@@ -287,7 +277,7 @@ def solve_characteristic(coeffs: CoefficientSet,
     return CharacteristicSolution(coeffs=coeffs, T_valid=T_valid,
                                   end_cause=end_cause, steps=run.dense.panels,
                                   nfev=run.nfev + len(a_calls),
-                                  _passes=run.passes, _built=run.built,
+                                  passes=run.passes, built=run.built,
                                   _sol=run.dense)
 
 

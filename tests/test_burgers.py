@@ -788,3 +788,18 @@ def test_antiderivative_of_step_data(coeffs_heat, jump, at):
     exact = BurgersProblem(coeffs_heat, v0, xs, v0_antiderivative=V0)
     assert np.max(np.abs(solve_burgers_ivp(prob, 0.5).values
                          - solve_burgers_ivp(exact, 0.5).values)) < 1e-10
+
+
+def test_knots_set_after_construction_are_checked(coeffs_heat):
+    v0, V0, knots = _narrow_bumps(1e-3, [0.3])
+    prob = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5))
+    prob.knots = knots                      # a list, not yet an array
+    assert prob.v0_bound(2.0) == 1.0
+    V = prob.antiderivative(2.0)
+    assert abs(V(1.0) - V0(1.0)) <= 1e-12
+    bad = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5))
+    bad.knots = [0.3, math.nan]
+    with pytest.raises(ValueError, match="knots"):
+        bad.v0_bound(2.0)
+    with pytest.raises(ValueError, match="knots"):
+        bad.antiderivative(2.0)

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from heatkern import _panels
+from heatkern.errors import IntegrationError
 
 EPS = np.finfo(float).eps
 T = 2.0
@@ -119,3 +120,36 @@ def test_dense_float_and_array_paths_are_the_same_bits():
         assert all(dense.state(j, ts[5]) == floats[j, 5] for j in range(s))
         grid = ts[:40].reshape(5, 8)
         assert np.array_equal(dense(grid), array[:, :40].reshape(s, 5, 8))
+
+
+def _quadrature(a, half, coefs):
+    f = coefs[..., 0]
+    y, edges = _panels.cumulative(half, f)
+    return edges[:, None], f[..., None], y[..., None]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("panel, node", [(1, 7), (2, 0)])
+def test_refine_locates_a_value_that_is_not_finite(bad, panel, node):
+    # the bad value sits at an interior node, or at the first node of a
+    # panel; it is seen through the panel's scale, which it makes NaN or inf
+    bounds = np.array([0.0, 0.5, 1.0, 2.0])
+    at = float(_panels.nodes(bounds[:-1], bounds[1:])[panel, node])
+
+    def from_there(t):
+        f = np.cos(t)
+        f[t >= at] = bad
+        return f[..., None]
+
+    with pytest.raises(IntegrationError, match=f"^f is not finite at t = {at:.6g}$"):
+        _panels.refine(bounds, from_there, _quadrature, 1e-10, [0.0], "f is")
+
+    def only_there(t):
+        f = np.cos(t)
+        f[t == at] = bad
+        return f[..., None]
+
+    # bisecting its panel moves every node off the bad point
+    run = _panels.refine(bounds, only_there, _quadrature, 1e-10, [0.0], "f is")
+    assert (run.passes, run.built, run.dense.panels) == (2, 7, 4)
+    assert np.isfinite(run.y).all()

@@ -129,12 +129,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="the src/ directory whose heatkern is digested")
-    parser.add_argument("--only", choices=tuple(SECTIONS), action="append",
-                        help="digest only this section (repeatable)")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     digests = {}
-    for section in args.only or SECTIONS:
+    for section in SECTIONS:
         digests[section] = _hash(SECTIONS[section]())
         print(f"{section:<9} {digests[section]}", flush=True)
     print(f"{'overall':<9} {_hash(f'{k} {v}' for k, v in digests.items())}")
