@@ -4,8 +4,6 @@ A panel [a, b] carries the 21 Gauss–Kronrod nodes of QUADPACK's qk21, and a
 function sampled there is its degree-20 interpolant, handled through
 Legendre series (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071):
 
-* the Burgers antiderivative V0 stores the Legendre coefficients of the
-  integral of each panel's interpolant (:func:`integral_matrix`);
 * the linear ODEs Z' = A(t) Z of the characteristic solve and the profile
   equation, with 2 x 2 matrices A = [[0, A01], [A10, A11]], become on every
   panel the collocation system Z_i = Z_a + int_a^{t_i} A Z at the nodes.  Its
@@ -19,11 +17,14 @@ Legendre series (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071):
 Every state y of an ODE run is dense on each panel as y(t) = y(a) + (t - a)
 g(x), where g(x) = int_0^1 y'(a + (t - a) u) du is the mean of y' over
 [a, t], a Legendre series in the panel coordinate x = (t - a)/h - 1, h = (b -
-a)/2.  A state that starts at 0 thus keeps its relative accuracy as t -> 0.
-The series keeps only the terms the tolerance needs, and :func:`refine`
-bisects every panel whose series cannot drop its last two terms.
-:func:`clenshaw` sums a series for a float or for arrays in the same
-operation order, so both give the same bits.
+a)/2, which :func:`mean_series` finds from y' at the nodes.  A state that
+starts at 0 thus keeps its relative accuracy as t -> 0.  The series keeps
+only the terms the tolerance needs, and :func:`refine` bisects every panel
+whose series cannot drop its last two terms.  :class:`Dense` evaluates the
+states of an ODE run and the Burgers antiderivative V0, whose panels hold V0
+at their left edge and the mean of v0 over [a, y].  :func:`clenshaw` sums a
+series for a float or for arrays in the same operation order, so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -91,19 +92,6 @@ def _to_legendre() -> np.ndarray:
 
 
 @functools.cache
-def integral_matrix() -> np.ndarray:
-    """(22, 21): values of a degree-20 polynomial at the Kronrod nodes on
-    [-1, 1] to the Legendre coefficients of its integral from -1."""
-    C = _to_legendre()
-    M = np.zeros((22, 21))
-    M[0] = M[1] = C[0]           # int P_0 = P_0 + P_1
-    for k in range(1, 21):       # int P_k = (P_(k+1) - P_(k-1)) / (2k + 1)
-        M[k + 1] += C[k] / (2 * k + 1)
-        M[k - 1] -= C[k] / (2 * k + 1)
-    return M
-
-
-@functools.cache
 def _mean_matrices() -> tuple[np.ndarray, np.ndarray]:
     """(S, G), both (21, 21), acting on the values of p at the nodes: S gives
     int_{-1}^{x_i} p at the nodes, G the Legendre coefficients of the mean
@@ -116,6 +104,15 @@ def _mean_matrices() -> tuple[np.ndarray, np.ndarray]:
     lagrange = np.einsum("kim,kj->imj", _legendre(z), C)  # L_j at z
     g_nodes = np.einsum("m,imj->ij", 0.5 * K21_W, lagrange)
     return (1.0 + NODES)[:, None] * g_nodes, C @ g_nodes
+
+
+def mean_series(dy) -> np.ndarray:
+    """(m, 21, s): the Legendre coefficients of each panel's mean slope g
+    from the slopes ``dy`` (m, 21, s) at its nodes.  They are taken relative
+    to the first node's slope, so that a constant slope gives g exactly."""
+    coef = _mean_matrices()[1] @ (dy - dy[:, :1])
+    coef[:, 0] += dy[:, 0]
+    return coef
 
 
 def clenshaw(coef: Callable, n: int, x):
@@ -242,10 +239,11 @@ class Dense:
             return np.array([y0 + dt * clenshaw(col, n, x) for y0, col, n in rows])
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self._inner, t, side="right")
-        dt = t - self._a[i]
-        x = dt / self._half[i] - 1.0
-        coef = self._coef[..., i]          # (K, s, *t.shape), gathered once
-        return self._start[:, i] + dt * clenshaw(coef.__getitem__, len(coef), x)
+        dt = t - self._a.take(i)
+        x = dt / self._half.take(i) - 1.0
+        # one degree at a time, so no (K, s, *t.shape) block is gathered
+        return (self._start.take(i, axis=-1) + dt * clenshaw(
+            lambda k: self._coef[k].take(i, axis=-1), len(self._coef), x))
 
     def state(self, j: int, t: float) -> float:
         """State j alone at a float t, as the float path computes it."""
@@ -311,7 +309,6 @@ def refine(bounds, evaluate: Callable, build: Callable,
     MAX_PANELS panels.
     """
     floor = np.asarray(floor, dtype=float)
-    G = _mean_matrices()[1]
     drop = tol * _DROP
     bounds = np.asarray(bounds, dtype=float)
     a, b = bounds[:-1], bounds[1:]
@@ -337,9 +334,7 @@ def refine(bounds, evaluate: Callable, build: Callable,
             half = 0.5 * (b - a)
             edges, dy, y = build(a, half, coefs)
             passes, built = passes + 1, built + len(a)
-            # relative to the first node's slope, so that a constant is exact
-            coef = G @ (dy - dy[:, :1])                    # (m, 21, s)
-            coef[:, 0] += dy[:, 0]
+            coef = mean_series(dy)                         # (m, 21, s)
             tails = np.abs(coef[:, ::-1]).cumsum(axis=1)[:, ::-1]
             size = np.abs(edges)
             size = np.maximum(np.maximum(size[:-1], size[1:]),

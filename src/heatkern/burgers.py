@@ -21,14 +21,13 @@ frame and the profile all run on the Legendre panels of
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _panels
-from ._panels import G10_W, K21_W, NODES, clenshaw, integral_matrix
+from ._panels import G10_W, K21_W, NODES
 from .coefficients import CoefficientSet, on_arrays, structure
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
@@ -53,17 +52,16 @@ class _DenseAntiderivative:
 
     Each pass calls v once, on the 21 Kronrod nodes of every live panel, and
     bisects each panel whose |K21 - G10| exceeds max(_ABS_TOL width,
-    _REL_TOL int |v|).  A panel keeps V at its left edge and the Legendre
-    coefficients of the integral of the degree-20 interpolant of its node
-    values, so V(y) is one search for the panel and one Clenshaw sum, which
-    a float y takes in Python floats, to the array path's bits.  The
-    panels fill whole lattice cells, so v is sampled out to the first lattice
-    point at or past W, which is below max(W + 1, 1.125 W): v must be finite
-    there, not only on [-W, W].  V
-    accumulates outward from 0 and each panel is refined on its own, so
-    :meth:`extend` only adds panels: V on the old window keeps its last bit,
-    and no value depends on which windows were asked for first.  A panel
-    narrower than _MIN_WIDTH max(1, |y|), such as one holding a jump of v,
+    _REL_TOL int |v|).  A panel keeps V at its left edge a and the Legendre
+    series g of the mean over [a, y] of the degree-20 interpolant of v, so
+    V(y) = V(a) + (y - a) g is read from one :class:`_panels.Dense`, whose
+    float path gives the array path's bits.  The panels fill whole lattice
+    cells, so v is sampled out to the first lattice point at or past W,
+    which is below max(W + 1, 1.125 W): v must be finite there, not only on
+    [-W, W].  V accumulates outward from 0 and each panel is refined on its
+    own, so :meth:`extend` only adds panels: V on the old window keeps its
+    last bit, and no value depends on which windows were asked for first.
+    A panel narrower than _MIN_WIDTH max(1, |y|), such as one holding a jump of v,
     is accepted when |K21 - G10| is at most _REL_TOL times the int |v| of
     the lattice cell it came from.  One that is not (a non-integrable v), a
     value of v that is not finite, or more than _MAX_PANELS panels raise
@@ -83,8 +81,8 @@ class _DenseAntiderivative:
         self.half_width = 0.0
         self._edge = 0.0           # the lattice point the panels reach
         self._ends = [0.0, 0.0]    # V(-edge), V(edge)
-        self._a = self._half = self._V = np.empty(0)
-        self._coef = np.empty((22, 0))
+        self._a = self._b = self._V = np.empty(0)
+        self._coef = np.empty((0, len(NODES), 1))
         self.extend(half_width)
 
     def extend(self, half_width: float):
@@ -118,17 +116,17 @@ class _DenseAntiderivative:
         run_right = np.cumsum(np.concatenate(([self._ends[1]], k21[right])))
         self._ends = [run_left[-1], run_right[-1]]
         self._V = np.concatenate((run_left[:0:-1], self._V, run_right[:-1]))
-        self._a, self._half, self._coef = (
-            np.concatenate((new[..., left], old, new[..., right]), axis=-1)
-            for new, old in ((a, self._a), (0.5 * (b - a), self._half),
-                             (coef, self._coef)))
+        self._a, self._b, self._coef = (
+            np.concatenate((new[left], old, new[right]))
+            for new, old in ((a, self._a), (b, self._b), (coef, self._coef)))
         self._edge = float(edges[-1])
-        self._a_list, self._half_list = self._a.tolist(), self._half.tolist()
-        self._V_list, self._cols = self._V.tolist(), {}
+        self._dense = _panels.Dense(self._a, self._b, self._V[:, None],
+                                    self._coef, [len(NODES)])
 
     def _panels(self, a, b):
         """Bisect the cells [a, b] until every panel meets the tolerance;
-        (left edges, right edges, K21 integrals, (22, n) coefficients)."""
+        (left edges, right edges, K21 integrals, (n, 21, 1) coefficients of
+        the mean of v)."""
         done = []
         cell = None   # the int |v| of the cell each panel came from
         while len(a):
@@ -150,7 +148,7 @@ class _DenseAntiderivative:
                 raise IntegrationError(f"V0 refinement stopped at y = "
                                        f"{worst:.6g}: v0 is not integrable "
                                        f"there to tolerance")
-            done.append((a[ok], b[ok], k21[ok], f[ok] * half[ok, None]))
+            done.append((a[ok], b[ok], k21[ok], f[ok]))
             a, b, mid, cell, err = a[~ok], b[~ok], mid[~ok], cell[~ok], err[~ok]
             if sum(len(d[0]) for d in done) + 2 * len(a) > _MAX_PANELS:
                 raise IntegrationError(f"V0 needs more than {_MAX_PANELS} "
@@ -158,31 +156,16 @@ class _DenseAntiderivative:
                                        f"{mid[np.argmax(err)]:.6g}")
             a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
             cell = np.concatenate((cell, cell))
-        a, b, k21, fh = (np.concatenate(d) for d in zip(*done))
+        a, b, k21, f = (np.concatenate(d) for d in zip(*done))
         order = np.argsort(a)
-        M = integral_matrix()
-        coef = M[:, :1] * fh[order, 0]
-        for j in range(1, 21):   # node by node: no BLAS summation order
-            coef += M[:, j:j + 1] * fh[order, j]
-        return a[order], b[order], k21[order], coef
+        return (a[order], b[order], k21[order],
+                _panels.mean_series(f[order, :, None]))
 
     def __call__(self, y):
         W = self.half_width
-        if np.ndim(y) == 0:   # Python floats: the array path's arithmetic
-            y = check_range("y", float(y), -W, W)
-            i = bisect_right(self._a_list, y) - 1
-            col = self._cols.get(i)
-            if col is None:
-                col = self._cols[i] = self._coef[:, i].tolist()
-            x = (y - self._a_list[i]) / self._half_list[i] - 1.0
-            return self._V_list[i] + clenshaw(col.__getitem__, 22, x)
-        y = np.asarray(y, dtype=float)
-        flat = check_range("y", y.ravel(), -W, W)
-        i = np.searchsorted(self._a, flat, side="right") - 1
-        x = (flat - self._a[i]) / self._half[i] - 1.0
-        # one degree at a time, so no (points, 22) block is gathered
-        V = self._V.take(i) + clenshaw(lambda k: self._coef[k].take(i), 22, x)
-        return V.reshape(y.shape)
+        if np.ndim(y) == 0:
+            return self._dense.state(0, check_range("y", float(y), -W, W))
+        return self._dense(check_range("y", np.asarray(y, dtype=float), -W, W))[0]
 
 
 def _knot_array(knots) -> Optional[np.ndarray]:
@@ -330,7 +313,7 @@ def burgers_residual(v: GridField, coeffs: CoefficientSet) -> GridField:
     w = v.values[1:-1]
     wx = d1_uniform4(w, v.dx)
     wxx = d2_uniform4(w, v.dx)
-    a, b, c, f, g = (np.array([fn(t) for t in ts], dtype=float)[:, None]
+    a, b, c, f, g = (on_arrays(fn)(ts)[:, None]
                      for fn in (coeffs.a, coeffs.b, coeffs.c, coeffs.f, coeffs.g))
     res = (vt + a * (w * wx - wxx) + (g - c * xs) * wx
            - c * w + 2.0 * (f - 2.0 * b * xs))

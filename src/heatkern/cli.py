@@ -200,14 +200,10 @@ def cmd_wave(args) -> int:
     window = args.window.split(":")
     if len(window) != 2:
         raise ConfigError("--window must be lo:hi")
-    try:
-        spec = bg.TravelingWaveSpec(c0=args.c0, c1=args.c1, c2=args.c2,
-                                    c3=args.c3, c4=args.c4, beta0_init=args.beta0,
-                                    gamma0_init=args.gamma0,
-                                    z_window=(float(window[0]), float(window[1])),
-                                    F0=args.F0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _configured(lambda: bg.TravelingWaveSpec(
+        c0=args.c0, c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4,
+        beta0_init=args.beta0, gamma0_init=args.gamma0,
+        z_window=(float(window[0]), float(window[1])), F0=args.F0))
     tw = bg.traveling_wave(spec, coeffs.a, coeffs.c, T=coeffs.domain_end)
     if tw.poles:
         print("profile poles at z = "

@@ -481,11 +481,12 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
 
     Every (t, x) is one row of a single batched quadrature: at fixed t the
     kernel's exponent in y is one quadratic whose linear coefficient
-    b0 x + e0 alone depends on x.
+    b0 x + e0 alone depends on x.  A u that is not finite, as where the
+    exponent overflows at a far x, raises :class:`QuadratureError` naming
+    the first such (t, x).
     """
     x, ln, a0, b0, q2, d0, e0, k0, mean, std = _kernel_rows(K, xs, ts)
     q1 = b0 * x + e0
-    q0 = ln + a0 * x * x + d0 * x + k0
     w_lo, w_hi = phi.window
     lo = np.maximum(mean - 10.0 * std, w_lo)
     hi = np.minimum(mean + 10.0 * std, w_hi)
@@ -499,7 +500,9 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
                           TruncationWarning, stacklevel=3)
 
     peak = np.minimum(np.maximum(mean, lo), hi)
-    shift = q2 * peak * peak + q1 * peak
+    with np.errstate(over="ignore", invalid="ignore"):   # u is checked below
+        q0 = ln + a0 * x * x + d0 * x + k0
+        shift = q2 * peak * peak + q1 * peak
     values = on_arrays(phi)
 
     def integrand(rows, y):
@@ -507,7 +510,14 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
                       - shift[rows, None]) * values(y)
 
     j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)[0]
-    return (np.exp(q0 + shift) * j).reshape(len(ts), len(xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(q0 + shift) * j
+    bad = ~np.isfinite(u)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise QuadratureError(f"u is not finite at t = {ts[k // len(xs)]:.6g}, "
+                              f"x = {x[k]:.6g}")
+    return u.reshape(len(ts), len(xs))
 
 
 def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
                       traveling_wave)
 from heatkern.errors import DomainError, IntegrationError, SingularityError
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
+
+EPS = np.finfo(float).eps
 
 
 # -------------------------------------------------------------------- cole_hopf
@@ -625,6 +628,34 @@ def test_antiderivative_float_calls_are_the_array_bits(coeffs_heat):
     floats = np.array([V0(y) for y in ys.tolist()])
     assert all(type(V0(y)) is float for y in ys[:3].tolist())
     assert np.array_equal(floats.view(np.int64), V0(ys).view(np.int64))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 20])
+def test_antiderivative_of_a_polynomial_is_exact_to_rounding(coeffs_heat, degree):
+    # a panel's series is the mean of v0's degree-20 interpolant, which is
+    # v0 itself here, so V0 is exact up to the rounding of the running sums
+    c = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+    L = 8.0
+
+    def v0(y):
+        return np.polynomial.polynomial.polyval(y / L, c)
+
+    def exact(y):   # L sum c_k (y/L)^(k+1) / (k+1), rounded once
+        u = Fraction(y) / Fraction(L)
+        return float(Fraction(L) * sum(Fraction(ck) * u ** (k + 1) / (k + 1)
+                                       for k, ck in enumerate(c.tolist())))
+
+    scale = L * sum(abs(ck) / (k + 1) for k, ck in enumerate(c.tolist()))
+    prob = BurgersProblem(coeffs_heat, v0, np.linspace(-1.0, 1.0, 5))
+    rng = np.random.default_rng(100 + degree)
+    for W in (3.5, 8.0):                  # the first window, then an extension
+        V = prob.antiderivative(W)
+        ys = np.concatenate((rng.uniform(-W, W, 200), np.arange(-3.0, 4.0),
+                             [-W, W]))
+        ref = np.array([exact(y) for y in ys.tolist()])
+        got = V(ys)
+        assert np.abs(got - ref).max() <= 4.0 * EPS * scale
+        assert np.array_equal([V(y) for y in ys.tolist()], got)
 
 
 def test_antiderivative_calls_v0_once_per_pass(coeffs_heat):

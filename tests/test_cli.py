@@ -565,3 +565,15 @@ def test_module_entry_point(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "fd-richardson/heat" in done.stdout
+
+
+def test_a_far_grid_point_is_a_numerical_failure(tmp_path):
+    # u overflows at x = +-1e160: a numerical failure, not a traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "heatkern", "solve", "--t", "1",
+                           "--grid=-1e160:1e160:3"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert "QuadratureError: u is not finite at t = 1, x = -1e+160" in done.stderr

@@ -427,6 +427,19 @@ def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi):
     assert calls == [161 * 8 * 21]
 
 
+def test_a_far_point_is_a_typed_error_not_nan(kernel_heat):
+    # at x = 1e160 the log-space factor exp(q0 + shift) is exp(-inf + inf)
+    phi = InitialData.gaussian()
+    with pytest.raises(QuadratureError, match=r"^u is not finite at t = 1, "
+                                              r"x = 1e\+160$"):
+        expectation(kernel_heat, phi, 1e160, 1.0)
+    with pytest.raises(QuadratureError, match=r"^u is not finite at t = 0\.5, "
+                                              r"x = -1e\+160$"):
+        solve_ivp(kernel_heat, phi, [-1e160, 0.0], [0.5, 1.0])
+    # an exponent that is only very negative still underflows to u = 0
+    assert expectation(kernel_heat, phi, 1e150, 1.0) == 0.0
+
+
 @pytest.mark.parametrize("xs", [np.array([0.0, 1.0, np.inf]),
                                 np.array([np.nan, 0.5, 1.0]),
                                 np.array([]),

@@ -101,6 +101,14 @@ def test_a_zero_upper_coefficient_keeps_the_first_row_exact():
     assert np.all(at_nodes[..., 0, 0] == 0.3) and np.all(at_edges[:, 0, 0] == 0.3)
 
 
+@pytest.mark.parametrize("value", [0.0, -2.5, 1e-300, 3.7e12])
+def test_mean_series_of_a_constant_slope_is_that_constant(value):
+    dy = np.full((3, _panels.N, 2), value)
+    coef = _panels.mean_series(dy)
+    assert np.array_equal(coef[:, 0], dy[:, 0])
+    assert not coef[:, 1:].any()
+
+
 def test_dense_float_and_array_paths_are_the_same_bits():
     rng = np.random.default_rng(7)
     for m, s in ((1, 1), (3, 4), (9, 9)):

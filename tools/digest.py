@@ -2,7 +2,10 @@
 
 Two trees that print the same digests produce the same bytes on every CLI
 dump below, the same ``repr`` of every validate measurement and the same
-bits of the characteristic states, counters and validity ends.  Run
+bits of the characteristic states, counters and validity ends.  A
+``cli/<command>`` line digests one command's dumps alone, so a change
+names the command whose output moved; the overall line covers the three
+sections.  Run
 
     python tools/digest.py                 # this tree's src/
     python tools/digest.py --src OTHER/src  # another checkout's
@@ -70,7 +73,8 @@ def _hash(chunks) -> str:
 
 
 def cli_chunks():
-    """Exit code, stdout and stderr of every CLI run, in a fixed order."""
+    """(command, chunk): exit code, stdout and stderr of every CLI run, in a
+    fixed order."""
     from heatkern.cli import main
     with tempfile.TemporaryDirectory() as tmp:
         sets = dict(BUILTINS)
@@ -87,9 +91,9 @@ def cli_chunks():
                     with contextlib.redirect_stdout(out), \
                             contextlib.redirect_stderr(err):
                         code = main([*cmd, *set_args, "--tol", repr(tol)])
-                    yield f"{set_name} {tol!r} {cmd_name} exit {code}\n"
-                    yield out.getvalue().encode()
-                    yield err.getvalue().encode()
+                    yield cmd_name, f"{set_name} {tol!r} {cmd_name} exit {code}\n"
+                    yield cmd_name, out.getvalue().encode()
+                    yield cmd_name, err.getvalue().encode()
 
 
 def validate_chunks():
@@ -120,8 +124,7 @@ def state_chunks():
                 yield np.asarray(chs.states(t)).tobytes()
 
 
-SECTIONS = {"cli": cli_chunks, "validate": validate_chunks,
-            "states": state_chunks}
+SECTIONS = {"validate": validate_chunks, "states": state_chunks}
 
 
 def main(argv=None) -> int:
@@ -131,9 +134,13 @@ def main(argv=None) -> int:
                         help="the src/ directory whose heatkern is digested")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    digests = {}
-    for section in SECTIONS:
-        digests[section] = _hash(SECTIONS[section]())
+    runs = list(cli_chunks())
+    digests = {"cli": _hash(chunk for _, chunk in runs)}
+    print(f"{'cli':<9} {digests['cli']}", flush=True)
+    for name in COMMANDS:
+        print(f"cli/{name} {_hash(c for n, c in runs if n == name)}")
+    for section, chunks in SECTIONS.items():
+        digests[section] = _hash(chunks())
         print(f"{section:<9} {digests[section]}", flush=True)
     print(f"{'overall':<9} {_hash(f'{k} {v}' for k, v in digests.items())}")
     return 0
