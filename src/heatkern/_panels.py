@@ -12,7 +12,10 @@ Legendre series (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071):
   all panels in one ``np.linalg.solve`` (:func:`linear`); the panels' 2 x 2
   end propagators are then chained (:func:`chain`);
 * quadratures are a panel-local integral plus a ``cumsum`` of the panel
-  totals (:func:`cumulative`).
+  totals (:func:`cumulative`);
+* the adaptive G10/K21 quadratures of the kernel and the Burgers V0 take a
+  block's nodes from :func:`rule_nodes` and its K21 sums and error
+  estimates from one product with :data:`RULES`.
 
 Every state y of an ODE run is dense on each panel as y(t) = y(a) + (t - a)
 g(x), where g(x) = int_0^1 y'(a + (t - a) u) du is the mean of y' over
@@ -61,6 +64,12 @@ NODES = np.concatenate((-_XGK, [0.0], _XGK[::-1]))   # increasing
 K21_W = np.concatenate((_WGK, [_WGK0], _WGK[::-1]))
 G10_W = np.concatenate((_WG, [0.0], _WG[::-1]))
 N = len(NODES)
+# f at the nodes @ RULES: the K21 sum and its error estimate, the K21 - G10
+# sum, of each panel scaled to [-1, 1].  Every K21 weight is positive, so a
+# NaN or an inf at any node makes the first column not finite.
+RULES = np.stack((K21_W, K21_W - G10_W), axis=1)
+_MID_HALF = np.array([[0.5, -0.5], [0.5, 0.5]])
+_AT_NODES = np.stack((np.ones(N), NODES))
 
 # Clenshaw's sum of a Legendre series: b_k = c_k + A_k x b_(k+1) - B_k b_(k+2)
 _CLENSHAW = [((2 * k + 1) / (k + 1), (k + 1) / (k + 2)) for k in range(21)]
@@ -133,6 +142,14 @@ def nodes(a, b) -> np.ndarray:
     """(m, 21): the Kronrod nodes of the panels [a, b]."""
     half = 0.5 * (b - a)
     return (a + half)[:, None] + half[:, None] * NODES
+
+
+def rule_nodes(ab) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, half) (m, 2) and the Kronrod nodes (m, 21) of the panels whose
+    (start, end) are the rows of ``ab``, one product each.  The ODE runs
+    keep :func:`nodes`, whose bits their dense states hold."""
+    mh = ab @ _MID_HALF
+    return mh, mh @ _AT_NODES
 
 
 def cumulative(half, f, start=0.0):

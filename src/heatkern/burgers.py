@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _panels
-from ._panels import G10_W, K21_W, NODES
+from ._panels import NODES, RULES, rule_nodes
 from .coefficients import CoefficientSet, on_arrays, structure
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
@@ -130,15 +130,18 @@ class _DenseAntiderivative:
         done = []
         cell = None   # the int |v| of the cell each panel came from
         while len(a):
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            y = mid[:, None] + half[:, None] * NODES
+            mh, y = rule_nodes(np.stack((a, b), axis=1))
+            mid, half = mh.T
             f = self._v(y)
-            bad = ~np.isfinite(f)
-            if bad.any():
-                raise IntegrationError(f"v0 is not finite at y = {y[bad][0]:.6g}")
-            k21 = half * (f * K21_W).sum(axis=-1)
-            err = np.abs(k21 - half * (f * G10_W).sum(axis=-1))
-            absint = half * (np.abs(f) * K21_W).sum(axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                k21, err = half * (f @ RULES).T
+            finite = np.isfinite(k21)    # K21 weights are all positive
+            if not finite.all():
+                bad = ~np.isfinite(f)    # else a sum of finite values overflowed
+                at = y[bad][0] if bad.any() else mid[~finite][0]
+                raise IntegrationError(f"v0 is not finite at y = {at:.6g}")
+            err = np.abs(err)
+            absint = half * (np.abs(f) @ RULES[:, 0])
             cell = absint if cell is None else cell
             narrow = b - a < _MIN_WIDTH * np.maximum(1.0, np.abs(mid))
             ok = (err <= np.maximum(_ABS_TOL * (b - a), _REL_TOL * absint)) \
@@ -288,8 +291,15 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     shift = np.max(exponent(np.arange(len(x)), probe), axis=1)
 
     def tilted(r, y):
-        w = np.exp(exponent(r, y) - shift[r, None])
-        return np.stack((w, (y - mean[r, None]) / sigma[r, None] * w))
+        e = exponent(r, y)     # before the buffer: V0(y) is the memory peak
+        out = np.empty((2, *y.shape))
+        w, m = out
+        np.subtract(e, shift[r, None], out=w)
+        np.exp(w, out=w)
+        np.subtract(y, mean[r, None], out=m)
+        m /= sigma[r, None]
+        m *= w
+        return out
 
     m0, m1 = _gk21(tilted, mean - width, mean + width, mean, quad_spec)
     if np.any(m0 <= 0.0):

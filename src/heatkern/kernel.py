@@ -31,7 +31,7 @@ from .coefficients import (CoefficientSet, builtin_equation, on_arrays,
 from .errors import (DomainError, IntegrationError, QuadratureError,
                      SingularityError)
 from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
-from ._panels import G10_W, K21_W, NODES
+from ._panels import RULES, rule_nodes
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 LOG_OVERFLOW = 700.0
@@ -58,8 +58,12 @@ class QuadSpec:
     limit: int = 4096
 
 
-_PANELS_PER_SIDE = 4
 _BLOCK = 2048           # panels per integrand call; bounds working memory
+# (lo, center, hi) @ _EDGES: a window's first edges, four equal panels on
+# either side of its center
+_EDGES = np.array([[1.0, 0.75, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.25, 0.5, 0.75, 1.0, 0.75, 0.5, 0.25, 0.0],
+                   [0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0]])
 
 
 def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
@@ -71,27 +75,34 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     (components, panels, 21) stack, and the result is (components, rows).
     Each window starts as four equal panels on either side of ``center[i]``,
     split further at every knot inside it.  Every pass evaluates all live
-    panels; a panel is accepted when every component's |K21 - G10| <=
-    max(abs_tol, rel_tol |I0_row|) times its share of the window, I0 being
-    the first component, and bisected otherwise.  A row needing more than
-    ``spec.limit`` panels, or an integrand value that is not finite, raises
-    :class:`QuadratureError`.
+    panels, ``_BLOCK`` at a time; a block's nodes are one product of its
+    (mid, half) pairs, and its sums one product of its integrand values with
+    the rule matrix ``_panels.RULES``, whose columns give the K21 value and
+    the error estimate K21 - G10, differenced in the weights.  A panel is
+    accepted when every component's |K21 - G10| <= max(abs_tol, rel_tol
+    |I0_row|) times its share of the window, I0 being the first component,
+    and bisected otherwise.  A row needing more than ``spec.limit`` panels
+    raises :class:`QuadratureError`, and so does a block whose K21 sums are
+    not finite, which every NaN or inf among its integrand values makes
+    them (all K21 weights are positive): no bisection could meet a
+    tolerance there.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(np.asarray(hi, dtype=float), lo)
     n = len(lo)
-    c = np.minimum(np.maximum(center, lo), hi)[:, None]
-    s = np.linspace(0.0, 1.0, _PANELS_PER_SIDE + 1)
-    edges = np.concatenate((lo[:, None] + (c - lo[:, None]) * s[:-1],
-                            c + (hi[:, None] - c) * s), axis=1)
+    c = np.minimum(np.maximum(center, lo), hi)
+    edges = np.stack((lo, c, hi), axis=1) @ _EDGES
     if knots is not None:
         inside = np.clip(np.asarray(knots, dtype=float)[None, :],
                          lo[:, None], hi[:, None])
         edges = np.sort(np.concatenate((edges, inside), axis=1), axis=1)
+    ab = np.empty((n, edges.shape[1] - 1, 2))     # (start, end) of each panel
+    ab[..., 0], ab[..., 1] = edges[:, :-1], edges[:, 1:]
+    ab = ab.reshape(-1, 2)
     rows = np.repeat(np.arange(n), edges.shape[1] - 1)
-    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    keep = b > a
-    rows, a, b = rows[keep], a[keep], b[keep]
+    keep = ab[:, 1] > ab[:, 0]
+    if not keep.all():
+        rows, ab = rows[keep], ab.compress(keep, axis=0)
 
     width = np.where(hi > lo, hi - lo, 1.0)    # an empty window has no panels
     total = np.zeros((1, n))
@@ -100,27 +111,29 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
         if count.max() > spec.limit:
             raise QuadratureError(f"quadrature did not converge within "
                                   f"{spec.limit} panels per point")
-        k21, g10 = [], []
+        sums = []
         for i in range(0, len(rows), _BLOCK):
             blk = slice(i, i + _BLOCK)
-            half = 0.5 * (b[blk] - a[blk])
-            mid = 0.5 * (a[blk] + b[blk])
-            fx = f(rows[blk], mid[:, None] + half[:, None] * NODES)
-            if not np.isfinite(fx).all():   # no bisection could meet a tolerance
+            mh, y = rule_nodes(ab[blk])
+            fx = f(rows[blk], y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = fx @ RULES
+            if not np.isfinite(block[..., 0]).all():
                 raise QuadratureError("integrand is not finite at a quadrature node")
-            k21.append(half * (fx * K21_W).sum(axis=-1))
-            g10.append(half * (fx * G10_W).sum(axis=-1))
-        k21 = np.atleast_2d(np.concatenate(k21, axis=-1))
-        err = np.abs(k21 - np.concatenate(g10, axis=-1)).max(axis=0)
+            sums.append(block * mh[:, 1:])
+        # (components, panels, 2)
+        sums = np.concatenate(sums, axis=-2).reshape(-1, len(rows), 2)
+        k21, err = sums[..., 0], np.abs(sums[..., 1]).max(axis=0)
         estimate = total[0] + np.bincount(rows, k21[0], minlength=n)
         scale = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate)) / width
-        ok = err <= scale[rows] * (b - a)
+        ok = err <= scale[rows] * (ab[:, 1] - ab[:, 0])
         total = total + [np.bincount(rows[ok], k[ok], minlength=n) for k in k21]
         bad = ~ok
-        rows, a, b, m = rows[bad], a[bad], b[bad], 0.5 * (a[bad] + b[bad])
+        rows, ab = rows[bad], ab.compress(bad, axis=0)
         count += np.bincount(rows, minlength=n)
-        rows, a, b = (np.concatenate((rows, rows)), np.concatenate((a, m)),
-                      np.concatenate((m, b)))
+        left, right = ab.copy(), ab
+        left[:, 1] = right[:, 0] = 0.5 * (ab[:, 0] + ab[:, 1])
+        rows, ab = np.concatenate((rows, rows)), np.concatenate((left, right))
     return total
 
 
@@ -334,10 +347,27 @@ class HeatKernel:
         return hit
 
     def log_evaluate(self, x, y, t: float):
-        ln, a0, b0, g0, d0, e0, k0 = self.exponent_coefficients(t)
+        """log K(x, y, t) from the expanded exponent.  Where that overflows
+        to NaN or +inf, as near the diagonal at |x| ~ 1e160, OverflowError
+        names the first such (x, y); a -inf, where K only underflows, is
+        kept."""
+        coef = self.exponent_coefficients(t)
         x, y = _operands(x, y)
-        val = ln + a0 * x * x + b0 * x * y + g0 * y * y + d0 * x + e0 * y + k0
-        return _float_or_array(val)
+        if isinstance(x, float):     # Python floats overflow without a warning
+            val = _log_kernel(coef, x, y)
+            if val < math.inf:
+                return val
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = _log_kernel(coef, x, y)
+            ok = val < math.inf
+            if ok.all():
+                return _float_or_array(val)
+            k = int(np.argmin(ok))
+            x, y = (np.broadcast_to(v, val.shape).flat[k] for v in (x, y))
+        raise OverflowError(f"kernel exponent at x = {x:.6g}, y = {y:.6g}, "
+                            f"t = {float(t):.6g} is not finite: its expanded "
+                            f"form overflows")
 
     def evaluate(self, x, y, t: float):
         return _exp_guard(self.log_evaluate(x, y, t))
@@ -377,6 +407,11 @@ def _operands(x, y):
     if isinstance(x, _REAL_SCALARS) and isinstance(y, _REAL_SCALARS):
         return float(x), float(y)
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
+def _log_kernel(coef, x, y):
+    ln, a0, b0, g0, d0, e0, k0 = coef
+    return ln + a0 * x * x + b0 * x * y + g0 * y * y + d0 * x + e0 * y + k0
 
 
 def _float_or_array(val):
@@ -506,8 +541,13 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
     values = on_arrays(phi)
 
     def integrand(rows, y):
-        return np.exp(q2[rows, None] * y * y + q1[rows, None] * y
-                      - shift[rows, None]) * values(y)
+        out = q2[rows, None] * y
+        out += q1[rows, None]
+        out *= y
+        out -= shift[rows, None]
+        np.exp(out, out=out)
+        out *= values(y)
+        return out
 
     j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)[0]
     with np.errstate(over="ignore", invalid="ignore"):

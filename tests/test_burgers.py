@@ -752,6 +752,8 @@ def test_numeric_antiderivative_solves_match_analytic(coeffs):
      r"refinement stopped at y = 0\.3: v0 is not integrable there"),
     (lambda y: np.sin(1e5 * y), r"more than \d+ panels; refinement stopped at y = "),
     (lambda y: np.where(y > 7.5, np.nan, 0.0), r"not finite at y = 7\.5"),
+    # finite values whose K21 sum overflows name the panel's midpoint
+    (lambda y: np.where(y > 7.0, 1e308, 0.0), r"v0 is not finite at y = 7\.5"),
 ])
 def test_antiderivative_failures_are_quick_and_name_y(deadline, coeffs_heat,
                                                       v0, message):

@@ -577,3 +577,17 @@ def test_a_far_grid_point_is_a_numerical_failure(tmp_path):
     assert done.returncode == 3
     assert "Traceback" not in done.stderr
     assert "QuadratureError: u is not finite at t = 1, x = -1e+160" in done.stderr
+
+
+def test_a_far_kernel_point_is_a_numerical_failure(tmp_path):
+    # the expanded exponent overflows to inf - inf at x = y = +-1e160
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "heatkern", "kernel", "--t", "1",
+                           "--grid=-1e160:1e160:3"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == ("numerical failure: OverflowError: kernel exponent "
+                           "at x = -1e+160, y = -1e+160, t = 1 is not finite: "
+                           "its expanded form overflows\n")

@@ -2,6 +2,7 @@ import io
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from heatkern.errors import (DomainError, IntegrationError, QuadratureError,
                              SingularityError)
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
-                             TruncationWarning, _exp_guard, _gk21, _quad,
-                             write_csv)
+                             TruncationWarning, _BLOCK, _exp_guard, _gk21,
+                             _quad, write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -148,6 +149,26 @@ def test_float_path_overflow_raises(build, x):
         K.evaluate(x, x, 1.0)
     with pytest.raises(OverflowError, match="log space"):
         K.evaluate(np.array([0.0, x]), x, 1.0)
+
+
+def test_a_far_kernel_point_is_an_overflow_not_nan(kernel_heat):
+    # near the diagonal at |x| = 1e160 the expanded exponent is inf - inf
+    # (the exact value is (4 pi)^(-1/2)); far off it, -inf: K underflows
+    message = (r"^kernel exponent at x = 1e\+160, y = 1e\+160, t = 1 is not "
+               r"finite: its expanded form overflows$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (kernel_heat.evaluate, kernel_heat.log_evaluate):
+            with pytest.raises(OverflowError, match=message):
+                fn(1e160, 1e160, 1.0)
+            with pytest.raises(OverflowError, match=message):
+                fn(np.array([-1e160, 1e160, 0.0]), np.array([1e160, 1e160, 0.0]),
+                   1.0)
+        assert kernel_heat.evaluate(-1e160, 1e160, 1.0) == 0.0
+        assert kernel_heat.log_evaluate(-1e160, 1e160, 1.0) == -math.inf
+        got = kernel_heat.evaluate(np.array([-1e160, 0.0]), 0.0, 1.0)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-10)
 
 
 def test_y_gaussian_moments_heat(kernel_heat):
@@ -487,6 +508,129 @@ def test_gk21_stack_matches_single_components():
         one = _gk21(f, lo, hi, center, QuadSpec())
         assert one.shape == (1, 3)
         assert np.max(np.abs(got - one[0])) < 1e-14
+
+
+def _chebyshev(d, lo, hi):
+    """T_d on [lo, hi] as a product over its roots, which keeps every float
+    value within a few rounding errors, and its exact integral over [a, b]
+    from the rational coefficients of that product.  (hi - lo) / 2 must be
+    a power of 2, so that the scaling is exact."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    roots = [mid + half * math.cos((2 * i + 1) * math.pi / (2 * d))
+             for i in range(d)]
+    lead = Fraction(2) ** (d - 1) / Fraction(half) ** d if d else Fraction(1)
+    coef = [lead]                       # ascending powers of y
+    for r in map(Fraction, roots):      # times (y - r)
+        coef = [(coef[k - 1] if k else 0) - (r * coef[k] if k < len(coef) else 0)
+                for k in range(len(coef) + 1)]
+
+    def f(rows, y):
+        out = np.full_like(y, float(lead))
+        for r in roots:
+            out *= y - r
+        return out
+
+    def integral(a, b):
+        a, b = Fraction(a), Fraction(b)
+        return sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                   for k, c in enumerate(coef))
+
+    return f, integral
+
+
+@pytest.mark.parametrize("degree", range(30))
+def test_gk21_is_exact_on_polynomials_of_degree_up_to_29(degree):
+    # K21 integrates degree <= 31 exactly and G10 degree <= 19, so below 20
+    # K21 - G10 is rounding and the first pass is accepted; from 20 on the
+    # estimate is real and bisects, and every panel's K21 value is still exact
+    lo, hi = -3.0, 5.0
+    rows = 3
+    los, his = np.full(rows, lo), np.full(rows, hi)
+    centers = np.array([lo, 1.0, 4.5])
+    polys = _chebyshev(degree, lo, hi), _chebyshev(degree // 2, lo, hi)
+    eps = np.finfo(float).eps
+    for knots in (None, np.array([-2.3, 0.7, 0.71, 4.9])):
+        for stacked in (False, True):
+            calls = []
+
+            def f(r, y):
+                calls.append(len(r))
+                if stacked:
+                    return np.stack([p(r, y) for p, _ in polys])
+                return polys[0][0](r, y)
+
+            got = _gk21(f, los, his, centers, TIGHT, knots=knots)
+            assert got.shape == (2 if stacked else 1, rows)
+            assert (len(calls) == 1) == (degree < 20), (knots, stacked, calls)
+            for row, (_, integral) in zip(got, polys):
+                want = float(integral(lo, hi))
+                # within 4 ulp of the scale max|T_d| (hi - lo) = 8
+                assert np.max(np.abs(row - want)) <= 4 * eps * (hi - lo)
+
+
+def test_gk21_empty_windows_are_exactly_zero():
+    seen = []
+
+    def f(rows, y):
+        seen.append(rows)
+        return np.exp(-y * y)
+
+    lo = np.array([0.0, -1.0, 2.0, 3.0])
+    hi = np.array([0.0, 1.0, 1.0, 3.0])
+    got = _gk21(f, lo, hi, np.zeros(4), QuadSpec(),
+                knots=np.array([0.5, 2.5]))
+    assert got.shape == (1, 4)
+    assert got[0, 1] == pytest.approx(math.sqrt(math.pi) * math.erf(1.0),
+                                      rel=1e-13)
+    # hi <= lo: no panel, so the integrand never sees the row, and 0 exactly
+    assert np.array_equal(got[0, [0, 2, 3]], np.zeros(3))
+    assert set(np.concatenate(seen).tolist()) == {1}
+    seen.clear()
+    assert np.array_equal(_gk21(f, lo[[0, 2]], hi[[0, 2]], np.zeros(2),
+                                QuadSpec()), np.zeros((1, 2)))
+    assert seen == []
+
+
+@pytest.mark.parametrize("phi, sizes", [
+    (InitialData.gaussian(), [1288]),
+    # the kink of |y| at 0 takes 20 passes
+    (InitialData.from_callable(np.abs, L=2.5),
+     [1040, 196, 192, 192, 188, 188, 188, 188, 188, 184, 184, 184, 176, 168,
+      160, 132, 100, 64, 28, 4])])
+def test_solve_ivp_accepts_the_same_panels(kernel_heat, phi, sizes):
+    # the panels per integrand call of one solve: a change to the nodes, the
+    # sums or the error estimate that moves an acceptance shows here
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape[0])
+        return phi.func(y)
+
+    data = InitialData.from_callable(counted, L=phi.L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        solve_ivp(kernel_heat, data, np.linspace(-4.0, 4.0, 161), 0.5)
+    assert calls == sizes
+
+
+def test_gk21_stops_at_the_first_block_that_is_not_finite():
+    # 300 rows of 8 panels are more than one block; a NaN in the first
+    # block raises before the second block is evaluated
+    rows = 300
+    assert rows * 8 > _BLOCK
+    calls = []
+
+    def f(r, y):
+        calls.append(len(r))
+        out = np.exp(-y * y)
+        out[5, 7] = np.nan
+        return out
+
+    with pytest.raises(QuadratureError,
+                       match="integrand is not finite at a quadrature node"):
+        _gk21(f, np.full(rows, -3.0), np.full(rows, 3.0), np.zeros(rows),
+              QuadSpec())
+    assert calls == [_BLOCK]
 
 
 def test_initial_data_validation():
