@@ -138,16 +138,9 @@ def clenshaw(coef: Callable, n: int, x):
     return b1
 
 
-def nodes(a, b) -> np.ndarray:
-    """(m, 21): the Kronrod nodes of the panels [a, b]."""
-    half = 0.5 * (b - a)
-    return (a + half)[:, None] + half[:, None] * NODES
-
-
 def rule_nodes(ab) -> tuple[np.ndarray, np.ndarray]:
     """(mid, half) (m, 2) and the Kronrod nodes (m, 21) of the panels whose
-    (start, end) are the rows of ``ab``, one product each.  The ODE runs
-    keep :func:`nodes`, whose bits their dense states hold."""
+    (start, end) are the rows of ``ab``, one product each."""
     mh = ab @ _MID_HALF
     return mh, mh @ _AT_NODES
 
@@ -329,7 +322,7 @@ def refine(bounds, evaluate: Callable, build: Callable,
     drop = tol * _DROP
     bounds = np.asarray(bounds, dtype=float)
     a, b = bounds[:-1], bounds[1:]
-    t = nodes(a, b)
+    t = rule_nodes(np.column_stack((a, b)))[1]
     coefs = evaluate(t)
     nfev, passes, built = N * len(a), 0, 0
     with np.errstate(all="ignore"):
@@ -344,7 +337,7 @@ def refine(bounds, evaluate: Callable, build: Callable,
                 a, b, t, coefs = (a[:k + 1], b[:k + 1].copy(), t[:k + 1].copy(),
                                   coefs[:k + 1].copy())
                 b[k] = end
-                t[k] = nodes(a[k:], b[k:])[0]
+                t[k] = rule_nodes(np.column_stack((a[k:], b[k:])))[1][0]
                 coefs[k] = evaluate(t[k:])[0]
                 nfev += N
                 continue
@@ -388,7 +381,7 @@ def refine(bounds, evaluate: Callable, build: Callable,
             split = ~ok
             new_a = np.concatenate((a[split], mid[split]))
             new_b = np.concatenate((mid[split], b[split]))
-            new_t = nodes(new_a, new_b)
+            new_t = rule_nodes(np.column_stack((new_a, new_b)))[1]
             new = evaluate(new_t)
             nfev += N * len(new_a)
             a = np.concatenate((a[ok], new_a))

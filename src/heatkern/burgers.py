@@ -265,17 +265,16 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     """Solve the Burgers-type Cauchy problem at time(s) ``t`` on ``prob.xs``.
 
     With w = K(x, y, t) exp(-s V0(y)), K = ``prob.kernel()`` and s = 1 / (2
-    scale), v = -2 scale (2 alpha0 x + delta0 + beta0 E_x[y]), E_x[y] being
-    the mean of y under w: one quadrature over every (t, x) integrates w and
-    (y - mean) w / sigma about the kernel's Gaussian (mean, sigma) in y.  A
-    t outside the kernel's validity interval (or NaN) raises DomainError.
+    scale), v = -2 scale (dtop + dmean E_x[z] / sigma) on the rows of
+    ``_kernel_rows``, z = (y - mean) / sigma and E_x the mean under w: one
+    quadrature over every (t, x) integrates w and z w.  A t outside the
+    kernel's validity interval (or NaN) raises DomainError.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     xs = prob.xs
     s = 0.5 / prob.scale
     half = float(np.max(np.abs(xs))) + 1.0
-    x, _, a0, b0, g0, d0, e0, _, mean, sigma = _kernel_rows(prob.kernel(), xs, ts)
-    q1 = b0 * x + e0    # the exponent of K in y is g0 y^2 + q1 y + (free of y)
+    mean, sigma, _, dtop, dmean = _kernel_rows(prob.kernel(), xs, ts)
     vb = np.repeat([prob.v0_bound(half + 16.0 * sd) for sd in sigma[::len(xs)]],
                    len(xs))
     width = s * vb * sigma * sigma + 12.0 * sigma   # + the tilted peak's shift
@@ -285,26 +284,26 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     V0 = on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
     def exponent(rows, y):
-        return g0[rows, None] * y * y + q1[rows, None] * y - s * V0(y)
+        """z = (y - mean) / sigma and log w = -z^2 / 2 - s V0(y), up to top."""
+        z = (y - mean[rows, None]) / sigma[rows, None]
+        return z, -0.5 * z * z - s * V0(y)
 
     probe = (mean - width)[:, None] + width[:, None] * np.linspace(0.0, 2.0, 33)
-    shift = np.max(exponent(np.arange(len(x)), probe), axis=1)
+    shift = np.max(exponent(np.arange(len(mean)), probe)[1], axis=1)
 
     def tilted(r, y):
-        e = exponent(r, y)     # before the buffer: V0(y) is the memory peak
+        z, e = exponent(r, y)     # before the buffer: V0(y) is the memory peak
         out = np.empty((2, *y.shape))
         w, m = out
         np.subtract(e, shift[r, None], out=w)
         np.exp(w, out=w)
-        np.subtract(y, mean[r, None], out=m)
-        m /= sigma[r, None]
-        m *= w
+        np.multiply(z, w, out=m)
         return out
 
     m0, m1 = _gk21(tilted, mean - width, mean + width, mean, quad_spec)
     if np.any(m0 <= 0.0):
         raise QuadratureError("nonpositive inner integral")
-    v = -2.0 * prob.scale * (2.0 * a0 * x + d0 + b0 * (mean + sigma * m1 / m0))
+    v = -2.0 * prob.scale * (dtop + dmean * m1 / (m0 * sigma))
     return GridField(xs, ts, v.reshape(len(ts), len(xs)))
 
 

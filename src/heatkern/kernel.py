@@ -498,30 +498,35 @@ def _tail_fraction(L: float, mean, std):
 
 
 def _kernel_rows(K: HeatKernel, xs, ts):
-    """(x, log_norm, alpha0, ..., kappa0, mean, std) with one entry per (t, x);
-    (mean, std) is the kernel's Gaussian in y."""
-    coef, mean, std = [], [], []
-    for t in ts:
-        coef.append(K.exponent_coefficients(t))
-        m, sd = K.y_gaussian(t, xs)
-        mean.append(m)
-        std.append(np.full(len(xs), sd))
-    return (np.tile(xs, len(ts)), *np.repeat(coef, len(xs), axis=0).T,
-            np.concatenate(mean), np.concatenate(std))
+    """The kernel's Gaussian in y on every (t, x), t-major: flat arrays
+    (mean, std, top, dtop, dmean) with log K = top - ((y - mean)/std)^2/2,
+    top = log K(x, mean, t), dtop = d top/dx = 2 alpha0 x + delta0 + beta0
+    mean and dmean = d mean/dx = beta0 std^2.  Cauchy and Burgers complete
+    the square in y here and nowhere else."""
+    mean, std = map(np.array, zip(*(K.y_gaussian(t, xs) for t in ts)))
+    ln, a0, b0, g0, d0, _, k0 = np.array(
+        [K.exponent_coefficients(t) for t in ts]).T[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):   # far x; u is checked
+        top = (a0 * xs + d0) * xs + (ln + k0) - g0 * mean * mean
+        dtop = 2.0 * a0 * xs + d0 + b0 * mean
+    n = len(xs)
+    return (mean.ravel(), np.repeat(std, n), top.ravel(), dtop.ravel(),
+            np.repeat(b0[:, 0] * std * std, n))
 
 
 def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
               spec: QuadSpec) -> np.ndarray:
     """u(x, t) = int K(x, y, t) phi(y) dy on every (t, x), in shifted log space.
 
-    Every (t, x) is one row of a single batched quadrature: at fixed t the
-    kernel's exponent in y is one quadratic whose linear coefficient
-    b0 x + e0 alone depends on x.  A u that is not finite, as where the
+    Every (t, x) is one row of a single batched quadrature of exp(c (y -
+    mean)^2 - shift) phi(y) on its row of :func:`_kernel_rows`, c = -1/(2
+    std^2), shift = c (p - mean)^2 for p the window point nearest the mean,
+    and u = exp(top + shift) times it.  A u that is not finite, as where the
     exponent overflows at a far x, raises :class:`QuadratureError` naming
     the first such (t, x).
     """
-    x, ln, a0, b0, q2, d0, e0, k0, mean, std = _kernel_rows(K, xs, ts)
-    q1 = b0 * x + e0
+    mean, std, top, _, _ = _kernel_rows(K, xs, ts)
+    c = -0.5 / (std * std)
     w_lo, w_hi = phi.window
     lo = np.maximum(mean - 10.0 * std, w_lo)
     hi = np.minimum(mean + 10.0 * std, w_hi)
@@ -531,32 +536,30 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
         if frac[worst] > 1e-8:
             t_worst = ts[worst // len(xs)]
             warnings.warn(f"kernel mass up to {frac[worst]:.2e} outside [-L, L] "
-                          f"(at x={x[worst]:g}, t={t_worst:g})",
+                          f"(at x={xs[worst % len(xs)]:g}, t={t_worst:g})",
                           TruncationWarning, stacklevel=3)
 
-    peak = np.minimum(np.maximum(mean, lo), hi)
-    with np.errstate(over="ignore", invalid="ignore"):   # u is checked below
-        q0 = ln + a0 * x * x + d0 * x + k0
-        shift = q2 * peak * peak + q1 * peak
+    off = np.minimum(np.maximum(mean, lo), hi) - mean
+    shift = c * off * off
     values = on_arrays(phi)
 
     def integrand(rows, y):
-        out = q2[rows, None] * y
-        out += q1[rows, None]
-        out *= y
+        out = y - mean[rows, None]
+        out *= out
+        out *= c[rows, None]
         out -= shift[rows, None]
         np.exp(out, out=out)
         out *= values(y)
         return out
 
     j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(q0 + shift) * j
+    with np.errstate(over="ignore", invalid="ignore"):   # u is checked below
+        u = np.exp(top + shift) * j
     bad = ~np.isfinite(u)
     if bad.any():
         k = int(np.argmax(bad))
         raise QuadratureError(f"u is not finite at t = {ts[k // len(xs)]:.6g}, "
-                              f"x = {x[k]:.6g}")
+                              f"x = {xs[k % len(xs)]:.6g}")
     return u.reshape(len(ts), len(xs))
 
 
@@ -596,7 +599,7 @@ def normalization(K: HeatKernel, t: float, variable: str = "y",
     """Integrate the kernel over one variable with the other fixed at 0.
 
     One :func:`_gk21` pass over the kernel's own Gaussian in that variable,
-    mean +- 12 std, or over [-L, L] when ``L`` is given.
+    mean +- 12 std, clipped to [-L, L] when ``L`` is given.
     """
     if not isinstance(K, HeatKernel):
         raise TypeError(f"normalization needs a HeatKernel, got {type(K).__name__}")
@@ -609,8 +612,8 @@ def normalization(K: HeatKernel, t: float, variable: str = "y",
     else:
         mean, std = K.x_gaussian(t, 0.0)
         f = lambda rows, x: K.evaluate(x, 0.0, t)
-    lo, hi = ((mean - 12.0 * std, mean + 12.0 * std) if L is None
-              else (-float(L), float(L)))
+    L = math.inf if L is None else float(L)
+    lo, hi = max(mean - 12.0 * std, -L), min(mean + 12.0 * std, L)
     return float(_gk21(f, [lo], [hi], np.array([mean]), quad_spec)[0, 0])
 
 
@@ -627,7 +630,7 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
     equals phi.  Serves as an independent path against :func:`solve_ivp`.
     """
     t = float(t)
-    xs = np.asarray(xs, dtype=float)
+    xs = x_grid(xs)
     mu_i, alpha_i, beta_i, gamma_i, delta_i, eps_i, kappa_i = (float(v) for v in init)
     if mu_i <= 0.0 or beta_i == 0.0:
         raise ValueError("transform requires mu(0) > 0 and beta(0) != 0")

@@ -161,10 +161,14 @@ def superpose(fund: FundamentalRiccati, init, t: float) -> RiccatiState:
     """General solution at time ``t`` from arbitrary initial data.
 
     ``init`` is the seven-tuple (mu, alpha, beta, gamma, delta, eps, kappa)
-    at t = 0.  Raises :class:`SingularityError` when alpha(0) + gamma0(t)
-    vanishes (within 1e-14), where the superposition formulas break down.
+    at t = 0, and must be finite (ValueError).  Raises
+    :class:`SingularityError` when alpha(0) + gamma0(t) vanishes (within
+    1e-14), where the superposition formulas break down.
     """
-    mu_i, alpha_i, beta_i, gamma_i, delta_i, eps_i, kappa_i = (float(v) for v in init)
+    init = tuple(float(v) for v in init)
+    if not all(map(math.isfinite, init)):
+        raise ValueError("init must be finite")
+    mu_i, alpha_i, beta_i, gamma_i, delta_i, eps_i, kappa_i = init
     fv = fund.values(t)
     denom = alpha_i + fv.gamma0
     if abs(denom) <= SUPERPOSE_SINGULAR_ATOL:
@@ -179,7 +183,7 @@ def superpose(fund: FundamentalRiccati, init, t: float) -> RiccatiState:
         delta=fv.delta0 - fv.beta0 * shift / (2.0 * denom),
         eps=eps_i - beta_i * shift / (2.0 * denom),
         kappa=kappa_i + fv.kappa0 - shift ** 2 / (4.0 * denom),
-        init=tuple(float(v) for v in init),
+        init=init,
     )
 
 
@@ -334,13 +338,19 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, t: float,
     which follows from differentiating the boundary term:
     d/dt[-a h^2/(mu0 mu0')] = a h^2/mu0^2 + 4 a sigma h^2/(mu0')^2.
     Valid only where mu0' does not vanish on (0, t]; retained as an
-    independent cross-check of gamma0 = Y^1/Y^0.
+    independent cross-check of gamma0 = Y^1/Y^0.  Raises
+    :class:`SingularityError` where mu0'(t) has lost the sign of a(0), past
+    a zero of mu0', and :class:`QuadratureError` where QUADPACK does not
+    converge, as at that zero.
     """
-    from scipy.integrate import quad
-
     from .coefficients import tau_sigma
+    from .kernel import QuadSpec, _quad   # kernel imports this module
 
     chs, coeffs = fund.chs, fund.coeffs
+    mu0, dmu0, _, _, h = chs.standard(t).tolist()
+    if not dmu0 * coeffs.a(0.0) > 0.0:
+        raise SingularityError(f"mu0'({t}) = {dmu0:.3e} does not have the sign "
+                               f"of a(0): the quadrature form divides by its zero")
 
     def integrand(s):
         a = coeffs.a(s)
@@ -348,7 +358,6 @@ def gamma0_quadrature_form(fund: FundamentalRiccati, t: float,
         _, dmu0, _, _, h = chs.standard(s)
         return a * sigma * h ** 2 / dmu0 ** 2
 
-    val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=quad_tol, limit=4096)
-    mu0, dmu0, _, _, h = chs.standard(t).tolist()
+    val = _quad(integrand, 0.0, t, QuadSpec(quad_tol, quad_tol, 4096))
     return (coeffs.d(0.0) / (2.0 * coeffs.a(0.0))
             - coeffs.a(t) * h ** 2 / (mu0 * dmu0) - 4.0 * val)

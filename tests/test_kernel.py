@@ -18,7 +18,7 @@ from heatkern.errors import (DomainError, IntegrationError, QuadratureError,
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _BLOCK, _exp_guard, _gk21,
-                             _quad, write_csv)
+                             _kernel_rows, _quad, write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -175,6 +175,36 @@ def test_y_gaussian_moments_heat(kernel_heat):
     mean, std = kernel_heat.y_gaussian(0.5, 1.2)
     assert mean == pytest.approx(1.2, rel=1e-10)
     assert std == pytest.approx(math.sqrt(2.0 * 0.5), rel=1e-10)
+
+
+ROW_KERNELS = {
+    "heat": lambda request: request.getfixturevalue("kernel_heat"),
+    "cable": lambda request: request.getfixturevalue("kernel_cable"),
+    "fokker-planck": lambda request: request.getfixturevalue("kernel_fp"),
+    "ou-drift": lambda request: request.getfixturevalue("kernel_ou"),
+    "mixed": lambda request: make_kernel(profile("custom", T=2.0, poly={
+        "a": [1.0, 0.3], "b": [0.0, 0.1], "c": [0.2, -0.1], "d": [0.1],
+        "f": [0.0, 0.2], "g": [0.3, 0.1]}), tol=1e-12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+def test_kernel_rows_complete_the_square_in_y(request, name):
+    # log K = top - ((y - mean)/std)^2/2, with dtop and dmean the x-slopes
+    # of top (quadratic in x) and mean (linear), so central differences
+    # carry only rounding
+    K = ROW_KERNELS[name](request)
+    ts, xs, h = [0.05, 0.5, 2.0], np.linspace(-3.0, 3.0, 13), 1e-3
+    mean, std, top, dtop, dmean = (r.reshape(3, -1) for r in _kernel_rows(K, xs, ts))
+    up, down = (_kernel_rows(K, xs + s, ts) for s in (h, -h))
+    for i, t in enumerate(ts):
+        log_k = K.log_evaluate(xs[:, None], xs[None, :], t)
+        z = (xs[None, :] - mean[i, :, None]) / std[i, :, None]
+        assert np.all(np.abs(top[i, :, None] - 0.5 * z * z - log_k)
+                      <= 1e-12 * (1.0 + np.abs(log_k)))
+    for k, slope in ((2, dtop), (0, dmean)):
+        fd = ((up[k] - down[k]) / (2.0 * h)).reshape(3, -1)
+        assert np.all(np.abs(fd - slope) <= 1e-10 * (1.0 + np.abs(slope)))
 
 
 # ---------------------------------------------------------------- closed forms
@@ -729,6 +759,13 @@ def test_normalization_cable_gains_mass(kernel_cable):
     assert explicit == pytest.approx(math.exp(0.5), rel=1e-8)
 
 
+@pytest.mark.parametrize("L", [None, 30.0, 1e300, math.inf])
+def test_normalization_clips_its_window_to_a_wide_L(kernel_heat, L):
+    # [-L, L] is cut to the kernel's own window, so its first panels see it
+    assert normalization(kernel_heat, 0.5, "y", L=L) == pytest.approx(1.0, abs=1e-8)
+    assert normalization(kernel_heat, 0.5, "x", L=L) == pytest.approx(1.0, abs=1e-8)
+
+
 @pytest.mark.parametrize("L", [-5.0, 0.0, math.nan])
 def test_normalization_rejects_bad_half_width(kernel_ou, L):
     with pytest.raises(ValueError, match="half-width L must be positive"):
@@ -750,6 +787,12 @@ def test_transform_solve_identity_for_heat(kernel_heat):
     direct = solve_ivp(kernel_heat, phi, xs, 0.5, TIGHT)
     mapped = transform_solve(kernel_heat.fund, phi, xs, 0.5, quad_spec=TIGHT)
     assert np.max(np.abs(direct.values - mapped.values)) < 1e-10
+
+
+def test_transform_solve_checks_the_grid_before_integrating(kernel_heat):
+    with pytest.raises(ValueError, match="1-D"):
+        transform_solve(kernel_heat.fund, InitialData.gaussian(),
+                        np.zeros((2, 3)), 0.5)
 
 
 def test_transform_solve_fokker_planck(kernel_fp):

@@ -18,7 +18,7 @@ GRADED = T * np.array([0.0, 1.0 / 16.0, 0.125, 0.25, 0.5, 1.0])
 
 def _panels_of(bounds):
     a, b = bounds[:-1], bounds[1:]
-    return a, b, 0.5 * (b - a), _panels.nodes(a, b)
+    return a, b, 0.5 * (b - a), _panels.rule_nodes(np.column_stack((a, b)))[1]
 
 
 @pytest.mark.parametrize("degree", range(21))
@@ -142,7 +142,7 @@ def test_refine_locates_a_value_that_is_not_finite(bad, panel, node):
     # the bad value sits at an interior node, or at the first node of a
     # panel; it is seen through the panel's scale, which it makes NaN or inf
     bounds = np.array([0.0, 0.5, 1.0, 2.0])
-    at = float(_panels.nodes(bounds[:-1], bounds[1:])[panel, node])
+    at = float(_panels_of(bounds)[3][panel, node])
 
     def from_there(t):
         f = np.cos(t)

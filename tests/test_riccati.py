@@ -263,6 +263,12 @@ def test_superpose_singularity(kernel_heat):
         superpose(fund, init, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_superpose_rejects_data_that_is_not_finite(kernel_heat, bad):
+    with pytest.raises(ValueError, match="init must be finite"):
+        superpose(kernel_heat.fund, (1.0, 0.0, 1.0, 0.0, bad, 0.0, 0.0), 0.5)
+
+
 # ------------------------------------------------------------- direct integration
 
 def test_direct_integration_analytic_riccati(coeffs_heat):
@@ -467,3 +473,12 @@ def test_gamma0_quadrature_form_matches(kernel_fp, kernel_cable):
         for t in ts:
             q = gamma0_quadrature_form(K.fund, t)
             assert q == pytest.approx(K.fund.gamma0(t), rel=1e-6)
+
+
+def test_gamma0_quadrature_form_stops_at_a_zero_of_dmu0(kernel_cable):
+    # on cable mu0' vanishes at t = 1 (gamma0 = -1/2 there) and is negative
+    # past it, where 1/mu0'^2 is not integrable
+    with pytest.raises(QuadratureError):
+        gamma0_quadrature_form(kernel_cable.fund, 1.0)
+    with pytest.raises(SingularityError, match="sign of a"):
+        gamma0_quadrature_form(kernel_cable.fund, 1.2)
