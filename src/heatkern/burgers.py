@@ -267,8 +267,13 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     With w = K(x, y, t) exp(-s V0(y)), K = ``prob.kernel()`` and s = 1 / (2
     scale), v = -2 scale (dtop + dmean E_x[z] / sigma) on the rows of
     ``_kernel_rows``, z = (y - mean) / sigma and E_x the mean under w: one
-    quadrature over every (t, x) integrates w and z w.  A t outside the
-    kernel's validity interval (or NaN) raises DomainError.
+    quadrature over every (t, x) integrates w and z w.  Each row's log w is
+    shifted by its largest value on the nodes of the first integrand call
+    that holds the row, which cancels in E_x, so every quadrature pass
+    evaluates V0 once.  A t outside the kernel's validity interval (or NaN)
+    raises DomainError; a (t, x) whose int w is not positive, as where a far
+    x rounds its window to one point, or whose v is not finite raises
+    QuadratureError naming the first such (t, x).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     xs = prob.xs
@@ -283,16 +288,17 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     needed = float(np.max(np.abs(mean) + width))
     V0 = on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
-    def exponent(rows, y):
-        """z = (y - mean) / sigma and log w = -z^2 / 2 - s V0(y), up to top."""
-        z = (y - mean[rows, None]) / sigma[rows, None]
-        return z, -0.5 * z * z - s * V0(y)
-
-    probe = (mean - width)[:, None] + width[:, None] * np.linspace(0.0, 2.0, 33)
-    shift = np.max(exponent(np.arange(len(mean)), probe)[1], axis=1)
+    shift = np.full(len(mean), -np.inf)    # set on a row's first call
 
     def tilted(r, y):
-        z, e = exponent(r, y)     # before the buffer: V0(y) is the memory peak
+        """(w, z w) with z = (y - mean) / sigma and log w = -z^2 / 2 - s V0(y)
+        - shift, up to top."""
+        z = (y - mean[r, None]) / sigma[r, None]
+        e = -0.5 * z * z - s * V0(y)   # before the buffer: V0 is the memory peak
+        new = shift[r] == -np.inf
+        if new.any():
+            with np.errstate(invalid="ignore"):   # _gk21 reports a NaN
+                np.maximum.at(shift, r[new], e.max(axis=1)[new])
         out = np.empty((2, *y.shape))
         w, m = out
         np.subtract(e, shift[r, None], out=w)
@@ -300,10 +306,17 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
         np.multiply(z, w, out=m)
         return out
 
-    m0, m1 = _gk21(tilted, mean - width, mean + width, mean, quad_spec)
-    if np.any(m0 <= 0.0):
-        raise QuadratureError("nonpositive inner integral")
-    v = -2.0 * prob.scale * (dtop + dmean * m1 / (m0 * sigma))
+    # where no window holds a panel, _gk21 returns one row of zeros
+    m0, m1 = np.broadcast_to(
+        _gk21(tilted, mean - width, mean + width, mean, quad_spec), (2, len(mean)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = -2.0 * prob.scale * (dtop + dmean * m1 / (m0 * sigma))
+    bad = (m0 <= 0.0) | ~np.isfinite(v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "inner integral is not positive" if m0[k] <= 0.0 else "v is not finite"
+        raise QuadratureError(f"{what} at t = {ts[k // len(xs)]:.6g}, "
+                              f"x = {xs[k % len(xs)]:.6g}")
     return GridField(xs, ts, v.reshape(len(ts), len(xs)))
 
 

@@ -2,8 +2,14 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from heatkern import make_kernel, profile
+
+# every property draws the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
 
 @pytest.fixture(scope="session")
 def coeffs_heat():

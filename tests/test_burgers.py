@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
@@ -11,7 +13,9 @@ from heatkern import (BatemanWave, BurgersProblem, GridField, InitialData,
                       cole_hopf, diffusion_residual, integrate_profile_direct,
                       profile, solve_burgers_ivp, solve_ivp, tau_sigma,
                       traveling_wave)
-from heatkern.errors import DomainError, IntegrationError, SingularityError
+from heatkern import burgers, kernel
+from heatkern.errors import (DomainError, IntegrationError, QuadratureError,
+                             SingularityError)
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 
 EPS = np.finfo(float).eps
@@ -128,6 +132,141 @@ def test_non_finite_v0_raises(deadline, coeffs_fp):
     with deadline(30), np.errstate(invalid="ignore"), \
             pytest.raises(IntegrationError, match="not finite at y = -"):
         solve_burgers_ivp(prob, 0.5)
+
+
+@pytest.mark.parametrize("xs, at", [([0.0, 1e30], r"1e\+30"),
+                                     ([1e200], r"1e\+200")],
+                         ids=["far", "alone"])
+def test_a_point_without_inner_integral_is_named(deadline, coeffs_heat, xs, at):
+    # the window at a far x rounds to one point, so m0 = 0 there; a lone
+    # such x leaves no panel at all
+    prob = BurgersProblem(coeffs_heat, lambda y: 0.4 * np.exp(-y * y), xs)
+    with deadline(30), np.errstate(over="ignore"), pytest.raises(
+            QuadratureError, match=rf"^inner integral is not positive at "
+                                   rf"t = 0\.5, x = {at}$"):
+        solve_burgers_ivp(prob, 0.5)
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["dense", "analytic"])
+def test_v0_is_evaluated_once_per_quadrature_pass(monkeypatch, coeffs_fp,
+                                                  analytic):
+    # each row's shift comes from its first pass, not from probe points, so
+    # V0 is called on arrays exactly as often as the integrand
+    integrand_calls, V0_calls = [], []
+    v0, V0 = _gaussian(0.7, 0.3)
+    gk21 = burgers._gk21
+
+    def counted_gk21(f, *args):
+        def integrand(rows, y):
+            integrand_calls.append(len(rows))
+            return f(rows, y)
+        return gk21(integrand, *args)
+
+    def analytic_V0(y):
+        V0_calls.append(np.ndim(y))
+        return V0(y)
+
+    dense_call = burgers._DenseAntiderivative.__call__
+
+    def dense_V0(self, y):
+        V0_calls.append(np.ndim(y))
+        return dense_call(self, y)
+
+    monkeypatch.setattr(burgers, "_gk21", counted_gk21)
+    monkeypatch.setattr(burgers._DenseAntiderivative, "__call__", dense_V0)
+    prob = BurgersProblem(coeffs_fp, v0, np.linspace(-1.0, 1.0, 15),
+                          v0_antiderivative=analytic_V0 if analytic else None)
+    solve_burgers_ivp(prob, [0.2, 1.0])
+    assert len(integrand_calls) >= 2
+    assert all(ndim == 2 for ndim in V0_calls)
+    assert len(V0_calls) == len(integrand_calls)
+
+
+def test_a_row_split_across_integrand_calls_keeps_its_shift(monkeypatch,
+                                                             coeffs_fp):
+    # with 5 panels per call every row's first 8 panels span two calls; the
+    # shift is set from the first and reused, so v moves only by rounding
+    v0, _ = _gaussian(0.7, 0.3)
+    xs = np.linspace(-1.0, 1.0, 15)
+    want = solve_burgers_ivp(BurgersProblem(coeffs_fp, v0, xs), [0.2, 1.0]).values
+    monkeypatch.setattr(kernel, "_BLOCK", 5)
+    got = solve_burgers_ivp(BurgersProblem(coeffs_fp, v0, xs), [0.2, 1.0]).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("block", [2048, 5])
+def test_a_nan_log_weight_is_a_quadrature_error(deadline, monkeypatch,
+                                                coeffs_fp, block):
+    monkeypatch.setattr(kernel, "_BLOCK", block)
+    prob = BurgersProblem(coeffs_fp, lambda y: 0.0, np.linspace(-1.0, 1.0, 5),
+                          v0_antiderivative=lambda y: np.where(y > 0.5, np.nan,
+                                                               0.0))
+    with deadline(30), pytest.raises(QuadratureError,
+                                     match="integrand is not finite"):
+        solve_burgers_ivp(prob, 0.5)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+@pytest.mark.parametrize("a", [1.0, 0.3])
+@pytest.mark.parametrize("A", [40.0, 100.0])
+def test_constant_v0_stays_constant(A, a, t):
+    # v = A solves v_t + v v_x = a v_xx; the tilt moves the kernel's peak by
+    # A t / sigma = 26 to 91 of its widths
+    prob = BurgersProblem(profile("constant-heat", a=a), lambda y: A,
+                          np.linspace(-3.0, 3.0, 13))
+    v = solve_burgers_ivp(prob, t).values
+    assert np.abs(v / A - 1.0).max() <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="the tilted peak sits 366 sigma from the mean, so "
+                          "m1 = -366 m0 and the panels' error estimates never "
+                          "meet rel_tol |m0| times their share of the window")
+def test_strong_tilt_is_integrated(deadline):
+    prob = BurgersProblem(profile("constant-heat", a=0.3), lambda y: 400.0,
+                          np.linspace(-1.0, 1.0, 5))
+    with deadline(30):
+        v = solve_burgers_ivp(prob, 0.5).values
+    assert np.abs(v / 400.0 - 1.0).max() <= 1e-14
+
+
+@st.composite
+def _point_sets(draw):
+    """(uniform grid, indices into it): one point, scattered points in any
+    order, or a decreasing run."""
+    n = draw(st.integers(2, 31))
+    center, half = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 4.0))
+    xs = np.linspace(center - half, center + half, n)
+    kind = draw(st.sampled_from(["single", "scattered", "decreasing"]))
+    if kind == "single":
+        return xs, [draw(st.integers(0, n - 1))]
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                        unique=True))
+    return xs, sorted(idx, reverse=True) if kind == "decreasing" else idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=_point_sets(),
+       name=st.sampled_from(["heat", "fp", "ou"]))
+def test_point_sets_give_the_values_of_a_uniform_run(deadline, coeffs_heat,
+                                                     coeffs_fp, coeffs_ou,
+                                                     kernel_heat, kernel_fp,
+                                                     kernel_ou, points, name):
+    # every (t, x) is its own quadrature row; Burgers' windows and v0 bound
+    # depend on max |x|, so its values may move by rounding
+    xs, idx = points
+    co, K = {"heat": (coeffs_heat, kernel_heat), "fp": (coeffs_fp, kernel_fp),
+             "ou": (coeffs_ou, kernel_ou)}[name]
+    phi = InitialData.gaussian(width=0.7, center=0.3)
+    v0, _ = _gaussian(0.7, 0.3)
+    ts = [0.1, 1.3]
+    with deadline(10):
+        u = solve_ivp(K, phi, xs, ts).values
+        u_at = solve_ivp(K, phi, xs[idx], ts).values
+        v = solve_burgers_ivp(BurgersProblem(co, v0, xs), ts).values
+        v_at = solve_burgers_ivp(BurgersProblem(co, v0, xs[idx]), ts).values
+    assert np.abs(u_at - u[:, idx]).max() <= 8.0 * EPS * np.abs(u).max()
+    assert np.abs(v_at - v[:, idx]).max() <= 1e-13 * np.abs(v).max()
 
 
 def test_cole_hopf_consistency_general_path(coeffs_fp):

@@ -579,6 +579,23 @@ def test_a_far_grid_point_is_a_numerical_failure(tmp_path):
     assert "QuadratureError: u is not finite at t = 1, x = -1e+160" in done.stderr
 
 
+@pytest.mark.parametrize("grid, at", [("-1e30:1e30:3", "-1e+30"),
+                                      ("1e200:1e200:1", "1e+200")])
+def test_a_far_burgers_point_is_named(tmp_path, grid, at):
+    # the window at a far x rounds to one point, so its inner integral is 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "heatkern", "burgers",
+                           "--v0", "gaussian", "--t", "0.5", f"--grid={grid}"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.endswith("numerical failure: QuadratureError: inner "
+                                f"integral is not positive at t = 0.5, x = {at}\n")
+
+
 def test_a_far_kernel_point_is_a_numerical_failure(tmp_path):
     # the expanded exponent overflows to inf - inf at x = y = +-1e160
     src = Path(__file__).resolve().parents[1] / "src"

@@ -478,6 +478,23 @@ def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi):
     assert calls == [161 * 8 * 21]
 
 
+@pytest.mark.parametrize("x", [
+    1e3,
+    pytest.param(1e5, marks=pytest.mark.xfail(
+        strict=True, reason="top = alpha0 x^2 - gamma0 mean^2 cancels: "
+                            "u off by 1.0e-7 relative")),
+    pytest.param(1e6, marks=pytest.mark.xfail(
+        strict=True, reason="top = alpha0 x^2 - gamma0 mean^2 cancels: "
+                            "u off by 6.8e-6 relative")),
+])
+def test_constant_data_stays_constant_at_far_points(kernel_heat, x):
+    # heat conserves phi = 2 exactly; the expanded top loses about
+    # eps x^2 / t, which a square form from the states would not
+    u = solve_ivp(kernel_heat, InitialData.from_callable(lambda y: 2.0),
+                  [-x, x], 0.5).values
+    assert np.abs(u / 2.0 - 1.0).max() < 1e-9
+
+
 def test_a_far_point_is_a_typed_error_not_nan(kernel_heat):
     # at x = 1e160 the log-space factor exp(q0 + shift) is exp(-inf + inf)
     phi = InitialData.gaussian()
