@@ -277,13 +277,14 @@ def bisect(inside: Callable, lo: float, hi: float) -> float:
 
 class Run(NamedTuple):
     """One refined run: the dense states, the nodes (m, 21) with the states
-    there (m, 21, s) and at the m + 1 panel edges, the coefficient
-    evaluations made, the refinement passes (calls of ``build``) and the
-    panels whose states were built, summed over the passes."""
+    (m, 21, s) and the coefficients (m, 21, c) there, the states at the m + 1
+    edges, the coefficient evaluations made, the refinement passes (calls of
+    ``build``) and the panels built, summed over the passes."""
 
     dense: Dense
     t: np.ndarray
     y: np.ndarray
+    coefs: np.ndarray
     edges: np.ndarray
     nfev: int
     passes: int
@@ -395,4 +396,4 @@ def refine(bounds, evaluate: Callable, build: Callable,
     keep = np.maximum(N - dropped, 1)                   # terms, per state
     coef[:, _DEGREE >= keep] = 0.0
     dense = Dense(a, b, edges[:-1], coef[:, :keep.max()], keep.tolist())
-    return Run(dense, t, y, edges, nfev, passes, built)
+    return Run(dense, t, y, coefs, edges, nfev, passes, built)

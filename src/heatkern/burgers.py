@@ -20,6 +20,7 @@ frame and the profile all run on the Legendre panels of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -27,12 +28,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _panels
-from ._panels import NODES, RULES, rule_nodes
-from .coefficients import CoefficientSet, on_arrays, structure
+from ._panels import _MIN_WIDTH, NODES, RULES, rule_nodes
+from .coefficients import CoefficientSet, on_arrays
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
 from .kernel import (GridField, HeatKernel, QuadSpec, _gk21, _kernel_rows,
-                     make_kernel, x_grid)
+                     make_kernel, t_levels, x_grid)
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 
@@ -43,7 +44,6 @@ from ._differences import d1_uniform4, d2_uniform4, dt_central
 _UNIT_CELLS = 32.0
 _ABS_TOL = 1e-14        # a panel's |K21 - G10| may be this times its width,
 _REL_TOL = 1e-12        # or this times its integral of |v|
-_MIN_WIDTH = 2.0 ** -44  # the narrowest panel, relative to max(1, |y|)
 _MAX_PANELS = 1 << 14
 
 
@@ -189,9 +189,9 @@ class BurgersProblem:
     ``coeffs`` provides a, b, c, f, g (its d is ignored: the linearizing
     substitution leaves v unchanged under any x-independent zeroth-order
     term, so the kernel is built with d = 0).  ``classical`` (b = c = f = g
-    = 0 and constant a, as :func:`~heatkern.coefficients.structure` samples
-    them on [0, domain_end]) marks the classical
-    v_t + v v_x = a v_xx, solved on the same kernel for w = v / a.
+    = 0 and a constant at the nodes of the kernel's characteristic solve,
+    which reading it builds) marks the classical v_t + v v_x = a v_xx,
+    solved on the same kernel for w = v / a.
     ``v0_antiderivative`` may supply an analytic int_0^y v0; otherwise a
     dense numerical one is built on demand.  Its panels start on unit cells
     and are refined where their nodes see v0, so a feature of v0 narrower
@@ -206,15 +206,18 @@ class BurgersProblem:
     v0_antiderivative: Optional[Callable[[float], float]] = None
     tol: float = 1e-10
     knots: Optional[np.ndarray] = None
-    classical: bool = field(init=False)
-    _kernel: Optional[HeatKernel] = field(default=None, repr=False)
-    _v0_dense: Optional[_DenseAntiderivative] = field(default=None, repr=False)
+    _kernel: Optional[HeatKernel] = field(default=None, init=False, repr=False)
+    _v0_dense: Optional[_DenseAntiderivative] = field(default=None, init=False,
+                                                      repr=False)
 
     def __post_init__(self):
         self.xs = x_grid(self.xs)
         self.knots = _knot_array(self.knots)
-        zero, constant = structure(self.coeffs, self.coeffs.domain_end)
-        self.classical = {"b", "c", "f", "g"} <= zero and "a" in constant
+
+    @functools.cached_property
+    def classical(self) -> bool:
+        zero, constant = self.kernel().fund.chs.structure(math.inf)
+        return {"b", "c", "f", "g"} <= zero and "a" in constant
 
     @property
     def scale(self) -> float:
@@ -275,7 +278,7 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     x rounds its window to one point, or whose v is not finite raises
     QuadratureError naming the first such (t, x).
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = t_levels(t)
     xs = prob.xs
     s = 0.5 / prob.scale
     half = float(np.max(np.abs(xs))) + 1.0
@@ -451,8 +454,9 @@ def traveling_wave(spec: TravelingWaveSpec, a: Callable[[float], float],
     and reported as a pole of the profile.
     """
 
-    if not T > 0.0:
-        raise ValueError(f"frame integration needs t1 > t0, got [0, {T}]")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"frame integration needs t1 > t0 and a finite t1, "
+                         f"got [0, {T}]")
     beta0, lam = spec.beta0_init, spec.c0 + spec.c1
     a_, c_ = on_arrays(a), on_arrays(c)
 

@@ -58,11 +58,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import _panels
-from .coefficients import CoefficientSet, on_arrays
+from .coefficients import _COEFF_NAMES, CoefficientSet, on_arrays
 from .errors import DomainError
 
 ZERO_MARGIN = 1e-6
@@ -107,6 +108,17 @@ class CharacteristicSolution:
     passes: int
     built: int
     _sol: _panels.Dense
+    _coefs: np.ndarray
+
+    def structure(self, t_end: float) -> tuple[set, set]:
+        """(zero, constant): the names among a…g that are exactly 0, and
+        those that keep one value, at the nodes of the panels that start
+        below ``t_end`` (the first at least): what the states were built
+        from, and exact for tables of degree <= 20 (21 nodes a panel)."""
+        n = max(1, int(np.searchsorted(self._sol._a, t_end)))
+        co = self._coefs[:n].reshape(-1, 6)
+        return (set(compress(_COEFF_NAMES, ~co.any(axis=0))),
+                set(compress(_COEFF_NAMES, (co == co[0]).all(axis=0))))
 
     def states(self, t):
         """The nine states at ``t``, rows (X^0, Y^0, X^1, Y^1, C, D, P, Q, R)."""
@@ -240,8 +252,7 @@ def solve_characteristic(coeffs: CoefficientSet,
     if a0 == 0.0:
         raise DomainError("a(0) = 0: the kernel needs a(0) != 0")
     sign = math.copysign(1.0, a0)
-    fields = [on_arrays(fn) for fn in (coeffs.a, coeffs.b, coeffs.c,
-                                       coeffs.d, coeffs.f, coeffs.g)]
+    fields = [on_arrays(getattr(coeffs, name)) for name in _COEFF_NAMES]
     a_calls = []
 
     def a_at(t):
@@ -278,7 +289,7 @@ def solve_characteristic(coeffs: CoefficientSet,
                                   end_cause=end_cause, steps=run.dense.panels,
                                   nfev=run.nfev + len(a_calls),
                                   passes=run.passes, built=run.built,
-                                  _sol=run.dense)
+                                  _sol=run.dense, _coefs=run.coefs)
 
 
 def wronskian_residual(chs: CharacteristicSolution, grid) -> float:

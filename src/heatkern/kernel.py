@@ -26,12 +26,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .characteristic import solve_characteristic
-from .coefficients import (CoefficientSet, builtin_equation, on_arrays,
-                           structure)
+from .coefficients import CoefficientSet, builtin_equation, on_arrays
 from .errors import (DomainError, IntegrationError, QuadratureError,
                      SingularityError)
 from .riccati import FundamentalRiccati, asymptotics, fundamental, superpose
-from ._panels import RULES, rule_nodes
+from ._panels import _MIN_WIDTH, RULES, rule_nodes
 from ._differences import d1_uniform4, d2_uniform4, dt_central
 
 LOG_OVERFLOW = 700.0
@@ -50,12 +49,19 @@ class QuadSpec:
     """Adaptive Gauss–Kronrod quadrature tolerances, per evaluation point.
 
     ``limit`` caps the number of subintervals (panels) one point's integral
-    may use; exceeding it raises :class:`QuadratureError`.
+    may use; exceeding it raises :class:`QuadratureError`.  ValueError
+    unless both tolerances are finite and >= 0 and ``limit`` >= 1.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     limit: int = 4096
+
+    def __post_init__(self):
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf
+                and self.limit >= 1):
+            raise ValueError(f"quadrature needs finite tolerances >= 0 and a "
+                             f"limit >= 1, got {self}")
 
 
 _BLOCK = 2048           # panels per integrand call; bounds working memory
@@ -81,7 +87,10 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     the error estimate K21 - G10, differenced in the weights.  A panel is
     accepted when every component's |K21 - G10| <= max(abs_tol, rel_tol
     |I0_row|) times its share of the window, I0 being the first component,
-    and bisected otherwise.  A row needing more than ``spec.limit`` panels
+    and bisected otherwise.  A panel narrower than ``_panels._MIN_WIDTH``
+    max(1, |y|), such as one holding a jump of f, is accepted when its
+    |K21 - G10| is at most 2^-10 of that whole-window tolerance.  A row
+    needing more than ``spec.limit`` panels
     raises :class:`QuadratureError`, and so does a block whose K21 sums are
     not finite, which every NaN or inf among its integrand values makes
     them (all K21 weights are positive): no bisection could meet a
@@ -105,6 +114,7 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
         rows, ab = rows[keep], ab.compress(keep, axis=0)
 
     width = np.where(hi > lo, hi - lo, 1.0)    # an empty window has no panels
+    narrowest = _MIN_WIDTH * max(1.0, np.abs(edges).max(initial=0.0))
     total = np.zeros((1, n))
     count = np.bincount(rows, minlength=n)
     while len(rows):
@@ -125,8 +135,12 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
         sums = np.concatenate(sums, axis=-2).reshape(-1, len(rows), 2)
         k21, err = sums[..., 0], np.abs(sums[..., 1]).max(axis=0)
         estimate = total[0] + np.bincount(rows, k21[0], minlength=n)
-        scale = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate)) / width
-        ok = err <= scale[rows] * (ab[:, 1] - ab[:, 0])
+        row_tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
+        w = ab[:, 1] - ab[:, 0]
+        ok = err <= (row_tol / width)[rows] * w
+        if w.min() < narrowest:     # only while a jump of f is being resolved
+            narrow = w < _MIN_WIDTH * np.maximum(1.0, np.abs(ab[:, 0]))
+            ok |= narrow & (err <= 2.0 ** -10 * row_tol[rows])
         total = total + [np.bincount(rows[ok], k[ok], minlength=n) for k in k21]
         bad = ~ok
         rows, ab = rows[bad], ab.compress(bad, axis=0)
@@ -202,6 +216,15 @@ def x_grid(xs) -> np.ndarray:
     if xs.ndim != 1 or not len(xs) or not np.all(np.isfinite(xs)):
         raise ValueError("x-grid must be a finite, non-empty 1-D array")
     return xs
+
+
+def t_levels(t) -> np.ndarray:
+    """``t``, a time or a sequence of times, as a 1-D float array;
+    ValueError unless it is a scalar or a non-empty 1-D sequence."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or not len(ts):
+        raise ValueError("t must be a time or a non-empty 1-D sequence of times")
+    return ts
 
 
 def write_csv(fh, header, columns):
@@ -572,7 +595,7 @@ def solve_ivp(K: HeatKernel, phi: InitialData, xs, t,
     of points.  Returns the sampled field u(x, t) with u(x, t) = int K(x, y,
     t) phi(y) dy.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = t_levels(t)
     xs = x_grid(xs)
     return GridField(xs, ts, _convolve(K, phi, xs, ts, quad_spec))
 
@@ -581,13 +604,12 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
                 quad_spec: QuadSpec = QuadSpec()) -> float:
     """E_x[phi(X_t)] = int K(x, y, t) phi(y) dy for transition-density kernels.
 
-    Warns when the coefficient set has nonzero d, b or f on [0, t] (as
-    :func:`~heatkern.coefficients.structure` samples them), in which case the
-    kernel is a Green function but not a probability transition density.
+    Warns when d, b or f is nonzero at a node of the characteristic solve's
+    panels that start below t (``K.fund.chs.structure(t)``), in which case
+    the kernel is a Green function but not a probability transition density.
     """
     xs = x_grid([float(x)])
-    zero = structure(K.coeffs, min(t, K.coeffs.domain_end))[0]
-    if not {"d", "b", "f"} <= zero:
+    if not {"d", "b", "f"} <= K.fund.chs.structure(t)[0]:
         warnings.warn("kernel has nonzero d, b or f; expectation is not "
                       "probabilistic", NonconservativeWarning, stacklevel=2)
     return float(_convolve(K, phi, xs, [float(t)], quad_spec)[0, 0])
@@ -676,7 +698,8 @@ def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,
             return math.exp(ln_norm - (xi - eta) ** 2 / (4.0 * dtau)) * v0(eta)
 
         # u = pre * v meets abs_tol when v meets abs_tol / pre
-        spec = replace(quad_spec, abs_tol=quad_spec.abs_tol / pre)
+        spec = replace(quad_spec, abs_tol=min(quad_spec.abs_tol / pre,
+                                              sys.float_info.max))
         values[j] = pre * _quad(integrand, lo, hi, spec, points=(xi, *kinks))
     return GridField(xs, [t], values[None, :])
 

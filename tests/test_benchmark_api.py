@@ -10,12 +10,14 @@ import importlib
 import importlib.util
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatkern import CoefficientSet, profile
+from heatkern import (BurgersProblem, CoefficientSet, InitialData, expectation,
+                      make_kernel, profile)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("kernel-sweep", "cauchy", "burgers", "validate")
@@ -78,6 +80,31 @@ def test_coefficient_set_builds_from_traced_fields(tracing):
         for t in (0.0, 0.3, 1.7):
             assert [repr(getattr(counted, n)(t)) for n in tracing.COEFF_FIELDS] \
                 == [repr(getattr(co, n)(t)) for n in tracing.COEFF_FIELDS]
+
+
+# c = prod_k (t - k/4): zero at the 9 times k T/8 of a T = 2 horizon only
+_NINE_ROOTS = np.polynomial.polynomial.polyfromroots(np.arange(9) / 4.0).tolist()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("constant-heat", {}), ("cable", {"lam": 1.3, "tau": 3.0}),
+    ("fokker-planck", {}), ("ou-drift", {"k": 2.0, "g": 0.5}),
+    ("custom", {"poly": {"a": [1.0, -0.2], "c": [-0.0], "f": [0.0, 0.5]}}),
+    ("custom", {"poly": {"a": [0.7], "c": _NINE_ROOTS}})])
+def test_traced_coefficients_keep_the_structure_decisions(tracing, kind, params):
+    # the tracer rebuilds every set from counting closures, which keeps the
+    # values the characteristic solve reads structure from
+    co = profile(kind, **params)
+    counted = tracing.Tracer()._counted_coefficients(co)
+    ones = InitialData.from_callable(lambda y: 1.0)
+    decisions = []
+    for each in (co, counted):
+        classical = BurgersProblem(each, lambda y: 0.0, [0.0]).classical
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expectation(make_kernel(each), ones, 0.0, 0.5)
+        decisions.append((classical, [w.category for w in caught]))
+    assert decisions[0] == decisions[1]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

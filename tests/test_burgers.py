@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,39 @@ def test_time_varying_diffusion_is_not_classical():
     prob = BurgersProblem(co, lambda y: 0.0, np.linspace(-1.0, 1.0, 5))
     assert not prob.classical
     assert prob.scale == 1.0
+
+
+def test_classical_is_read_from_every_node_of_the_solve(deadline):
+    # c = prod_k (t - k/4) vanishes at the 9 times k T/8 and nowhere else on
+    # the nodes: the general equation, solved to its residual
+    c = np.polynomial.polynomial.polyfromroots(np.arange(9) / 4.0).tolist()
+    co = profile("custom", T=2.0, poly={"a": [0.7], "c": c})
+    xs = np.linspace(-1.5, 1.5, 121)
+    prob = BurgersProblem(co, lambda y: 0.5 * np.exp(-y * y), xs)
+    assert not prob.classical
+    with deadline(30):
+        v = solve_burgers_ivp(prob, [1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+    assert np.max(np.abs(burgers_residual(v, co).values)) < 1e-6
+
+
+def test_replace_builds_a_new_kernel_and_v0(coeffs_heat, coeffs_fp):
+    xs = np.linspace(-1.0, 1.0, 9)
+    v0 = lambda y: 0.5 * np.exp(-y * y)
+    prob = BurgersProblem(coeffs_heat, v0, xs)
+    solve_burgers_ivp(prob, 0.5)
+    for changes in ({"coeffs": coeffs_fp}, {"v0": lambda y: -v0(y)}):
+        changed = replace(prob, **changes)
+        fresh = BurgersProblem(**{"coeffs": coeffs_heat, "v0": v0, "xs": xs,
+                                  **changes})
+        assert np.array_equal(solve_burgers_ivp(changed, 0.5).values,
+                              solve_burgers_ivp(fresh, 0.5).values)
+
+
+@pytest.mark.parametrize("t", [[], [[0.5]]])
+def test_solve_rejects_times_that_are_not_a_1d_sequence(coeffs_heat, t):
+    prob = BurgersProblem(coeffs_heat, lambda y: 0.0, np.linspace(-1, 1, 5))
+    with pytest.raises(ValueError, match="non-empty 1-D sequence of times"):
+        solve_burgers_ivp(prob, t)
 
 
 @pytest.mark.parametrize("t, why", [(7.0, "horizon"), (math.nan, "not a number")])
@@ -573,7 +607,7 @@ def test_traveling_wave_nan_a_is_the_same_typed_error(deadline, a, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("T", [0.0, -1.0])
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
 def test_traveling_wave_needs_a_positive_horizon(T):
     spec = TravelingWaveSpec(c0=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0,
                              beta0_init=1.0, gamma0_init=0.0,

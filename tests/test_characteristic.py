@@ -153,6 +153,29 @@ def test_non_finite_coefficient_raises(deadline, t_bad):
         make_kernel(co)
 
 
+def test_structure_reports_vanishing_and_constant_coefficients():
+    assert solve_characteristic(profile("fokker-planck")).structure(2.0) == (
+        {"b", "f", "g"}, {"a", "b", "c", "d", "f", "g"})
+    # exact: a coefficient of 1e-15 t is neither zero nor constant
+    co = profile("custom", T=2.0, poly={"a": [1.0, 0.1], "f": [0.0, 1e-15]})
+    assert solve_characteristic(co).structure(2.0) == ({"b", "c", "d", "g"},
+                                                       {"b", "c", "d", "g"})
+    # the panels that start below t_end decide: b vanishes on [0, 1] only
+    late = dataclasses.replace(co, b=lambda t: max(t - 1.0, 0.0))
+    chs = solve_characteristic(late)
+    assert "b" in chs.structure(0.9)[0]
+    assert "b" not in chs.structure(2.0)[0]
+    short = solve_characteristic(dataclasses.replace(late, domain_end=0.9))
+    assert "b" in short.structure(0.9)[0]
+    # c = prod_k (t - k/4) is 0 at the 9 times k T/8, at no Kronrod node
+    c = np.polynomial.polynomial.polyfromroots(np.arange(9) / 4.0).tolist()
+    chs = solve_characteristic(profile("custom", T=2.0,
+                                       poly={"a": [0.7], "c": c}))
+    assert chs.structure(2.0) == ({"b", "d", "f", "g"}, {"a", "b", "d", "f", "g"})
+    # a NaN coefficient has no structure: the solve raises (the nan-* cases
+    # of test_failed_solve_is_the_same_typed_error)
+
+
 _HEAT = profile("constant-heat", T=1.0)
 
 
@@ -171,7 +194,9 @@ _HEAT = profile("constant-heat", T=1.0)
      1e-10, "characteristic system is not finite at t = 0.4"),
     (dataclasses.replace(_HEAT, a=lambda t: 1.0 if t < 0.3 else math.nan),
      1e-10, "characteristic system is not finite at t = 0.3"),
-], ids=["hyperbolic-corner", "step-underflow", "nan-c", "nan-a"])
+    (dataclasses.replace(_HEAT, g=lambda t: math.nan),
+     1e-10, "characteristic system is not finite at t = 0"),
+], ids=["hyperbolic-corner", "step-underflow", "nan-c", "nan-a", "nan-g"])
 def test_failed_solve_is_the_same_typed_error(deadline, co, tol, message):
     with deadline(10), pytest.raises(IntegrationError) as err:
         solve_characteristic(co, tol=tol)
