@@ -270,12 +270,17 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     With w = K(x, y, t) exp(-s V0(y)), K = ``prob.kernel()`` and s = 1 / (2
     scale), v = -2 scale (dtop + dmean E_x[z] / sigma) on the rows of
     ``_kernel_rows``, z = (y - mean) / sigma and E_x the mean under w: one
-    quadrature over every (t, x) integrates w and z w.  Each row's log w is
-    shifted by its largest value on the nodes of the first integrand call
-    that holds the row, which cancels in E_x, so every quadrature pass
+    quadrature over every (t, x) integrates w and z w.  Every row at one t
+    has the same sigma, so the same window half-width ``width``; its first
+    panels are the cells of the lattice k h, h = width / 4, fixed at 0, that
+    cover mean +- width, 8 to 10 of them, each edge an integer-valued float
+    times h.  So rows at one t share their cells to the bit, and each
+    integrand call evaluates V0 once per distinct panel.  Each row's log w
+    is shifted by its largest value on the nodes of the first integrand
+    call that holds the row, which cancels in E_x, so every quadrature pass
     evaluates V0 once.  A t outside the kernel's validity interval (or NaN)
     raises DomainError; a (t, x) whose int w is not positive, as where a far
-    x rounds its window to one point, or whose v is not finite raises
+    x rounds its cells to one point, or whose v is not finite raises
     QuadratureError naming the first such (t, x).
     """
     ts = t_levels(t)
@@ -286,9 +291,14 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
     vb = np.repeat([prob.v0_bound(half + 16.0 * sd) for sd in sigma[::len(xs)]],
                    len(xs))
     width = s * vb * sigma * sigma + 12.0 * sigma   # + the tilted peak's shift
+    h = 0.25 * width
+    # (mean -+ width) / h are 8 apart, so at most 10 cells lie between
+    k = np.floor((mean - width) / h)[:, None] + np.arange(11.0)
+    edges = np.minimum(k, np.ceil((mean + width) / h)[:, None]) * h[:, None]
 
-    # the antiderivative must cover every quadrature window
-    needed = float(np.max(np.abs(mean) + width))
+    # the antiderivative must cover every quadrature window, whose ends lie
+    # within one cell past mean +- width
+    needed = float(np.max(np.abs(mean) + width + h))
     V0 = on_arrays(prob.antiderivative(needed * 1.05 + 1.0))
 
     shift = np.full(len(mean), -np.inf)    # set on a row's first call
@@ -297,7 +307,11 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
         """(w, z w) with z = (y - mean) / sigma and log w = -z^2 / 2 - s V0(y)
         - shift, up to top."""
         z = (y - mean[r, None]) / sigma[r, None]
-        e = -0.5 * z * z - s * V0(y)   # before the buffer: V0 is the memory peak
+        # a panel's first and last node tell it from every other panel
+        _, first, back = np.unique(y[:, 0] + 1j * y[:, -1], return_index=True,
+                                   return_inverse=True)
+        # before the buffer: V0 is the memory peak
+        e = -0.5 * z * z - s * V0(y[first])[back]
         new = shift[r] == -np.inf
         if new.any():
             with np.errstate(invalid="ignore"):   # _gk21 reports a NaN
@@ -310,8 +324,7 @@ def solve_burgers_ivp(prob: BurgersProblem, t,
         return out
 
     # where no window holds a panel, _gk21 returns one row of zeros
-    m0, m1 = np.broadcast_to(
-        _gk21(tilted, mean - width, mean + width, mean, quad_spec), (2, len(mean)))
+    m0, m1 = np.broadcast_to(_gk21(tilted, edges, quad_spec), (2, len(mean)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = -2.0 * prob.scale * (dtop + dmean * m1 / (m0 * sigma))
     bad = (m0 <= 0.0) | ~np.isfinite(v)

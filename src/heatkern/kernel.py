@@ -72,39 +72,48 @@ _EDGES = np.array([[1.0, 0.75, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0],
                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0]])
 
 
-def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
-    """Adaptive G10/K21 quadrature of many integrals at once.
-
-    Row i is the integral over [lo[i], hi[i]] (zero when hi <= lo) of the
-    integrand ``f(rows, Y)``, which receives a (panels, 21) array of nodes
-    and the row index of each panel.  It returns a (panels, 21) array or a
-    (components, panels, 21) stack, and the result is (components, rows).
-    Each window starts as four equal panels on either side of ``center[i]``,
-    split further at every knot inside it.  Every pass evaluates all live
-    panels, ``_BLOCK`` at a time; a block's nodes are one product of its
-    (mid, half) pairs, and its sums one product of its integrand values with
-    the rule matrix ``_panels.RULES``, whose columns give the K21 value and
-    the error estimate K21 - G10, differenced in the weights.  A panel is
-    accepted when every component's |K21 - G10| <= max(abs_tol, rel_tol
-    |I0_row|) times its share of the window, I0 being the first component,
-    and bisected otherwise.  A panel narrower than ``_panels._MIN_WIDTH``
-    max(1, |y|), such as one holding a jump of f, is accepted when its
-    |K21 - G10| is at most 2^-10 of that whole-window tolerance.  A row
-    needing more than ``spec.limit`` panels
-    raises :class:`QuadratureError`, and so does a block whose K21 sums are
-    not finite, which every NaN or inf among its integrand values makes
-    them (all K21 weights are positive): no bisection could meet a
-    tolerance there.
-    """
+def _window_edges(lo, hi, center, knots=None) -> np.ndarray:
+    """The (n, e) first edges of the windows [lo, hi] (empty when hi <= lo):
+    four equal panels on either side of ``center`` clipped into the window,
+    split further at every knot inside it."""
     lo = np.asarray(lo, dtype=float)
     hi = np.maximum(np.asarray(hi, dtype=float), lo)
-    n = len(lo)
     c = np.minimum(np.maximum(center, lo), hi)
     edges = np.stack((lo, c, hi), axis=1) @ _EDGES
     if knots is not None:
         inside = np.clip(np.asarray(knots, dtype=float)[None, :],
                          lo[:, None], hi[:, None])
         edges = np.sort(np.concatenate((edges, inside), axis=1), axis=1)
+    return edges
+
+
+def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
+    """Adaptive G10/K21 quadrature of many integrals at once.
+
+    Row i is the integral over [edges[i, 0], edges[i, -1]] of the integrand
+    ``f(rows, Y)``, which receives a (panels, 21) array of nodes and the row
+    index of each panel.  It returns a (panels, 21) array or a (components,
+    panels, 21) stack, and the result is (components, rows).  Row i's first
+    panels lie between its sorted ``edges[i]``; equal neighbours make an
+    empty panel, which is dropped, so a row whose edges are all equal is 0
+    and never reaches ``f``.  Every pass evaluates all live
+    panels, ``_BLOCK`` at a time; a block's nodes are one product of its
+    (mid, half) pairs, and its sums one product of its integrand values with
+    the rule matrix ``_panels.RULES``, whose columns give the K21 value and
+    the error estimate K21 - G10, differenced in the weights.  A panel is
+    accepted when, for every component k, |K21 - G10| <= max(abs_tol,
+    rel_tol max(|I_k|, |I_0|)) times its share of the window, I_k being
+    the row's running estimate of component k, and bisected otherwise.  A
+    panel narrower than ``_panels._MIN_WIDTH`` max(1, |y|), such as one
+    holding a jump of f, is accepted when every component's |K21 - G10| is
+    at most 2^-10 of that component's whole-window tolerance.  A row
+    needing more than ``spec.limit`` panels
+    raises :class:`QuadratureError`, and so does a block whose K21 sums are
+    not finite, which every NaN or inf among its integrand values makes
+    them (all K21 weights are positive): no bisection could meet a
+    tolerance there.
+    """
+    n = len(edges)
     ab = np.empty((n, edges.shape[1] - 1, 2))     # (start, end) of each panel
     ab[..., 0], ab[..., 1] = edges[:, :-1], edges[:, 1:]
     ab = ab.reshape(-1, 2)
@@ -113,7 +122,8 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
     if not keep.all():
         rows, ab = rows[keep], ab.compress(keep, axis=0)
 
-    width = np.where(hi > lo, hi - lo, 1.0)    # an empty window has no panels
+    width = edges[:, -1] - edges[:, 0]
+    width = np.where(width > 0.0, width, 1.0)    # an empty window has no panels
     narrowest = _MIN_WIDTH * max(1.0, np.abs(edges).max(initial=0.0))
     total = np.zeros((1, n))
     count = np.bincount(rows, minlength=n)
@@ -133,14 +143,15 @@ def _gk21(f, lo, hi, center, spec: QuadSpec, knots=None) -> np.ndarray:
             sums.append(block * mh[:, 1:])
         # (components, panels, 2)
         sums = np.concatenate(sums, axis=-2).reshape(-1, len(rows), 2)
-        k21, err = sums[..., 0], np.abs(sums[..., 1]).max(axis=0)
-        estimate = total[0] + np.bincount(rows, k21[0], minlength=n)
-        row_tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
+        k21, err = sums[..., 0], np.abs(sums[..., 1])
+        estimate = np.abs(total + [np.bincount(rows, k, minlength=n) for k in k21])
+        row_tol = np.maximum(spec.abs_tol,
+                             spec.rel_tol * np.maximum(estimate, estimate[0]))
         w = ab[:, 1] - ab[:, 0]
-        ok = err <= (row_tol / width)[rows] * w
+        ok = (err <= (row_tol / width)[:, rows] * w).all(axis=0)
         if w.min() < narrowest:     # only while a jump of f is being resolved
             narrow = w < _MIN_WIDTH * np.maximum(1.0, np.abs(ab[:, 0]))
-            ok |= narrow & (err <= 2.0 ** -10 * row_tol[rows])
+            ok |= narrow & (err <= 2.0 ** -10 * row_tol[:, rows]).all(axis=0)
         total = total + [np.bincount(rows[ok], k[ok], minlength=n) for k in k21]
         bad = ~ok
         rows, ab = rows[bad], ab.compress(bad, axis=0)
@@ -575,7 +586,7 @@ def _convolve(K: HeatKernel, phi: InitialData, xs, ts,
         out *= values(y)
         return out
 
-    j = _gk21(integrand, lo, hi, mean, spec, knots=phi.xs)[0]
+    j = _gk21(integrand, _window_edges(lo, hi, mean, phi.xs), spec)[0]
     with np.errstate(over="ignore", invalid="ignore"):   # u is checked below
         u = np.exp(top + shift) * j
     bad = ~np.isfinite(u)
@@ -636,7 +647,7 @@ def normalization(K: HeatKernel, t: float, variable: str = "y",
         f = lambda rows, x: K.evaluate(x, 0.0, t)
     L = math.inf if L is None else float(L)
     lo, hi = max(mean - 12.0 * std, -L), min(mean + 12.0 * std, L)
-    return float(_gk21(f, [lo], [hi], np.array([mean]), quad_spec)[0, 0])
+    return float(_gk21(f, _window_edges([lo], [hi], [mean]), quad_spec)[0, 0])
 
 
 def transform_solve(fund: FundamentalRiccati, phi: InitialData, xs, t: float,

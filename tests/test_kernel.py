@@ -19,7 +19,7 @@ from heatkern.errors import (DomainError, IntegrationError, QuadratureError,
 from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _BLOCK, _exp_guard, _gk21,
-                             _kernel_rows, _quad, write_csv)
+                             _kernel_rows, _quad, _window_edges, write_csv)
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -586,11 +586,11 @@ def test_gk21_stack_matches_single_components():
     f2 = lambda r, y: y * np.exp(-(y - 0.3) ** 2)
     lo, hi = np.array([-5.0, -3.0, 0.0]), np.array([5.0, 4.0, 6.0])
     center = np.array([0.0, 0.5, 1.0])
-    both = _gk21(lambda r, y: np.stack((f1(r, y), f2(r, y))), lo, hi, center,
-                 QuadSpec())
+    edges = _window_edges(lo, hi, center)
+    both = _gk21(lambda r, y: np.stack((f1(r, y), f2(r, y))), edges, QuadSpec())
     assert both.shape == (2, 3)
     for got, f in zip(both, (f1, f2)):
-        one = _gk21(f, lo, hi, center, QuadSpec())
+        one = _gk21(f, edges, QuadSpec())
         assert one.shape == (1, 3)
         assert np.max(np.abs(got - one[0])) < 1e-14
 
@@ -644,7 +644,7 @@ def test_gk21_is_exact_on_polynomials_of_degree_up_to_29(degree):
                     return np.stack([p(r, y) for p, _ in polys])
                 return polys[0][0](r, y)
 
-            got = _gk21(f, los, his, centers, TIGHT, knots=knots)
+            got = _gk21(f, _window_edges(los, his, centers, knots), TIGHT)
             assert got.shape == (2 if stacked else 1, rows)
             assert (len(calls) == 1) == (degree < 20), (knots, stacked, calls)
             for row, (_, integral) in zip(got, polys):
@@ -662,8 +662,8 @@ def test_gk21_empty_windows_are_exactly_zero():
 
     lo = np.array([0.0, -1.0, 2.0, 3.0])
     hi = np.array([0.0, 1.0, 1.0, 3.0])
-    got = _gk21(f, lo, hi, np.zeros(4), QuadSpec(),
-                knots=np.array([0.5, 2.5]))
+    got = _gk21(f, _window_edges(lo, hi, np.zeros(4), np.array([0.5, 2.5])),
+                QuadSpec())
     assert got.shape == (1, 4)
     assert got[0, 1] == pytest.approx(math.sqrt(math.pi) * math.erf(1.0),
                                       rel=1e-13)
@@ -671,8 +671,9 @@ def test_gk21_empty_windows_are_exactly_zero():
     assert np.array_equal(got[0, [0, 2, 3]], np.zeros(3))
     assert set(np.concatenate(seen).tolist()) == {1}
     seen.clear()
-    assert np.array_equal(_gk21(f, lo[[0, 2]], hi[[0, 2]], np.zeros(2),
-                                QuadSpec()), np.zeros((1, 2)))
+    assert np.array_equal(_gk21(f, _window_edges(lo[[0, 2]], hi[[0, 2]],
+                                                 np.zeros(2)), QuadSpec()),
+                          np.zeros((1, 2)))
     assert seen == []
 
 
@@ -713,8 +714,8 @@ def test_gk21_stops_at_the_first_block_that_is_not_finite():
 
     with pytest.raises(QuadratureError,
                        match="integrand is not finite at a quadrature node"):
-        _gk21(f, np.full(rows, -3.0), np.full(rows, 3.0), np.zeros(rows),
-              QuadSpec())
+        _gk21(f, _window_edges(np.full(rows, -3.0), np.full(rows, 3.0),
+                               np.zeros(rows)), QuadSpec())
     assert calls == [_BLOCK]
 
 

@@ -63,6 +63,8 @@ COMMANDS = {
     "burgers-bateman": ["burgers", "--t", "0.5", "--grid", "-4:4:41"],
     "burgers-gaussian": ["burgers", "--v0", "gaussian", "--t", "0.5",
                          "--grid", "-4:4:41"],
+    # v0 near -400: the tilted peak sits hundreds of sigma from the mean
+    "burgers-tilt": ["burgers", "--V", "400", "--t", "0.5", "--grid", "-4:4:41"],
     "wave": ["wave"],
 }
 # the sets whose characteristic states are hashed: (profile, T, params, tols)
