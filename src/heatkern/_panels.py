@@ -13,9 +13,9 @@ Legendre series (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071):
   end propagators are then chained (:func:`chain`);
 * quadratures are a panel-local integral plus a ``cumsum`` of the panel
   totals (:func:`cumulative`);
-* the adaptive G10/K21 quadratures of the kernel and the Burgers V0 take a
-  block's nodes from :func:`rule_nodes` and its K21 sums and error
-  estimates from one product with :data:`RULES`.
+* the one adaptive G10/K21 quadrature, ``kernel._gk21``, of the kernel and
+  the Burgers V0 takes a block's nodes from :func:`rule_nodes` and its K21
+  sums and error estimates from one product with :data:`RULES`.
 
 Every state y of an ODE run is dense on each panel as y(t) = y(a) + (t - a)
 g(x), where g(x) = int_0^1 y'(a + (t - a) u) du is the mean of y' over

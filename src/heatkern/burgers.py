@@ -27,8 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _panels
-from ._panels import _MIN_WIDTH, NODES, RULES, rule_nodes
+from . import _panels, kernel
+from ._panels import NODES
 from .coefficients import CoefficientSet, on_arrays
 from .errors import (IntegrationError, QuadratureError, SingularityError,
                      check_range)
@@ -41,31 +41,29 @@ from ._differences import d1_uniform4, d2_uniform4, dt_central
 # unit cells out to |y| = _UNIT_CELLS, then eight cells to each octave
 # [2^j, 2^(j+1)], so that the window of 4e9 a strong drift can need at large
 # t takes 248 cells a side, and v0 is sampled at most an eighth past |y| = W.
+# Knots split a cell into _gk21 rows, so a narrow feature between knots is
+# held to its own row's tolerance, not to a sliver of a wide cell's.
 _UNIT_CELLS = 32.0
-_ABS_TOL = 1e-14        # a panel's |K21 - G10| may be this times its width,
-_REL_TOL = 1e-12        # or this times its integral of |v|
-_MAX_PANELS = 1 << 14
+_V0_SPEC = QuadSpec(abs_tol=1e-14, rel_tol=1e-12, limit=1 << 10)
 
 
 class _DenseAntiderivative:
-    """V(y) = int_0^y v(z) dz on [-W, W] from adaptive G10/K21 panels.
+    """V(y) = int_0^y v(z) dz on [-W, W] from the panels _gk21 accepts.
 
-    Each pass calls v once, on the 21 Kronrod nodes of every live panel, and
-    bisects each panel whose |K21 - G10| exceeds max(_ABS_TOL width,
-    _REL_TOL int |v|).  A panel keeps V at its left edge a and the Legendre
-    series g of the mean over [a, y] of the degree-20 interpolant of v, so
-    V(y) = V(a) + (y - a) g is read from one :class:`_panels.Dense`, whose
-    float path gives the array path's bits.  The panels fill whole lattice
-    cells, so v is sampled out to the first lattice point at or past W,
-    which is below max(W + 1, 1.125 W): v must be finite there, not only on
-    [-W, W].  V accumulates outward from 0 and each panel is refined on its
-    own, so :meth:`extend` only adds panels: V on the old window keeps its
-    last bit, and no value depends on which windows were asked for first.
-    A panel narrower than _MIN_WIDTH max(1, |y|), such as one holding a jump of v,
-    is accepted when |K21 - G10| is at most _REL_TOL times the int |v| of
-    the lattice cell it came from.  One that is not (a non-integrable v), a
-    value of v that is not finite, or more than _MAX_PANELS panels raise
-    :class:`IntegrationError` naming the y where refinement stopped.
+    Each lattice cell, or each piece of one between the knots it holds, is
+    one row of :func:`heatkern.kernel._gk21` under _V0_SPEC, so v is called
+    on the nodes of all live panels, ``_BLOCK`` panels at a time, and v that
+    is not finite or a row needing more panels than the limit raises
+    :class:`IntegrationError` naming the y where _gk21 stopped.  An accepted
+    panel keeps V at its left edge a and the Legendre series g of the mean
+    over [a, y] of the degree-20 interpolant of v, so V(y) = V(a) + (y - a)
+    g is read from one :class:`_panels.Dense`, whose float path gives the
+    array path's bits.  The panels fill whole lattice cells, so v is sampled
+    out to the first lattice point at or past W, which is below max(W + 1,
+    1.125 W): v must be finite there, not only on [-W, W].  V accumulates
+    outward from 0 and each row is refined on its own, so :meth:`extend`
+    only adds panels: V on the old window keeps its last bit, and no value
+    depends on which windows were asked for first.
 
     A cell is only refined where its first nodes see v, so a feature of v
     narrower than the spacing of those nodes, about a hundredth of a cell,
@@ -105,64 +103,34 @@ class _DenseAntiderivative:
         panels there are."""
         left = right = edges
         if self._knots is not None:
-            k = self._knots
-            right = np.union1d(edges, k[(k > edges[0]) & (k < edges[-1])])
-            left = np.union1d(edges, -k[(-k > edges[0]) & (-k < edges[-1])])
-        a, b, k21, coef = self._panels(np.concatenate((-left[:0:-1], right[:-1])),
-                                       np.concatenate((-left[-2::-1], right[1:])))
+            left, right = (np.union1d(edges, np.clip(s * self._knots, edges[0],
+                                                     edges[-1])) for s in (-1, 1))
+        pieces = np.stack((np.concatenate((-left[:0:-1], right[:-1])),
+                           np.concatenate((-left[-2::-1], right[1:]))), axis=1)
+        try:     # kernel's own driver: this module's _gk21 is the solve's
+            _, (_, ab, k21, f) = kernel._gk21(lambda _, y: self._v(y), pieces,
+                                              _V0_SPEC, panels=True)
+        except QuadratureError as exc:
+            raise IntegrationError(
+                f"v0 is not finite at y = {exc.y:.6g}" if "finite" in str(exc)
+                else f"V0 needs more than {_V0_SPEC.limit} panels; refinement "
+                     f"stopped at y = {exc.y:.6g}: v0 is not integrable there "
+                     f"to tolerance within one lattice cell") from None
+        order = np.argsort(ab[:, 0])
+        (a, b), k21 = ab[order].T, k21[0, order]
         left, right = b <= 0.0, a >= 0.0
         # V runs outward from V(-edge) and V(edge), one panel at a time
         run_left = np.cumsum(np.concatenate(([self._ends[0]], -k21[left][::-1])))
         run_right = np.cumsum(np.concatenate(([self._ends[1]], k21[right])))
         self._ends = [run_left[-1], run_right[-1]]
         self._V = np.concatenate((run_left[:0:-1], self._V, run_right[:-1]))
+        coef = _panels.mean_series(f[order, :, None])
         self._a, self._b, self._coef = (
             np.concatenate((new[left], old, new[right]))
             for new, old in ((a, self._a), (b, self._b), (coef, self._coef)))
         self._edge = float(edges[-1])
         self._dense = _panels.Dense(self._a, self._b, self._V[:, None],
                                     self._coef, [len(NODES)])
-
-    def _panels(self, a, b):
-        """Bisect the cells [a, b] until every panel meets the tolerance;
-        (left edges, right edges, K21 integrals, (n, 21, 1) coefficients of
-        the mean of v)."""
-        done = []
-        cell = None   # the int |v| of the cell each panel came from
-        while len(a):
-            mh, y = rule_nodes(np.stack((a, b), axis=1))
-            mid, half = mh.T
-            f = self._v(y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                k21, err = half * (f @ RULES).T
-            finite = np.isfinite(k21)    # K21 weights are all positive
-            if not finite.all():
-                bad = ~np.isfinite(f)    # else a sum of finite values overflowed
-                at = y[bad][0] if bad.any() else mid[~finite][0]
-                raise IntegrationError(f"v0 is not finite at y = {at:.6g}")
-            err = np.abs(err)
-            absint = half * (np.abs(f) @ RULES[:, 0])
-            cell = absint if cell is None else cell
-            narrow = b - a < _MIN_WIDTH * np.maximum(1.0, np.abs(mid))
-            ok = (err <= np.maximum(_ABS_TOL * (b - a), _REL_TOL * absint)) \
-                | narrow & (err <= _REL_TOL * cell)
-            if (narrow & ~ok).any():
-                worst = mid[np.argmax(np.where(narrow & ~ok, err, -1.0))]
-                raise IntegrationError(f"V0 refinement stopped at y = "
-                                       f"{worst:.6g}: v0 is not integrable "
-                                       f"there to tolerance")
-            done.append((a[ok], b[ok], k21[ok], f[ok]))
-            a, b, mid, cell, err = a[~ok], b[~ok], mid[~ok], cell[~ok], err[~ok]
-            if sum(len(d[0]) for d in done) + 2 * len(a) > _MAX_PANELS:
-                raise IntegrationError(f"V0 needs more than {_MAX_PANELS} "
-                                       f"panels; refinement stopped at y = "
-                                       f"{mid[np.argmax(err)]:.6g}")
-            a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-            cell = np.concatenate((cell, cell))
-        a, b, k21, f = (np.concatenate(d) for d in zip(*done))
-        order = np.argsort(a)
-        return (a[order], b[order], k21[order],
-                _panels.mean_series(f[order, :, None]))
 
     def __call__(self, y):
         W = self.half_width
@@ -193,11 +161,12 @@ class BurgersProblem:
     which reading it builds) marks the classical v_t + v v_x = a v_xx,
     solved on the same kernel for w = v / a.
     ``v0_antiderivative`` may supply an analytic int_0^y v0; otherwise a
-    dense numerical one is built on demand.  Its panels start on unit cells
-    and are refined where their nodes see v0, so a feature of v0 narrower
-    than about a hundredth of a cell needs ``knots``: points, such as the
-    feature's center and a few of its widths to each side, that split the
-    cells holding them and that :meth:`v0_bound` samples as well.
+    dense numerical one is built on demand by :func:`heatkern.kernel._gk21`
+    on the cells of a lattice, refined where their nodes see v0, so a
+    feature of v0 narrower than about a hundredth of a cell needs
+    ``knots``: points, such as the feature's center and a few of its widths
+    to each side, that split the cells holding them and that
+    :meth:`v0_bound` samples as well.
     """
 
     coeffs: CoefficientSet

@@ -27,7 +27,12 @@ class BlowUpError(IntegrationError):
 
 
 class QuadratureError(RuntimeError):
-    """An adaptive quadrature did not converge to the requested tolerance."""
+    """An adaptive quadrature did not converge to the requested tolerance;
+    ``y``, where given, is the place the message names."""
+
+    def __init__(self, message, y=None):
+        super().__init__(message)
+        self.y = y
 
 
 class StabilityError(RuntimeError):

@@ -87,13 +87,16 @@ def _window_edges(lo, hi, center, knots=None) -> np.ndarray:
     return edges
 
 
-def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
+def _gk21(f, edges, spec: QuadSpec, panels: bool = False):
     """Adaptive G10/K21 quadrature of many integrals at once.
 
     Row i is the integral over [edges[i, 0], edges[i, -1]] of the integrand
     ``f(rows, Y)``, which receives a (panels, 21) array of nodes and the row
     index of each panel.  It returns a (panels, 21) array or a (components,
-    panels, 21) stack, and the result is (components, rows).  Row i's first
+    panels, 21) stack, and the result is (components, rows).  ``panels``
+    adds the accepted panels (some row must hold one) in the order of
+    acceptance: rows (m,), (start, end) (m, 2), K21 values (components, m)
+    and integrand values (..., m, 21).  Row i's first
     panels lie between its sorted ``edges[i]``; equal neighbours make an
     empty panel, which is dropped, so a row whose edges are all equal is 0
     and never reaches ``f``.  Every pass evaluates all live
@@ -107,11 +110,13 @@ def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
     panel narrower than ``_panels._MIN_WIDTH`` max(1, |y|), such as one
     holding a jump of f, is accepted when every component's |K21 - G10| is
     at most 2^-10 of that component's whole-window tolerance.  A row
-    needing more than ``spec.limit`` panels
-    raises :class:`QuadratureError`, and so does a block whose K21 sums are
-    not finite, which every NaN or inf among its integrand values makes
-    them (all K21 weights are positive): no bisection could meet a
-    tolerance there.
+    needing more than ``spec.limit`` panels raises :class:`QuadratureError`
+    at the y where the bisected panel with the largest estimate was split,
+    and so does a block whose K21 sums are not finite, which every NaN or
+    inf among its integrand values makes them (all K21 weights are
+    positive): no bisection could meet a tolerance there.  That error names
+    the first such node, or the first panel whose sum of finite values
+    overflowed.
     """
     n = len(edges)
     ab = np.empty((n, edges.shape[1] - 1, 2))     # (start, end) of each panel
@@ -127,11 +132,16 @@ def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
     narrowest = _MIN_WIDTH * max(1.0, np.abs(edges).max(initial=0.0))
     total = np.zeros((1, n))
     count = np.bincount(rows, minlength=n)
+    err, kept = None, []
     while len(rows):
         if count.max() > spec.limit:
+            # bisected panel j's halves share ab[len(ab) // 2 + j, 0]
+            at = (0.5 * ab[0].sum() if err is None else
+                  ab[len(ab) // 2 + np.argmax(err.compress(bad, axis=1).max(axis=0)), 0])
             raise QuadratureError(f"quadrature did not converge within "
-                                  f"{spec.limit} panels per point")
-        sums = []
+                                  f"{spec.limit} panels per point; refinement "
+                                  f"stopped at y = {at:.6g}", float(at))
+        sums, values = [], []
         for i in range(0, len(rows), _BLOCK):
             blk = slice(i, i + _BLOCK)
             mh, y = rule_nodes(ab[blk])
@@ -139,8 +149,13 @@ def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):
                 block = fx @ RULES
             if not np.isfinite(block[..., 0]).all():
-                raise QuadratureError("integrand is not finite at a quadrature node")
+                odd = (~np.isfinite(fx)).reshape(-1, *y.shape).any(axis=0)
+                over = (~np.isfinite(block[..., 0])).reshape(-1, len(y)).any(axis=0)
+                at = float(y[odd][0] if odd.any() else mh[np.argmax(over), 0])
+                raise QuadratureError(f"integrand is not finite at y = {at:.6g}", at)
             sums.append(block * mh[:, 1:])
+            if panels:
+                values.append(fx)
         # (components, panels, 2)
         sums = np.concatenate(sums, axis=-2).reshape(-1, len(rows), 2)
         k21, err = sums[..., 0], np.abs(sums[..., 1])
@@ -153,13 +168,19 @@ def _gk21(f, edges, spec: QuadSpec) -> np.ndarray:
             narrow = w < _MIN_WIDTH * np.maximum(1.0, np.abs(ab[:, 0]))
             ok |= narrow & (err <= 2.0 ** -10 * row_tol[:, rows]).all(axis=0)
         total = total + [np.bincount(rows[ok], k[ok], minlength=n) for k in k21]
+        if panels:
+            kept.append((rows[ok], ab[ok], k21[:, ok],
+                         np.concatenate(values, axis=-2).compress(ok, axis=-2)))
+        if ok.all():
+            break
         bad = ~ok
         rows, ab = rows[bad], ab.compress(bad, axis=0)
         count += np.bincount(rows, minlength=n)
         left, right = ab.copy(), ab
         left[:, 1] = right[:, 0] = 0.5 * (ab[:, 0] + ab[:, 1])
         rows, ab = np.concatenate((rows, rows)), np.concatenate((left, right))
-    return total
+    return (total, tuple(np.concatenate(part, axis=axis) for part, axis
+                         in zip(zip(*kept), (0, 0, 1, -2)))) if panels else total
 
 
 def _quad(f, lo, hi, spec: QuadSpec, points=None):
@@ -618,7 +639,11 @@ def expectation(K: HeatKernel, phi: InitialData, x: float, t: float,
     Warns when d, b or f is nonzero at a node of the characteristic solve's
     panels that start below t (``K.fund.chs.structure(t)``), in which case
     the kernel is a Green function but not a probability transition density.
+    A kernel without that solve, not from :func:`make_kernel`, is a TypeError.
     """
+    if not isinstance(getattr(K, "fund", None), FundamentalRiccati):
+        raise TypeError("expectation needs a kernel from make_kernel, whose "
+                        "characteristic solve tells if it is a transition density")
     xs = x_grid([float(x)])
     if not {"d", "b", "f"} <= K.fund.chs.structure(t)[0]:
         warnings.warn("kernel has nonzero d, b or f; expectation is not "

@@ -944,6 +944,25 @@ def test_knots_split_the_cells_of_every_extension(coeffs_heat):
     assert max(abs(V(y) - V0(y)) for y in ys.tolist()) <= 1e-12
 
 
+@pytest.mark.parametrize("center", [150.3, -1000.3])
+def test_knots_make_their_pieces_rows_of_their_own(deadline, coeffs_heat, center):
+    # each piece of a cell between knots is a row of its own, so a bump of
+    # width 1e-5 in an octave cell 16 or 128 wide meets its pieces'
+    # tolerance in a few panels; a width's share of the whole cell's would
+    # lie below the rounding of the nodes there
+    v0, V0, knots = _narrow_bumps(1e-5, [center])
+    nodes = []
+    prob = BurgersProblem(coeffs_heat, lambda y: (nodes.append(y.size), v0(y))[1],
+                          np.linspace(-1.0, 1.0, 5), knots=knots)
+    W = abs(center) + 20.0
+    with deadline(0.5):
+        V = prob.antiderivative(W)
+    assert sum(nodes) < 300 * 21
+    ys = np.concatenate((np.linspace(-W, W, 401),
+                         center + 1e-5 * np.linspace(-12.0, 12.0, 49)))
+    assert max(abs(V(y) - V0(y)) for y in ys.tolist()) <= 1e-13
+
+
 def test_knots_on_lattice_points_change_no_bit(coeffs_fp):
     v0, _ = _gaussian(0.7, 0.3)
     xs = np.linspace(-1.0, 1.0, 15)
@@ -980,13 +999,18 @@ def test_numeric_antiderivative_solves_match_analytic(coeffs):
 
 
 @pytest.mark.parametrize("v0, message", [
-    (lambda y: 1.0 / (y - 0.3001), r"refinement stopped at y = 0\.3001"),
+    # a cell runs out of panels at the pole, and at the singular point
+    (lambda y: 1.0 / (y - 0.3001), r"refinement stopped at y = 0\.3001: "
+                                   r"v0 is not integrable there"),
     (lambda y: np.abs(y - 0.3) ** -0.5,
-     r"refinement stopped at y = 0\.3: v0 is not integrable there"),
-    (lambda y: np.sin(1e5 * y), r"more than \d+ panels; refinement stopped at y = "),
-    (lambda y: np.where(y > 7.5, np.nan, 0.0), r"not finite at y = 7\.5"),
+     r"refinement stopped at y = 0\.3: v0 is not integrable there to tolerance"
+     r" within one lattice cell$"),
+    (lambda y: np.sin(1e5 * y), r"more than \d+ panels; refinement stopped at y = "
+                                r"-?\d\.\d+: v0 is not integrable there"),
+    # the first node past 7.5, in the cell [7, 8]
+    (lambda y: np.where(y > 7.5, np.nan, 0.0), r"not finite at y = 7\.57444$"),
     # finite values whose K21 sum overflows name the panel's midpoint
-    (lambda y: np.where(y > 7.0, 1e308, 0.0), r"v0 is not finite at y = 7\.5"),
+    (lambda y: np.where(y > 7.0, 1e308, 0.0), r"v0 is not finite at y = 7\.5$"),
 ])
 def test_antiderivative_failures_are_quick_and_name_y(deadline, coeffs_heat,
                                                       v0, message):

@@ -20,6 +20,7 @@ from heatkern._differences import d1_uniform4, d2_uniform4, dt_central
 from heatkern.kernel import (LOG_OVERFLOW, NonconservativeWarning,
                              TruncationWarning, _BLOCK, _exp_guard, _gk21,
                              _kernel_rows, _quad, _window_edges, write_csv)
+from heatkern._panels import rule_nodes
 
 TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
 
@@ -462,10 +463,12 @@ def test_nonfinite_gaussian_center_or_amplitude_rejected(name, value):
         InitialData.gaussian(**{name: value})
 
 
-@pytest.mark.parametrize("phi", [
-    lambda y: np.full(np.shape(y), np.nan),
-    lambda y: np.where(y > 3.0, np.inf, 1.0)], ids=["nan", "inf"])
-def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi):
+@pytest.mark.parametrize("phi, at", [
+    # the first node of all, in x = -4's window [-14, 6]
+    (lambda y: np.full(np.shape(y), np.nan), r"-13\.9946"),
+    # the first node past 3, in that window's panel [1, 3.5]
+    (lambda y: np.where(y > 3.0, np.inf, 1.0), r"3\.09926")], ids=["nan", "inf"])
+def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi, at):
     calls = []
 
     def counted(y):
@@ -473,10 +476,23 @@ def test_nonfinite_integrand_fails_after_one_pass(kernel_heat, deadline, phi):
         return phi(y)
 
     xs = np.linspace(-4.0, 4.0, 161)
-    with deadline(10), pytest.raises(QuadratureError, match="not finite"):
+    with deadline(10), pytest.raises(QuadratureError,
+                                     match=rf"^integrand is not finite at y = {at}$"):
         solve_ivp(kernel_heat, InitialData.from_callable(counted), xs, 0.5)
     # one call holds the first pass: 8 panels of 21 nodes on each of 161 rows
     assert calls == [161 * 8 * 21]
+
+
+def test_a_singular_integrand_names_its_y(kernel_heat, deadline):
+    # |y - 0.3|^(-1/2) is integrable, but its panels bisect toward 0.3 until
+    # a row holds more than limit panels; the failure says where
+    phi = InitialData.from_callable(lambda y: np.abs(y - 0.3) ** -0.5)
+    with deadline(10), pytest.raises(
+            QuadratureError, match=r"^quadrature did not converge within 4096 "
+                                   r"panels per point; refinement stopped at "
+                                   r"y = 0\.3$") as failure:
+        solve_ivp(kernel_heat, phi, np.linspace(-4.0, 4.0, 161), 0.5)
+    assert abs(failure.value.y - 0.3) < 1e-10
 
 
 @pytest.mark.parametrize("x", [
@@ -712,11 +728,43 @@ def test_gk21_stops_at_the_first_block_that_is_not_finite():
         out[5, 7] = np.nan
         return out
 
-    with pytest.raises(QuadratureError,
-                       match="integrand is not finite at a quadrature node"):
+    # row 0's panel 5 is [0.75, 1.5]
+    at = rule_nodes(np.array([[0.75, 1.5]]))[1][0, 7]
+    with pytest.raises(QuadratureError, match=r"^integrand is not finite at "
+                                              r"y = 0\.962477$") as failure:
         _gk21(f, _window_edges(np.full(rows, -3.0), np.full(rows, 3.0),
                                np.zeros(rows)), QuadSpec())
     assert calls == [_BLOCK]
+    assert failure.value.y == at
+
+
+def test_gk21_returns_the_panels_it_accepts():
+    # a kink at 0.1 bisects, knots split the first panels, and the last row
+    # is empty: each row's accepted panels tile its window, every first edge
+    # (each knot) is an edge of them, and their K21 values add up to the row
+    def f(rows, y):
+        return np.stack((np.exp(-y * y) * np.abs(y - 0.1), np.cos(3.0 * y)))
+
+    edges = _window_edges(np.array([-5.0, -3.0, 0.0, 2.0]),
+                          np.array([5.0, 4.0, 6.0, 2.0]),
+                          np.array([0.0, 0.5, 1.0, 2.0]), np.array([-0.7, 0.25, 1.5]))
+    total, (rows, ab, k21, values) = _gk21(f, edges, QuadSpec(), panels=True)
+    assert np.array_equal(total, _gk21(f, edges, QuadSpec()))
+    m = len(rows)
+    assert ab.shape == (m, 2) and k21.shape == (2, m)
+    assert values.shape == (2, m, 21) and m > 3 * 8
+    assert np.allclose(values, f(rows, rule_nodes(ab)[1]), rtol=1e-14, atol=1e-15)
+    assert not (rows == 3).any()
+    for i in range(3):
+        mine = rows == i
+        panels = ab[mine][np.argsort(ab[mine, 0])]
+        assert panels[0, 0] == edges[i, 0] and panels[-1, 1] == edges[i, -1]
+        assert np.array_equal(panels[1:, 0], panels[:-1, 1])   # no gap, no overlap
+        assert (panels[:, 1] > panels[:, 0]).all()
+        assert set(edges[i].tolist()) <= set(panels.ravel().tolist())
+        sums = k21[:, mine]
+        assert (np.abs(sums.sum(axis=1) - total[:, i])
+                <= 4 * np.finfo(float).eps * np.abs(sums).sum(axis=1)).all()
 
 
 def test_initial_data_validation():
@@ -767,6 +815,16 @@ def test_expectation_rejects_non_finite_x(kernel_ou_plain, x):
     ones = InitialData.from_callable(lambda y: 1.0)
     with pytest.raises(ValueError, match="finite"):
         expectation(kernel_ou_plain, ones, x, 0.5)
+
+
+def test_expectation_takes_make_kernel_kernels_only():
+    # the small-time kernel and the closed forms have no characteristic
+    # solve to read d, b and f from
+    ident = InitialData.from_callable(lambda y: y)
+    for K in (asymptotic_kernel(profile("constant-heat", a=1.0, T=2.5)),
+              closed_form("constant-heat", a=1.0)):
+        with pytest.raises(TypeError, match="kernel from make_kernel"):
+            expectation(K, ident, 0.5, 1e-3)
 
 
 def test_expectation_warns_on_nonconservative(kernel_fp):

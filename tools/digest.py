@@ -65,6 +65,9 @@ COMMANDS = {
                          "--grid", "-4:4:41"],
     # v0 near -400: the tilted peak sits hundreds of sigma from the mean
     "burgers-tilt": ["burgers", "--V", "400", "--t", "0.5", "--grid", "-4:4:41"],
+    # a late t on a wide grid: V0's window reaches its octave cells past 32
+    "burgers-wide": ["burgers", "--v0", "gaussian", "--t", "2.4",
+                     "--grid", "-30:30:13"],
     "wave": ["wave"],
 }
 # the sets whose characteristic states are hashed: (profile, T, params, tols)
